@@ -1,6 +1,6 @@
 // Streaming data-plane economics: runs the same campaign through the
 // materialized merge (AoS TraceRecord dataset), the streaming aggregation
-// path (columnar batches folded straight into a StreamingAggregator), and
+// path (columnar batches folded into the Aggregator, no dataset), and
 // the spill-to-disk variant, then compares throughput and the resident
 // bytes the data plane pins per record. Writes BENCH_streaming_campaign.json.
 //

@@ -8,329 +8,6 @@
 
 namespace cellrel {
 
-Aggregator::Aggregator(const TraceDataset& dataset) : data_(dataset) {}
-
-namespace {
-
-/// Kept-failure counts per device id. Ordered on purpose: these counts are
-/// iterated on the deterministic export surface, and unordered iteration
-/// order would leak into exported bytes (cellrel-lint: ordered-export).
-std::map<DeviceId, std::uint64_t> kept_counts(const TraceDataset& data) {
-  std::map<DeviceId, std::uint64_t> counts;
-  data.for_each_kept([&](const TraceRecord& r) { ++counts[r.device]; });
-  return counts;
-}
-
-}  // namespace
-
-PrevalenceFrequency Aggregator::overall() const {
-  const auto counts = kept_counts(data_);
-  PrevalenceFrequency pf;
-  pf.devices = data_.devices.size();
-  for (const auto& [id, c] : counts) {
-    ++pf.failing_devices;
-    pf.failures += c;
-  }
-  return pf;
-}
-
-std::map<int, PrevalenceFrequency> Aggregator::by_model() const {
-  std::unordered_map<DeviceId, int> model_of;
-  model_of.reserve(data_.devices.size());
-  std::map<int, PrevalenceFrequency> out;
-  for (const auto& d : data_.devices) {
-    model_of[d.id] = d.model_id;
-    ++out[d.model_id].devices;
-  }
-  const auto counts = kept_counts(data_);
-  for (const auto& [id, c] : counts) {
-    const auto it = model_of.find(id);
-    if (it == model_of.end()) continue;
-    auto& pf = out[it->second];
-    ++pf.failing_devices;
-    pf.failures += c;
-  }
-  return out;
-}
-
-namespace {
-
-template <typename Classify>
-void slice_devices(const TraceDataset& data, Classify classify,
-                   std::span<PrevalenceFrequency> out) {
-  std::unordered_map<DeviceId, int> bucket_of;
-  bucket_of.reserve(data.devices.size());
-  for (const auto& d : data.devices) {
-    const int b = classify(d);
-    if (b < 0) continue;
-    bucket_of[d.id] = b;
-    ++out[static_cast<std::size_t>(b)].devices;
-  }
-  const std::map<DeviceId, std::uint64_t> counts = kept_counts(data);
-  for (const auto& [id, c] : counts) {
-    const auto it = bucket_of.find(id);
-    if (it == bucket_of.end()) continue;
-    auto& pf = out[static_cast<std::size_t>(it->second)];
-    ++pf.failing_devices;
-    pf.failures += c;
-  }
-}
-
-}  // namespace
-
-std::array<PrevalenceFrequency, 2> Aggregator::by_5g_capability(bool android10_only) const {
-  std::array<PrevalenceFrequency, 2> out{};
-  slice_devices(
-      data_,
-      [android10_only](const DeviceMeta& d) {
-        if (android10_only && d.android != AndroidVersion::kAndroid10) return -1;
-        return d.has_5g ? 1 : 0;
-      },
-      out);
-  return out;
-}
-
-std::array<PrevalenceFrequency, 2> Aggregator::by_android_version(bool exclude_5g) const {
-  std::array<PrevalenceFrequency, 2> out{};
-  slice_devices(
-      data_,
-      [exclude_5g](const DeviceMeta& d) {
-        if (exclude_5g && d.has_5g) return -1;
-        return d.android == AndroidVersion::kAndroid10 ? 1 : 0;
-      },
-      out);
-  return out;
-}
-
-std::array<PrevalenceFrequency, kIspCount> Aggregator::by_isp() const {
-  std::array<PrevalenceFrequency, kIspCount> out{};
-  slice_devices(data_, [](const DeviceMeta& d) { return static_cast<int>(index_of(d.isp)); },
-                out);
-  return out;
-}
-
-std::array<double, kFailureTypeCount> Aggregator::mean_failures_per_device_by_type() const {
-  std::array<double, kFailureTypeCount> out{};
-  if (data_.devices.empty()) return out;
-  data_.for_each_kept([&](const TraceRecord& r) { out[index_of(r.type)] += 1.0; });
-  for (auto& v : out) v /= static_cast<double>(data_.devices.size());
-  return out;
-}
-
-Aggregator::PerDeviceCounts Aggregator::per_device_counts() const {
-  // Ordered: the per-device totals feed SampleSets whose insertion order
-  // must be a pure function of the dataset (ordered-export surface).
-  std::map<DeviceId, std::array<std::uint64_t, kFailureTypeCount>> counts;
-  data_.for_each_kept([&](const TraceRecord& r) { ++counts[r.device][index_of(r.type)]; });
-  PerDeviceCounts out;
-  for (const auto& [id, per_type] : counts) {
-    std::uint64_t total = 0;
-    for (std::size_t t = 0; t < kFailureTypeCount; ++t) {
-      total += per_type[t];
-      if (per_type[t] > 0) out.by_type[t].add(static_cast<double>(per_type[t]));
-    }
-    out.total.add(static_cast<double>(total));
-  }
-  return out;
-}
-
-SampleSet Aggregator::durations_all() const {
-  SampleSet s;
-  data_.for_each_kept([&](const TraceRecord& r) { s.add(r.duration.to_seconds()); });
-  return s;
-}
-
-SampleSet Aggregator::durations_of(FailureType type) const {
-  SampleSet s;
-  data_.for_each_kept([&](const TraceRecord& r) {
-    if (r.type == type) s.add(r.duration.to_seconds());
-  });
-  return s;
-}
-
-std::array<double, kFailureTypeCount> Aggregator::duration_share_by_type() const {
-  std::array<double, kFailureTypeCount> sums{};
-  double total = 0.0;
-  data_.for_each_kept([&](const TraceRecord& r) {
-    const double d = r.duration.to_seconds();
-    sums[index_of(r.type)] += d;
-    total += d;
-  });
-  if (total > 0.0) {
-    for (auto& v : sums) v /= total;
-  }
-  return sums;
-}
-
-ZipfFit Aggregator::bs_zipf_fit() const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(data_.base_stations.size());
-  for (const auto& bs : data_.base_stations) counts.push_back(bs.failure_count);
-  return fit_zipf(counts);
-}
-
-Aggregator::BsRankingStats Aggregator::bs_ranking_stats() const {
-  BsRankingStats st;
-  std::vector<std::uint64_t> counts;
-  counts.reserve(data_.base_stations.size());
-  for (const auto& bs : data_.base_stations) {
-    counts.push_back(bs.failure_count);
-    if (bs.failure_count > 0) ++st.with_failures;
-  }
-  st.total = counts.size();
-  if (counts.empty()) return st;
-  std::sort(counts.begin(), counts.end());
-  st.median = counts[counts.size() / 2];
-  st.max = counts.back();
-  double sum = 0.0;
-  for (auto c : counts) sum += static_cast<double>(c);
-  st.mean = sum / static_cast<double>(counts.size());
-  return st;
-}
-
-std::array<double, kRatCount> Aggregator::bs_prevalence_by_rat() const {
-  std::array<std::uint64_t, kRatCount> total{};
-  std::array<std::uint64_t, kRatCount> failing{};
-  for (const auto& bs : data_.base_stations) {
-    for (Rat rat : kAllRats) {
-      if (bs.rat_mask & (1u << index_of(rat))) {
-        ++total[index_of(rat)];
-        if (bs.failure_count > 0) ++failing[index_of(rat)];
-      }
-    }
-  }
-  std::array<double, kRatCount> out{};
-  for (std::size_t r = 0; r < kRatCount; ++r) {
-    out[r] = total[r] ? static_cast<double>(failing[r]) / static_cast<double>(total[r]) : 0.0;
-  }
-  return out;
-}
-
-std::array<double, kSignalLevelCount> Aggregator::normalized_prevalence_by_level() const {
-  // Devices with >= 1 kept failure at each level.
-  std::array<std::unordered_set<DeviceId>, kSignalLevelCount> failing;
-  data_.for_each_kept(
-      [&](const TraceRecord& r) { failing[index_of(r.level)].insert(r.device); });
-  std::array<double, kSignalLevelCount> out{};
-  const double n = static_cast<double>(data_.devices.size());
-  if (n == 0.0) return out;
-  for (std::size_t l = 0; l < kSignalLevelCount; ++l) {
-    const double prevalence = static_cast<double>(failing[l].size()) / n;
-    // Mean connected hours per device at this level.
-    const double hours = data_.connected_time.level_total(signal_level_from_index(l)) / n / 3600.0;
-    out[l] = hours > 0.0 ? prevalence / hours : 0.0;
-  }
-  return out;
-}
-
-std::array<std::array<double, kSignalLevelCount>, kRatCount>
-Aggregator::normalized_prevalence_by_rat_level() const {
-  std::array<std::array<std::unordered_set<DeviceId>, kSignalLevelCount>, kRatCount> failing;
-  data_.for_each_kept([&](const TraceRecord& r) {
-    failing[index_of(r.rat)][index_of(r.level)].insert(r.device);
-  });
-  std::array<std::array<double, kSignalLevelCount>, kRatCount> out{};
-  const double n = static_cast<double>(data_.devices.size());
-  if (n == 0.0) return out;
-  for (std::size_t rt = 0; rt < kRatCount; ++rt) {
-    for (std::size_t l = 0; l < kSignalLevelCount; ++l) {
-      const double prevalence = static_cast<double>(failing[rt][l].size()) / n;
-      const double hours =
-          data_.connected_time.seconds[rt][l] / n / 3600.0;
-      out[rt][l] = hours > 0.0 ? prevalence / hours : 0.0;
-    }
-  }
-  return out;
-}
-
-std::vector<Aggregator::ErrorCodeShare> Aggregator::top_error_codes(std::size_t n) const {
-  // Ordered: with an unordered map, error codes tied on count would rank in
-  // implementation-defined order and flip table rows between platforms.
-  std::map<std::int32_t, std::uint64_t> counts;
-  std::uint64_t total = 0;
-  data_.for_each_kept([&](const TraceRecord& r) {
-    if (r.type != FailureType::kDataSetupError) return;
-    ++counts[static_cast<std::int32_t>(r.cause)];
-    ++total;
-  });
-  std::vector<ErrorCodeShare> out;
-  out.reserve(counts.size());
-  for (const auto& [code, c] : counts) {
-    ErrorCodeShare s;
-    s.cause = static_cast<FailCause>(code);
-    s.count = c;
-    s.percent = total ? 100.0 * static_cast<double>(c) / static_cast<double>(total) : 0.0;
-    out.push_back(s);
-  }
-  std::sort(out.begin(), out.end(), [](const ErrorCodeShare& a, const ErrorCodeShare& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return static_cast<std::int32_t>(a.cause) < static_cast<std::int32_t>(b.cause);
-  });
-  if (out.size() > n) out.resize(n);
-  return out;
-}
-
-Aggregator::TransitionMatrix Aggregator::transition_increase(Rat from_rat, Rat to_rat) const {
-  // Baseline failure rate while dwelling at (from_rat, level i).
-  std::array<std::uint64_t, kSignalLevelCount> dwell_total{};
-  std::array<std::uint64_t, kSignalLevelCount> dwell_fail{};
-  for (const auto& d : data_.dwells) {
-    if (d.rat != from_rat) continue;
-    ++dwell_total[index_of(d.level)];
-    if (d.failure_within_window) ++dwell_fail[index_of(d.level)];
-  }
-  std::array<std::array<std::uint64_t, kSignalLevelCount>, kSignalLevelCount> trans_total{};
-  std::array<std::array<std::uint64_t, kSignalLevelCount>, kSignalLevelCount> trans_fail{};
-  for (const auto& t : data_.transitions) {
-    if (t.from_rat != from_rat || t.to_rat != to_rat) continue;
-    ++trans_total[index_of(t.from_level)][index_of(t.to_level)];
-    if (t.failure_within_window) ++trans_fail[index_of(t.from_level)][index_of(t.to_level)];
-  }
-  TransitionMatrix m{};
-  for (std::size_t i = 0; i < kSignalLevelCount; ++i) {
-    const double baseline =
-        dwell_total[i] ? static_cast<double>(dwell_fail[i]) / static_cast<double>(dwell_total[i])
-                       : 0.0;
-    for (std::size_t j = 0; j < kSignalLevelCount; ++j) {
-      if (trans_total[i][j] == 0) {
-        m[i][j] = 0.0;
-        continue;
-      }
-      const double rate =
-          static_cast<double>(trans_fail[i][j]) / static_cast<double>(trans_total[i][j]);
-      m[i][j] = rate - baseline;
-    }
-  }
-  return m;
-}
-
-Aggregator::FilterScore Aggregator::filter_score() const {
-  FilterScore s;
-  for (const auto& r : data_.records) {
-    const bool truly_fp = is_false_positive(r.ground_truth_fp);
-    if (truly_fp && r.filtered_false_positive) ++s.true_positives;
-    if (truly_fp && !r.filtered_false_positive) ++s.false_negatives;
-    if (!truly_fp && r.filtered_false_positive) ++s.false_positives;
-    if (!truly_fp && !r.filtered_false_positive) ++s.true_negatives;
-  }
-  return s;
-}
-
-std::uint64_t Aggregator::filtered_records() const {
-  std::uint64_t n = 0;
-  for (const auto& r : data_.records) {
-    if (r.filtered_false_positive) ++n;
-  }
-  return n;
-}
-
-bool Aggregator::has_ground_truth() const {
-  for (const auto& r : data_.records) {
-    if (is_false_positive(r.ground_truth_fp)) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // TransitionDwellCounts
 // ---------------------------------------------------------------------------
@@ -368,17 +45,13 @@ void TransitionDwellCounts::merge(const TransitionDwellCounts& other) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// StreamingAggregator
-// ---------------------------------------------------------------------------
-
 namespace {
 
-/// Device-slice accumulation over the streaming state: the exact analogue
-/// of slice_devices() above, reading the per-device count map instead of
-/// re-scanning records.
+/// Device-slice accumulation: buckets every device by `classify` (negative
+/// = outside the slice), then credits each failing device's kept-failure
+/// total to its bucket.
 template <typename Classify>
-void slice_stream(
+void slice_devices(
     const std::vector<DeviceMeta>& devices,
     const std::map<DeviceId, std::array<std::uint64_t, kFailureTypeCount>>& counts,
     Classify classify, std::span<PrevalenceFrequency> out) {
@@ -403,40 +76,61 @@ void slice_stream(
 
 }  // namespace
 
-void StreamingAggregator::add_devices(std::span<const DeviceMeta> devices) {
+Aggregator::Aggregator(const TraceDataset& dataset) {
+  add_devices(dataset.devices);
+  for (const TraceRecord& r : dataset.records) {
+    RecordBatch::RowView row;
+    row.device = r.device;
+    row.duration_us = r.duration.count_us();
+    row.cause = r.cause;
+    row.type = r.type;
+    row.rat = r.rat;
+    row.level = r.level;
+    row.filtered_false_positive = r.filtered_false_positive;
+    row.ground_truth_fp = r.ground_truth_fp;
+    fold(row);
+  }
+  add_connected_time(dataset.connected_time);
+  for (const DwellRecord& d : dataset.dwells) td_.add(d);
+  for (const TransitionRecord& t : dataset.transitions) td_.add(t);
+  base_stations_ = dataset.base_stations;
+}
+
+void Aggregator::add_devices(std::span<const DeviceMeta> devices) {
   devices_.insert(devices_.end(), devices.begin(), devices.end());
 }
 
-void StreamingAggregator::consume(const RecordBatch& batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const RecordBatch::RowView r = batch.row(i);
-    ++total_records_;
-    const bool truly_fp = is_false_positive(r.ground_truth_fp);
-    if (truly_fp) has_ground_truth_ = true;
-    if (truly_fp && r.filtered_false_positive) ++fscore_.true_positives;
-    if (truly_fp && !r.filtered_false_positive) ++fscore_.false_negatives;
-    if (!truly_fp && r.filtered_false_positive) ++fscore_.false_positives;
-    if (!truly_fp && !r.filtered_false_positive) ++fscore_.true_negatives;
-    if (r.filtered_false_positive) {
-      ++filtered_records_;
-      continue;  // the analysis view only sees kept records
-    }
-    ++counts_[r.device][index_of(r.type)];
-    const double d = SimDuration::microseconds(r.duration_us).to_seconds();
-    durations_all_.add(d);
-    durations_by_type_[index_of(r.type)].add(d);
-    duration_sums_[index_of(r.type)] += d;
-    duration_total_ += d;
-    if (r.type == FailureType::kDataSetupError) {
-      ++setup_error_codes_[static_cast<std::int32_t>(r.cause)];
-      ++setup_error_total_;
-    }
-    failing_by_level_[index_of(r.level)].insert(r.device);
-    failing_by_rat_level_[index_of(r.rat)][index_of(r.level)].insert(r.device);
-  }
+void Aggregator::consume(const RecordBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) fold(batch.row(i));
 }
 
-void StreamingAggregator::add_connected_time(const ConnectedTimeTable& table) {
+void Aggregator::fold(const RecordBatch::RowView& r) {
+  ++total_records_;
+  const bool truly_fp = is_false_positive(r.ground_truth_fp);
+  if (truly_fp) has_ground_truth_ = true;
+  if (truly_fp && r.filtered_false_positive) ++fscore_.true_positives;
+  if (truly_fp && !r.filtered_false_positive) ++fscore_.false_negatives;
+  if (!truly_fp && r.filtered_false_positive) ++fscore_.false_positives;
+  if (!truly_fp && !r.filtered_false_positive) ++fscore_.true_negatives;
+  if (r.filtered_false_positive) {
+    ++filtered_records_;
+    return;  // the analysis view only sees kept records
+  }
+  ++counts_[r.device][index_of(r.type)];
+  const double d = SimDuration::microseconds(r.duration_us).to_seconds();
+  durations_all_.add(d);
+  durations_by_type_[index_of(r.type)].add(d);
+  duration_sums_[index_of(r.type)] += d;
+  duration_total_ += d;
+  if (r.type == FailureType::kDataSetupError) {
+    ++setup_error_codes_[static_cast<std::int32_t>(r.cause)];
+    ++setup_error_total_;
+  }
+  failing_by_level_[index_of(r.level)].insert(r.device);
+  failing_by_rat_level_[index_of(r.rat)][index_of(r.level)].insert(r.device);
+}
+
+void Aggregator::add_connected_time(const ConnectedTimeTable& table) {
   for (std::size_t r = 0; r < kRatCount; ++r) {
     for (std::size_t l = 0; l < kSignalLevelCount; ++l) {
       connected_time_.seconds[r][l] += table.seconds[r][l];
@@ -444,15 +138,13 @@ void StreamingAggregator::add_connected_time(const ConnectedTimeTable& table) {
   }
 }
 
-void StreamingAggregator::add_counts(const TransitionDwellCounts& counts) {
-  td_.merge(counts);
-}
+void Aggregator::add_counts(const TransitionDwellCounts& counts) { td_.merge(counts); }
 
-void StreamingAggregator::set_base_stations(std::vector<BsMeta> base_stations) {
+void Aggregator::set_base_stations(std::vector<BsMeta> base_stations) {
   base_stations_ = std::move(base_stations);
 }
 
-PrevalenceFrequency StreamingAggregator::overall() const {
+PrevalenceFrequency Aggregator::overall() const {
   PrevalenceFrequency pf;
   pf.devices = devices_.size();
   for (const auto& [id, per_type] : counts_) {
@@ -462,7 +154,7 @@ PrevalenceFrequency StreamingAggregator::overall() const {
   return pf;
 }
 
-std::map<int, PrevalenceFrequency> StreamingAggregator::by_model() const {
+std::map<int, PrevalenceFrequency> Aggregator::by_model() const {
   std::unordered_map<DeviceId, int> model_of;
   model_of.reserve(devices_.size());
   std::map<int, PrevalenceFrequency> out;
@@ -482,43 +174,40 @@ std::map<int, PrevalenceFrequency> StreamingAggregator::by_model() const {
   return out;
 }
 
-std::array<PrevalenceFrequency, 2> StreamingAggregator::by_5g_capability(
-    bool android10_only) const {
+std::array<PrevalenceFrequency, 2> Aggregator::by_5g_capability(bool android10_only) const {
   std::array<PrevalenceFrequency, 2> out{};
-  slice_stream(devices_, counts_,
-               [android10_only](const DeviceMeta& d) {
-                 if (android10_only && d.android != AndroidVersion::kAndroid10) return -1;
-                 return d.has_5g ? 1 : 0;
-               },
-               out);
+  slice_devices(devices_, counts_,
+                [android10_only](const DeviceMeta& d) {
+                  if (android10_only && d.android != AndroidVersion::kAndroid10) return -1;
+                  return d.has_5g ? 1 : 0;
+                },
+                out);
   return out;
 }
 
-std::array<PrevalenceFrequency, 2> StreamingAggregator::by_android_version(
-    bool exclude_5g) const {
+std::array<PrevalenceFrequency, 2> Aggregator::by_android_version(bool exclude_5g) const {
   std::array<PrevalenceFrequency, 2> out{};
-  slice_stream(devices_, counts_,
-               [exclude_5g](const DeviceMeta& d) {
-                 if (exclude_5g && d.has_5g) return -1;
-                 return d.android == AndroidVersion::kAndroid10 ? 1 : 0;
-               },
-               out);
+  slice_devices(devices_, counts_,
+                [exclude_5g](const DeviceMeta& d) {
+                  if (exclude_5g && d.has_5g) return -1;
+                  return d.android == AndroidVersion::kAndroid10 ? 1 : 0;
+                },
+                out);
   return out;
 }
 
-std::array<PrevalenceFrequency, kIspCount> StreamingAggregator::by_isp() const {
+std::array<PrevalenceFrequency, kIspCount> Aggregator::by_isp() const {
   std::array<PrevalenceFrequency, kIspCount> out{};
-  slice_stream(devices_, counts_,
-               [](const DeviceMeta& d) { return static_cast<int>(index_of(d.isp)); }, out);
+  slice_devices(devices_, counts_,
+                [](const DeviceMeta& d) { return static_cast<int>(index_of(d.isp)); }, out);
   return out;
 }
 
-std::array<double, kFailureTypeCount> StreamingAggregator::mean_failures_per_device_by_type()
-    const {
+std::array<double, kFailureTypeCount> Aggregator::mean_failures_per_device_by_type() const {
   std::array<double, kFailureTypeCount> out{};
   if (devices_.empty()) return out;
-  // Integer counts converted once: exact below 2^53, so this equals the
-  // materialized path's repeated `+= 1.0` accumulation bit for bit.
+  // Integer counts converted once: exact below 2^53, so this equals a
+  // per-record `+= 1.0` accumulation bit for bit.
   std::array<std::uint64_t, kFailureTypeCount> totals{};
   for (const auto& [id, per_type] : counts_) {
     for (std::size_t t = 0; t < kFailureTypeCount; ++t) totals[t] += per_type[t];
@@ -529,8 +218,8 @@ std::array<double, kFailureTypeCount> StreamingAggregator::mean_failures_per_dev
   return out;
 }
 
-Aggregator::PerDeviceCounts StreamingAggregator::per_device_counts() const {
-  Aggregator::PerDeviceCounts out;
+Aggregator::PerDeviceCounts Aggregator::per_device_counts() const {
+  PerDeviceCounts out;
   for (const auto& [id, per_type] : counts_) {
     std::uint64_t total = 0;
     for (std::size_t t = 0; t < kFailureTypeCount; ++t) {
@@ -542,7 +231,7 @@ Aggregator::PerDeviceCounts StreamingAggregator::per_device_counts() const {
   return out;
 }
 
-std::array<double, kFailureTypeCount> StreamingAggregator::duration_share_by_type() const {
+std::array<double, kFailureTypeCount> Aggregator::duration_share_by_type() const {
   std::array<double, kFailureTypeCount> out = duration_sums_;
   if (duration_total_ > 0.0) {
     for (auto& v : out) v /= duration_total_;
@@ -550,15 +239,15 @@ std::array<double, kFailureTypeCount> StreamingAggregator::duration_share_by_typ
   return out;
 }
 
-ZipfFit StreamingAggregator::bs_zipf_fit() const {
+ZipfFit Aggregator::bs_zipf_fit() const {
   std::vector<std::uint64_t> counts;
   counts.reserve(base_stations_.size());
   for (const auto& bs : base_stations_) counts.push_back(bs.failure_count);
   return fit_zipf(counts);
 }
 
-Aggregator::BsRankingStats StreamingAggregator::bs_ranking_stats() const {
-  Aggregator::BsRankingStats st;
+Aggregator::BsRankingStats Aggregator::bs_ranking_stats() const {
+  BsRankingStats st;
   std::vector<std::uint64_t> counts;
   counts.reserve(base_stations_.size());
   for (const auto& bs : base_stations_) {
@@ -576,7 +265,7 @@ Aggregator::BsRankingStats StreamingAggregator::bs_ranking_stats() const {
   return st;
 }
 
-std::array<double, kRatCount> StreamingAggregator::bs_prevalence_by_rat() const {
+std::array<double, kRatCount> Aggregator::bs_prevalence_by_rat() const {
   std::array<std::uint64_t, kRatCount> total{};
   std::array<std::uint64_t, kRatCount> failing{};
   for (const auto& bs : base_stations_) {
@@ -594,8 +283,7 @@ std::array<double, kRatCount> StreamingAggregator::bs_prevalence_by_rat() const 
   return out;
 }
 
-std::array<double, kSignalLevelCount> StreamingAggregator::normalized_prevalence_by_level()
-    const {
+std::array<double, kSignalLevelCount> Aggregator::normalized_prevalence_by_level() const {
   std::array<double, kSignalLevelCount> out{};
   const double n = static_cast<double>(devices_.size());
   if (n == 0.0) return out;
@@ -608,7 +296,7 @@ std::array<double, kSignalLevelCount> StreamingAggregator::normalized_prevalence
 }
 
 std::array<std::array<double, kSignalLevelCount>, kRatCount>
-StreamingAggregator::normalized_prevalence_by_rat_level() const {
+Aggregator::normalized_prevalence_by_rat_level() const {
   std::array<std::array<double, kSignalLevelCount>, kRatCount> out{};
   const double n = static_cast<double>(devices_.size());
   if (n == 0.0) return out;
@@ -622,12 +310,11 @@ StreamingAggregator::normalized_prevalence_by_rat_level() const {
   return out;
 }
 
-std::vector<Aggregator::ErrorCodeShare> StreamingAggregator::top_error_codes(
-    std::size_t n) const {
-  std::vector<Aggregator::ErrorCodeShare> out;
+std::vector<Aggregator::ErrorCodeShare> Aggregator::top_error_codes(std::size_t n) const {
+  std::vector<ErrorCodeShare> out;
   out.reserve(setup_error_codes_.size());
   for (const auto& [code, c] : setup_error_codes_) {
-    Aggregator::ErrorCodeShare s;
+    ErrorCodeShare s;
     s.cause = static_cast<FailCause>(code);
     s.count = c;
     s.percent = setup_error_total_
@@ -635,22 +322,20 @@ std::vector<Aggregator::ErrorCodeShare> StreamingAggregator::top_error_codes(
                     : 0.0;
     out.push_back(s);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Aggregator::ErrorCodeShare& a, const Aggregator::ErrorCodeShare& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return static_cast<std::int32_t>(a.cause) < static_cast<std::int32_t>(b.cause);
-            });
+  std::sort(out.begin(), out.end(), [](const ErrorCodeShare& a, const ErrorCodeShare& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return static_cast<std::int32_t>(a.cause) < static_cast<std::int32_t>(b.cause);
+  });
   if (out.size() > n) out.resize(n);
   return out;
 }
 
-Aggregator::TransitionMatrix StreamingAggregator::transition_increase(Rat from_rat,
-                                                                      Rat to_rat) const {
+Aggregator::TransitionMatrix Aggregator::transition_increase(Rat from_rat, Rat to_rat) const {
   const auto& dwell_total = td_.dwell_total[index_of(from_rat)];
   const auto& dwell_fail = td_.dwell_fail[index_of(from_rat)];
   const auto& trans_total = td_.transition_total[index_of(from_rat)][index_of(to_rat)];
   const auto& trans_fail = td_.transition_fail[index_of(from_rat)][index_of(to_rat)];
-  Aggregator::TransitionMatrix m{};
+  TransitionMatrix m{};
   for (std::size_t i = 0; i < kSignalLevelCount; ++i) {
     const double baseline =
         dwell_total[i] ? static_cast<double>(dwell_fail[i]) / static_cast<double>(dwell_total[i])
@@ -668,7 +353,7 @@ Aggregator::TransitionMatrix StreamingAggregator::transition_increase(Rat from_r
   return m;
 }
 
-std::size_t StreamingAggregator::resident_bytes() const {
+std::size_t Aggregator::resident_bytes() const {
   std::size_t bytes = devices_.capacity() * sizeof(DeviceMeta) +
                       base_stations_.capacity() * sizeof(BsMeta);
   // Duration samples: the dominant O(kept-records) term (16 B per kept

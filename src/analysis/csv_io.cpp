@@ -499,7 +499,7 @@ void TraceCsvStreamWriter::close() {
   out_.close();
 }
 
-void write_streaming_sidecars_csv(const StreamingAggregator& agg,
+void write_streaming_sidecars_csv(const Aggregator& agg,
                                   const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
   write_devices_csv(agg.devices(), dir);

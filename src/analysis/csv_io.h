@@ -155,7 +155,7 @@ class TraceCsvStreamWriter {
 /// copies (byte-identical to the materialized export), transitions and
 /// dwells header-only — streaming shards collapse those per-sample rows
 /// into order-independent count tables, so the samples no longer exist.
-void write_streaming_sidecars_csv(const StreamingAggregator& agg,
+void write_streaming_sidecars_csv(const Aggregator& agg,
                                   const std::filesystem::path& dir);
 
 }  // namespace cellrel

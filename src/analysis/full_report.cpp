@@ -18,7 +18,7 @@ void append_f(std::string& out, const char* fmt, auto... args) {
 
 }  // namespace
 
-std::string render_full_report(const AggregatorView& agg, const FullReportOptions& options) {
+std::string render_full_report(const Aggregator& agg, const FullReportOptions& options) {
   std::string out;
   out += "# " + options.title + "\n\n";
 

@@ -7,8 +7,7 @@
 
 #include <string>
 
-#include "analysis/aggregator_view.h"
-#include "analysis/dataset.h"
+#include "analysis/aggregate.h"
 
 namespace cellrel {
 
@@ -20,13 +19,12 @@ struct FullReportOptions {
   bool include_model_table = true;
 };
 
-/// Renders the complete markdown report over any aggregation surface. Every
-/// statistic is pulled through the view — never from a raw dataset — so the
-/// materialized and streaming renditions are byte-identical whenever the
-/// aggregators agree (see aggregate.h's bit-identity contract). This is the
-/// single entry point: callers holding a TraceDataset wrap it in an
+/// Renders the complete markdown report from an Aggregator. Every statistic
+/// is pulled through the aggregator — never from a raw dataset — so the
+/// report is byte-identical whichever adapter fed the fold (see aggregate.h's
+/// bit-identity contract). Callers holding a TraceDataset wrap it in an
 /// `Aggregator` first.
-std::string render_full_report(const AggregatorView& agg,
+std::string render_full_report(const Aggregator& agg,
                                const FullReportOptions& options = {});
 
 }  // namespace cellrel

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/aggregator_view.h"
+#include "analysis/aggregate.h"
 #include "common/table.h"
 #include "obs/metrics.h"
 
@@ -45,7 +45,7 @@ std::string render_cdf(const SampleSet& samples, std::span<const double> probe_q
 std::span<const double> default_cdf_quantiles();
 
 /// A 6x6 transition heatmap (Fig. 17 panels) with a coarse shade ramp.
-std::string render_transition_matrix(const AggregatorView::TransitionMatrix& m,
+std::string render_transition_matrix(const Aggregator::TransitionMatrix& m,
                                      std::string_view title);
 
 /// Side-by-side paper-vs-measured comparison row helper.

@@ -20,14 +20,22 @@ double canonical_seconds(double s) {
 
 namespace {
 
+/// `prefix` followed by the decimal id. Appends rather than `const char* +
+/// std::string&&`, which trips GCC 12's -Wrestrict false positive at -O2+.
+std::string prefixed(const char* prefix, std::int64_t id) {
+  std::string out = prefix;
+  out += std::to_string(id);
+  return out;
+}
+
 std::string group_key(GroupBy group, std::int64_t id) {
   switch (group) {
     case GroupBy::kNone: return "all";
-    case GroupBy::kModel: return "model " + std::to_string(id);
+    case GroupBy::kModel: return prefixed("model ", id);
     case GroupBy::kIsp: return std::string(to_string(static_cast<IspId>(id)));
     case GroupBy::kRat: return std::string(to_string(static_cast<Rat>(id)));
-    case GroupBy::kLevel: return "L" + std::to_string(id);
-    case GroupBy::kBs: return "bs " + std::to_string(id);
+    case GroupBy::kLevel: return prefixed("L", id);
+    case GroupBy::kBs: return prefixed("bs ", id);
     case GroupBy::kType: return std::string(to_string(static_cast<FailureType>(id)));
     case GroupBy::kCause: return std::string(to_string(static_cast<FailCause>(id)));
     case GroupBy::kFiveG: return id ? "5G models" : "non-5G models";
@@ -274,7 +282,7 @@ QueryResult QueryExecutor::result() const {
       break;
     }
     case AggKind::kTransition: {
-      // Identical arithmetic to {Streaming}Aggregator::transition_increase.
+      // Identical arithmetic to Aggregator::transition_increase.
       const auto& dwell_total = td_.dwell_total[index_of(spec_.from_rat)];
       const auto& dwell_fail = td_.dwell_fail[index_of(spec_.from_rat)];
       const auto& trans_total =

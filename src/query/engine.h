@@ -1,12 +1,12 @@
 // The query engine: compiles a QuerySpec into an accumulator and runs it
 // over any of the campaign's record sources.
 //
-// QueryExecutor mirrors the StreamingAggregator ingestion surface
-// (add_devices / consume(RecordBatch) / add_record(TraceRecord) /
-// add_counts / add_transition_samples), so ONE engine serves all four
-// sources: the materialized in-memory dataset, a dataset directory's CSVs,
-// the per-shard spill CSVs, and the live batch stream of a streaming
-// campaign merge.
+// QueryExecutor mirrors the Aggregator ingestion surface (add_devices /
+// consume(RecordBatch) / add_record(TraceRecord) / add_counts /
+// add_transition_samples), so ONE engine serves all four sources: an
+// in-memory dataset, a dataset directory's CSVs, the per-shard spill CSVs,
+// and the live batch stream of every campaign merge (inline queries ride the
+// merge's single fold pass in both merge modes).
 //
 // Bit-identity contract (the PR 2/3/5 determinism contract, extended to
 // query results): records are ingested in sequential record order on every
@@ -84,7 +84,7 @@ struct QueryResult {
   std::vector<BreakdownRow> breakdown;
   std::vector<CdfRow> cdf;
   std::vector<TopRow> top;
-  AggregatorView::TransitionMatrix matrix{};
+  Aggregator::TransitionMatrix matrix{};
 };
 
 /// Accumulates one query over a record stream. Ingestion order must be the

@@ -115,8 +115,10 @@ std::string query_result_to_json(const QueryResult& result) {
                ", \"counts\": { ";
         for (std::size_t t = 0; t < kFailureTypeCount; ++t) {
           if (t) out += ", ";
-          out += "\"" + std::string(to_string(static_cast<FailureType>(t))) +
-                 "\": " + fmt_u64(row.counts[t]);
+          out += '"';
+          out += to_string(static_cast<FailureType>(t));
+          out += "\": ";
+          out += fmt_u64(row.counts[t]);
         }
         out += " }, \"total\": " + fmt_u64(row.total) + " }";
       }
@@ -187,13 +189,19 @@ std::string query_result_to_csv(const QueryResult& result) {
     case AggKind::kTypeBreakdown: {
       out += "key,id";
       for (std::size_t t = 0; t < kFailureTypeCount; ++t) {
-        out += "," + std::string(to_string(static_cast<FailureType>(t)));
+        out += ',';
+        out += to_string(static_cast<FailureType>(t));
       }
       out += ",total\n";
       for (const auto& row : result.breakdown) {
         out += row.key + "," + fmt_i64(row.id);
-        for (std::uint64_t c : row.counts) out += "," + fmt_u64(c);
-        out += "," + fmt_u64(row.total) + "\n";
+        for (std::uint64_t c : row.counts) {
+          out += ',';
+          out += fmt_u64(c);
+        }
+        out += ',';
+        out += fmt_u64(row.total);
+        out += '\n';
       }
       break;
     }

@@ -104,8 +104,9 @@ std::size_t batch_capacity_for(double expected_shard_records) {
 /// `current`, sealed batches are either retained in `batches` (in-memory
 /// modes) or written to the shard's spill file and their buffer recycled
 /// through `arena` (streaming + spill: O(1) resident batches per shard).
-/// Transitions/dwells are kept as sample vectors in materialized mode but
-/// collapse to order-independent count tables in streaming mode.
+/// Transitions/dwells always fold into order-independent count tables; the
+/// per-sample rows are kept too only when the dataset is materialized
+/// (write_dataset_csv exports them).
 struct ShardResult {
   // --- Record data plane ---
   StringPool apns;
@@ -114,14 +115,14 @@ struct ShardResult {
   RecordBatch current;
   std::unique_ptr<BatchSpillWriter> spill;
   std::size_t batch_capacity = 0;
-  bool streaming = false;
+  bool keep_samples = false;
 
   // --- Fleet metadata & side tables ---
   std::vector<DeviceMeta> devices;
   ConnectedTimeTable connected_time;
-  std::vector<TransitionRecord> transitions;  // materialized mode
-  std::vector<DwellRecord> dwells;            // materialized mode
-  TransitionDwellCounts td_counts;            // streaming mode
+  TransitionDwellCounts td_counts;
+  std::vector<TransitionRecord> transitions;  // keep_samples only
+  std::vector<DwellRecord> dwells;            // keep_samples only
 
   std::vector<RecoveryEpisode> recovery_episodes;
   OverheadAccum overhead;
@@ -205,24 +206,6 @@ void move_append(std::vector<T>& into, std::vector<T>&& from) {
   from.clear();
 }
 
-/// Shared tail of both merge modes: overhead/metrics/event sums and the BS
-/// failure delta for one shard, in shard-index order.
-void merge_shard_common(CampaignResult& result, OverheadAccum& overhead, BsRegistry& registry,
-                        ShardResult& s) {
-  move_append(result.recovery_episodes, std::move(s.recovery_episodes));
-  overhead.merge(s.overhead);
-  result.metrics.merge(s.metrics);
-  result.simulated_events += s.simulated_events;
-  result.episodes_run += s.episodes_run;
-  registry.apply_failure_delta(s.bs_failures);
-  if (s.health) {
-    if (!result.health_state) {
-      result.health_state = std::make_unique<detect::HealthTracker>(s.health->config());
-    }
-    result.health_state->merge(*s.health);
-  }
-}
-
 /// Post-merge BS landscape snapshot (counters included).
 std::vector<BsMeta> snapshot_base_stations(const BsRegistry& registry) {
   std::vector<BsMeta> out;
@@ -257,103 +240,50 @@ void publish_process_gauges(CampaignResult& result, const std::vector<ShardResul
   result.metrics.gauge("process.dataplane.batches_reused").set(static_cast<double>(reused));
 }
 
-/// Order-canonical reduction of the shard results into one materialized
-/// CampaignResult. Runs single-threaded after the join; the iteration order
-/// (shard index, then device order within the shard, then emission order
-/// within the device) equals sequential execution order, so every
-/// concatenation and floating-point sum is bit-identical to the threads=1
-/// run. Records are expanded from the columnar batches with an EXACT
-/// reserve taken from the batch manifest — no growth heuristics.
+/// Order-canonical reduction of the shard results. Runs single-threaded
+/// after the join, in shard-index order: shards hold contiguous device
+/// ranges in fleet order, so the consumption order (shard index, then
+/// emission order within the shard) equals the sequential record order and
+/// every concatenation and floating-point sum is bit-identical to the
+/// threads=1 run.
+///
+/// One pass folds every batch — in memory, or re-read from the shard's spill
+/// file one buffer at a time — into the Aggregator (`result.stream`), the
+/// inline query executors and the optional streaming CSV export. When
+/// `materialize` is set, the same pass also expands the batches into
+/// `result.dataset`, with an EXACT reserve taken from the batch manifest.
 CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult>&& shards,
+                                   bool materialize, const std::filesystem::path& spill_dir,
+                                   const std::filesystem::path& stream_out_dir,
                                    std::span<const query::QuerySpec> queries) {
   CampaignResult result;
+  result.stream = std::make_unique<Aggregator>();
+  Aggregator& agg = *result.stream;
 
-  std::size_t records = 0, transitions = 0, dwells = 0, devices = 0, episodes = 0;
-  for (const ShardResult& s : shards) {
-    records += s.batched_records();
-    transitions += s.transitions.size();
-    dwells += s.dwells.size();
-    devices += s.devices.size();
-    episodes += s.recovery_episodes.size();
-  }
-  result.dataset.records.reserve(records);
-  result.dataset.transitions.reserve(transitions);
-  result.dataset.dwells.reserve(dwells);
-  result.dataset.devices.reserve(devices);
+  std::size_t episodes = 0;
+  for (const ShardResult& s : shards) episodes += s.recovery_episodes.size();
   result.recovery_episodes.reserve(episodes);
-
-  // Merge in shard-index order: shards hold contiguous device ranges in
-  // fleet order, so concatenation leaves devices and records stably ordered
-  // by device id — the same order the sequential executor produces.
-  OverheadAccum overhead;
-  const auto resolve_cell = [&registry](BsIndex bs) { return registry.at(bs).identity(); };
-  for (ShardResult& s : shards) {
-    MaterializeContext ctx;
-    ctx.apns = &s.apns;
-    ctx.devices = std::span<const DeviceMeta>(s.devices);
-    ctx.resolve_cell = resolve_cell;
-    for (const RecordBatch& b : s.batches) b.materialize_into(result.dataset.records, ctx);
-    s.batches.clear();  // free column buffers as we go
-    move_append(result.dataset.devices, std::move(s.devices));
-    move_append(result.dataset.transitions, std::move(s.transitions));
-    move_append(result.dataset.dwells, std::move(s.dwells));
-    for (std::size_t r = 0; r < kRatCount; ++r) {
-      for (std::size_t l = 0; l < kSignalLevelCount; ++l) {
-        result.dataset.connected_time.seconds[r][l] += s.connected_time.seconds[r][l];
-      }
+  if (materialize) {
+    std::size_t records = 0, transitions = 0, dwells = 0;
+    for (const ShardResult& s : shards) {
+      records += s.batched_records();
+      transitions += s.transitions.size();
+      dwells += s.dwells.size();
     }
-    merge_shard_common(result, overhead, registry, s);
+    result.dataset.records.reserve(records);
+    result.dataset.transitions.reserve(transitions);
+    result.dataset.dwells.reserve(dwells);
   }
-  result.overhead = overhead.finalize();
 
-  CELLREL_DCHECK(std::is_sorted(result.dataset.devices.begin(),
-                                result.dataset.devices.end(),
-                                [](const DeviceMeta& a, const DeviceMeta& b) {
-                                  return a.id < b.id;
-                                }))
-      << "shard merge must preserve device-id order";
-
-  result.dataset.base_stations = snapshot_base_stations(registry);
-  // Inline queries run over the merged dataset — same entry point as
-  // cellrel_query on an exported dataset dir, so results agree byte-for-byte.
-  result.query_results.reserve(queries.size());
-  for (const query::QuerySpec& spec : queries) {
-    result.query_results.push_back(query::execute_over_dataset(result.dataset, spec));
-  }
-  publish_process_gauges(result, shards);
-  return result;
-}
-
-/// Streaming reduction: folds every shard's batches into a
-/// StreamingAggregator instead of concatenating a dataset. Consumption
-/// order is shard index, then emission order within the shard — exactly the
-/// record order of the materialized dataset — so every floating-point
-/// accumulation runs over the same values in the same order and the
-/// aggregator's tables are bit-identical to Aggregator(materialized
-/// dataset). Spilled shards are re-read from disk one batch buffer at a
-/// time.
-CampaignResult merge_shard_results_streaming(BsRegistry& registry,
-                                             std::vector<ShardResult>&& shards,
-                                             const std::filesystem::path& spill_dir,
-                                             const std::filesystem::path& stream_out_dir,
-                                             std::span<const query::QuerySpec> queries) {
-  CampaignResult result;
-  result.stream = std::make_unique<StreamingAggregator>();
-  StreamingAggregator& agg = *result.stream;
-
-  // Inline queries ride the same single consumption pass as the aggregator:
-  // each executor sees the batches in shard-index order (= the materialized
-  // record order), so its results are byte-identical to execute_over_dataset
-  // on a materialized run of the same scenario.
   std::vector<query::QueryExecutor> executors;
   executors.reserve(queries.size());
   for (const query::QuerySpec& spec : queries) executors.emplace_back(spec);
 
   // Streaming dataset export (--stream --out): each batch is expanded
   // row-by-row through the shard's MaterializeContext and appended to
-  // records.csv as it is consumed — the record order (shard index, then
-  // emission order) equals the materialized dataset's, so the file is
-  // byte-identical to write_dataset_csv()'s.
+  // records.csv as it is consumed — the record order equals the
+  // materialized dataset's, so the file is byte-identical to
+  // write_dataset_csv()'s.
   std::unique_ptr<TraceCsvStreamWriter> export_csv;
   if (!stream_out_dir.empty()) {
     export_csv = std::make_unique<TraceCsvStreamWriter>(stream_out_dir);
@@ -368,24 +298,23 @@ CampaignResult merge_shard_results_streaming(BsRegistry& registry,
       ex.add_devices(std::span<const DeviceMeta>(s.devices));
     }
     MaterializeContext ctx;
-    ctx.devices = std::span<const DeviceMeta>(s.devices);  // add_devices copied them
+    ctx.devices = std::span<const DeviceMeta>(s.devices);
     ctx.resolve_cell = resolve_cell;
+    const auto fold = [&](const RecordBatch& b) {
+      agg.consume(b);
+      for (query::QueryExecutor& ex : executors) ex.consume(b);
+      if (export_csv) export_csv->append(b, ctx);
+      if (materialize) b.materialize_into(result.dataset.records, ctx);
+    };
     if (!spill_dir.empty()) {
-      StringPool reload_apns;  // ids are shard-local; the aggregator ignores them
+      StringPool reload_apns;  // ids are shard-local; only the CSV export reads them
       ctx.apns = &reload_apns;
       read_spill_batches(spill_dir / spill_shard_file(shard_index), s.batch_capacity,
-                         reload_apns,
-                         [&agg, &executors, &export_csv, &ctx](const RecordBatch& b) {
-                           agg.consume(b);
-                           for (query::QueryExecutor& ex : executors) ex.consume(b);
-                           if (export_csv) export_csv->append(b, ctx);
-                         });
+                         reload_apns, fold);
     } else {
       ctx.apns = &s.apns;
       for (RecordBatch& b : s.batches) {
-        agg.consume(b);
-        for (query::QueryExecutor& ex : executors) ex.consume(b);
-        if (export_csv) export_csv->append(b, ctx);
+        fold(b);
         b = RecordBatch{};  // free column buffers as we go
       }
       s.batches.clear();
@@ -393,7 +322,23 @@ CampaignResult merge_shard_results_streaming(BsRegistry& registry,
     agg.add_connected_time(s.connected_time);
     agg.add_counts(s.td_counts);
     for (query::QueryExecutor& ex : executors) ex.add_counts(s.td_counts);
-    merge_shard_common(result, overhead, registry, s);
+    if (materialize) {
+      move_append(result.dataset.transitions, std::move(s.transitions));
+      move_append(result.dataset.dwells, std::move(s.dwells));
+    }
+
+    move_append(result.recovery_episodes, std::move(s.recovery_episodes));
+    overhead.merge(s.overhead);
+    result.metrics.merge(s.metrics);
+    result.simulated_events += s.simulated_events;
+    result.episodes_run += s.episodes_run;
+    registry.apply_failure_delta(s.bs_failures);
+    if (s.health) {
+      if (!result.health_state) {
+        result.health_state = std::make_unique<detect::HealthTracker>(s.health->config());
+      }
+      result.health_state->merge(*s.health);
+    }
     ++shard_index;
   }
   result.overhead = overhead.finalize();
@@ -405,6 +350,11 @@ CampaignResult merge_shard_results_streaming(BsRegistry& registry,
       << "shard merge must preserve device-id order";
 
   agg.set_base_stations(snapshot_base_stations(registry));
+  if (materialize) {
+    result.dataset.devices = agg.devices();
+    result.dataset.base_stations = agg.base_stations();
+    result.dataset.connected_time = agg.connected_time();
+  }
   result.query_results.reserve(executors.size());
   for (const query::QueryExecutor& ex : executors) {
     result.query_results.push_back(ex.result());
@@ -720,25 +670,19 @@ void Campaign::DeviceRun::account_session(const Session& s, bool failure_occurre
     t.to_rat = s.active.rat;
     t.to_level = s.active.level;
     t.failure_within_window = failure_occurred;
-    // Streaming shards fold the sample straight into the count tables the
-    // transition matrices consume (integer sums: order-independent, so
-    // shard-local accumulation preserves bit-identity).
-    if (out_.streaming) {
-      out_.td_counts.add(t);
-    } else {
-      out_.transitions.push_back(t);
-    }
+    // The sample folds straight into the count tables the transition
+    // matrices consume (integer sums: order-independent, so shard-local
+    // accumulation preserves bit-identity).
+    out_.td_counts.add(t);
+    if (out_.keep_samples) out_.transitions.push_back(t);
   } else {
     DwellRecord d;
     d.device = profile_.id;
     d.rat = s.active.rat;
     d.level = s.active.level;
     d.failure_within_window = failure_occurred;
-    if (out_.streaming) {
-      out_.td_counts.add(d);
-    } else {
-      out_.dwells.push_back(d);
-    }
+    out_.td_counts.add(d);
+    if (out_.keep_samples) out_.dwells.push_back(d);
   }
 }
 
@@ -1284,7 +1228,7 @@ CampaignResult Campaign::run() {
   auto run_shard = [&](std::size_t s) {
     const ShardRange range = shard_range(fleet.size(), shard_count, s);
     ShardResult& out = shards[s];
-    out.streaming = scenario_.stream;
+    out.keep_samples = !scenario_.stream;
     out.devices.reserve(range.size());
     // Batch capacity from the calibration's expected record count — a pure
     // function of the fleet and scenario. This replaces the old merged-
@@ -1341,12 +1285,8 @@ CampaignResult Campaign::run() {
   CampaignResult result;
   {
     obs::PhaseSpan span(campaign_metrics, "merge");
-    result = scenario_.stream
-                 ? merge_shard_results_streaming(*registry_, std::move(shards), spill_dir,
-                                                 scenario_.stream_out_dir,
-                                                 scenario_.inline_queries)
-                 : merge_shard_results(*registry_, std::move(shards),
-                                       scenario_.inline_queries);
+    result = merge_shard_results(*registry_, std::move(shards), !scenario_.stream, spill_dir,
+                                 scenario_.stream_out_dir, scenario_.inline_queries);
   }
   // Online detection verdict: score the merged tracker state against the
   // registry's ground truth (failure deltas were applied during the merge,

@@ -22,11 +22,13 @@
 //
 // Data plane (see DESIGN.md §10): shards emit trace records into
 // fixed-capacity columnar RecordBatches (analysis/batch.h) instead of AoS
-// TraceRecord vectors. The merge either materializes the batches back into
-// CampaignResult::dataset with an exact reserve (materialized mode), or
-// folds them into a StreamingAggregator so the merged dataset never exists
-// (streaming mode, optionally spilling sealed batches to disk) — with
-// bit-identical analysis output either way.
+// TraceRecord vectors. One merge folds every shard's batches, in shard-index
+// order, into the campaign's Aggregator (CampaignResult::stream) and the
+// inline query executors. Unless Scenario::stream is set, the same pass also
+// expands the batches into CampaignResult::dataset with an exact reserve;
+// streaming runs skip that (optionally spilling sealed batches to disk), so
+// the merged dataset never exists. The analysis output is bit-identical
+// either way.
 //
 // Hazard normalization: per-session failure probabilities are shaped by the
 // session context (ISP, BS, signal level, RAT transition, policy) and
@@ -73,11 +75,11 @@ struct CampaignResult {
   /// dataset. Streaming mode leaves it EMPTY — records never exist as
   /// merged TraceRecords; `stream` below holds every analysis table.
   TraceDataset dataset;
-  /// Streaming mode: the §3 analysis surface, folded incrementally from
-  /// columnar shard batches at merge time. Null in materialized mode.
-  /// Bit-identical query results to `Aggregator(dataset)` of a materialized
-  /// run of the same scenario, for every thread count.
-  std::unique_ptr<StreamingAggregator> stream;
+  /// The §3 analysis surface, folded from the columnar shard batches at
+  /// merge time. Never null. Bit-identical query results to
+  /// `Aggregator(dataset)` of a materialized run of the same scenario, for
+  /// every thread count.
+  std::unique_ptr<Aggregator> stream;
   std::vector<RecoveryEpisode> recovery_episodes;
   OverheadSummary overhead;
   /// Per-shard metric sinks merged in shard-index order plus campaign-level
@@ -95,11 +97,10 @@ struct CampaignResult {
   /// folds, so the merge is order-independent.
   std::unique_ptr<detect::HealthTracker> health_state;
   std::unique_ptr<detect::HealthReport> health;
-  /// Inline query results (Scenario::inline_queries, same order). In
-  /// materialized mode the specs run over `dataset` after the merge; in
-  /// streaming mode executors consume the columnar shard batches during the
-  /// merge itself. Byte-identical JSON/CSV exports across both modes and
-  /// every `threads` value.
+  /// Inline query results (Scenario::inline_queries, same order). The
+  /// executors consume the columnar shard batches during the merge itself.
+  /// Byte-identical JSON/CSV exports across both modes and every `threads`
+  /// value.
   std::vector<query::QueryResult> query_results;
   std::uint64_t simulated_events = 0;
   std::uint64_t episodes_run = 0;

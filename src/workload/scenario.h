@@ -39,10 +39,9 @@ struct Scenario {
   /// shard partition and merge order depend only on the scenario.
   std::uint32_t threads = 1;
 
-  /// Streaming aggregation: shards emit columnar RecordBatches that are
-  /// folded into a StreamingAggregator at merge time, and the merged
-  /// TraceDataset is never materialized (CampaignResult::dataset stays
-  /// empty; CampaignResult::stream holds every §3 table). Bit-identical
+  /// Do not materialize CampaignResult::dataset: the merge only folds the
+  /// shards' columnar RecordBatches into CampaignResult::stream (which every
+  /// campaign fills), so the merged TraceDataset never exists. Bit-identical
   /// analysis output to the materialized path at every thread count.
   bool stream = false;
   /// When non-empty (streaming mode only), shards spill sealed batches to
@@ -61,9 +60,8 @@ struct Scenario {
   std::string stream_out_dir;
 
   /// Inline queries (src/query, DESIGN.md §12): each spec is evaluated
-  /// during the campaign merge — against the merged dataset in materialized
-  /// mode, or incrementally from the columnar shard batches in streaming
-  /// mode (including spill) without materializing records. Results land in
+  /// incrementally from the columnar shard batches during the campaign
+  /// merge, in both modes (including spill). Results land in
   /// CampaignResult::query_results in this order, byte-identical across
   /// modes and for every `threads` value.
   std::vector<query::QuerySpec> inline_queries;

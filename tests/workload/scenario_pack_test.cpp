@@ -397,8 +397,12 @@ TEST(IncidentModel, OutageRegionMembershipIsDeterministicAndBounded) {
     }
     const double realized = static_cast<double>(members) / 2000.0;
     EXPECT_NEAR(realized, fraction, 0.05) << "fraction " << fraction;
-    if (fraction == 0.0) EXPECT_EQ(members, 0u);
-    if (fraction == 1.0) EXPECT_EQ(members, 2000u);
+    if (fraction == 0.0) {
+      EXPECT_EQ(members, 0u);
+    }
+    if (fraction == 1.0) {
+      EXPECT_EQ(members, 2000u);
+    }
   }
 }
 

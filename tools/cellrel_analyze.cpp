@@ -12,11 +12,7 @@
 // BS-health tracker (src/detect) and prints the detector's verdicts —
 // offline datasets carry no ground-truth annotations, so the report is
 // unscored. `query` is the shared query driver (same flags as
-// cellrel_query).
-//
-// The pre-subcommand flat form (`cellrel_analyze DIR --figures --health`)
-// still works as a deprecated alias and prints a pointer to the new
-// spellings.
+// cellrel_query). Anything else prints the usage and exits 2.
 
 #include <algorithm>
 #include <cmath>
@@ -189,49 +185,11 @@ int cmd_query(int argc, char** argv) {
   return run_query_tool(opts, parsed.positionals);
 }
 
-/// Pre-subcommand flat flags, kept as deprecated aliases.
-int cmd_legacy(int argc, char** argv) {
-  bool figures = false;
-  bool health = false;
-  double health_window_s = 86'400.0;
-  std::string report_path;
-
-  cli::Parser parser("cellrel_analyze", "DATASET_DIR");
-  parser.add_flag("--figures", "print CDF / transition-matrix figures",
-                  [&figures] { figures = true; });
-  parser.add_flag("--health", "replay records through the BS-health detector",
-                  [&health] { health = true; });
-  parser.add_option("--health-window", "S", "detection window in simulated seconds",
-                    cli::double_value(&health_window_s));
-  parser.add_option("--report", "OUT.md", "write the full §3 report to OUT.md",
-                    cli::string_value(&report_path));
-
-  const cli::ParseResult parsed = parser.parse(argc, argv);
-  // The one-line notice goes out on every flat invocation — including the
-  // usage-error exits below — so scripts still driving the legacy surface
-  // see it regardless of how the call went. `--help` stays clean.
-  if (!parsed.help_requested) {
-    std::fprintf(stderr,
-                 "note: flat flags are deprecated; use `cellrel_analyze report DIR "
-                 "[--figures] [--report OUT.md]`, `cellrel_analyze health DIR [--window S]` "
-                 "or `cellrel_analyze query DIR --preset NAME`\n");
-  }
-  if (parsed.help_requested || !parsed.ok || parsed.positionals.size() != 1) {
-    return usage_exit(parser, parsed, "expected exactly one DATASET_DIR argument");
-  }
-
-  TraceDataset dataset;
-  if (!load_dataset(parsed.positionals[0], &dataset)) return 1;
-  const Aggregator agg(dataset);
-  print_summary(dataset, agg);
-  if (health) {
-    std::printf("\n");
-    run_health_replay(dataset, health_window_s);
-  }
-  if (figures) print_figures(agg);
-  if (!report_path.empty()) return write_full_report(agg, report_path);
-  return 0;
-}
+constexpr const char* kUsage =
+    "usage: cellrel_analyze report DATASET_DIR [--figures] [--report OUT.md]\n"
+    "       cellrel_analyze health DATASET_DIR [--window S]\n"
+    "       cellrel_analyze query  DATASET_DIR --preset NAME | --spec SPEC [...]\n"
+    "run `cellrel_analyze <subcommand> --help` for the subcommand's options\n";
 
 }  // namespace
 
@@ -244,5 +202,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(cmd, "health") == 0) return cmd_health(argc - 1, argv + 1);
     if (std::strcmp(cmd, "query") == 0) return cmd_query(argc - 1, argv + 1);
   }
-  return cmd_legacy(argc, argv);
+  const bool help = argc == 2 && (std::strcmp(argv[1], "--help") == 0 ||
+                                   std::strcmp(argv[1], "-h") == 0);
+  std::fputs(kUsage, help ? stdout : stderr);
+  return help ? 0 : 2;
 }

@@ -8,10 +8,11 @@
 // a --metrics-out file bit-identical to --threads 1 (the CELLREL_THREADS
 // env var, if set, wins).
 //
-// --stream runs the memory-bounded streaming aggregation path: shards emit
-// columnar record batches that are folded into a StreamingAggregator at
-// merge time and the merged dataset never exists in memory; the printed
-// report and --metrics-out file are bit-identical to the default path.
+// Every campaign folds its shards' columnar record batches into one
+// Aggregator at merge time, and the report is printed from it. --stream
+// skips materializing the merged dataset, so it never exists in memory; the
+// printed report and --metrics-out file are bit-identical to the default
+// path.
 // --spill-dir DIR additionally spills sealed batches to per-shard CSV files
 // under DIR, bounding batch residency to O(shards x batch capacity).
 // --stream --out DIR streams the CSV export through the merge (records/
@@ -45,9 +46,9 @@ using namespace cellrel;
 
 namespace {
 
-/// Headline report over the unified aggregation surface (materialized or
-/// streaming — identical query set, identical output bytes).
-void print_report_from(const AggregatorView& agg, const CampaignResult& result) {
+/// Headline report from the campaign's Aggregator (identical output bytes
+/// with or without --stream).
+void print_report(const Aggregator& agg, const CampaignResult& result) {
   const auto overall = agg.overall();
   const SampleSet durations = agg.durations_all();
   const auto share = agg.duration_share_by_type();
@@ -62,14 +63,6 @@ void print_report_from(const AggregatorView& agg, const CampaignResult& result) 
               agg.filter_score().precision(), agg.filter_score().recall(),
               static_cast<unsigned long long>(result.simulated_events),
               static_cast<unsigned long long>(result.episodes_run));
-}
-
-void print_report(const CampaignResult& result) {
-  if (result.stream) {
-    print_report_from(*result.stream, result);
-  } else {
-    print_report_from(Aggregator(result.dataset), result);
-  }
 }
 
 /// File-name-safe spelling of a query name for --query-out.
@@ -340,7 +333,7 @@ int main(int argc, char** argv) {
   }
   Campaign campaign(sc);
   const CampaignResult result = campaign.run();
-  if (!quiet) print_report(result);
+  if (!quiet) print_report(*result.stream, result);
   if (!quiet && result.health) {
     std::fputs(detect::render_health_report(*result.health, 10).c_str(), stdout);
   }
@@ -354,7 +347,7 @@ int main(int argc, char** argv) {
                   result.dataset.devices.size(), result.dataset.base_stations.size());
     }
   }
-  if (!sc.stream_out_dir.empty() && !quiet && result.stream) {
+  if (!sc.stream_out_dir.empty() && !quiet) {
     std::printf("dataset streamed to %s (%llu records, %zu devices, %zu BSes)\n",
                 sc.stream_out_dir.c_str(),
                 static_cast<unsigned long long>(result.stream->total_records()),
