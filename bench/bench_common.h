@@ -1,9 +1,9 @@
 // Shared plumbing for the bench binaries.
 //
-// Every bench regenerates one table or figure of the paper: it runs the
-// measurement campaign (or an A/B pair) at a bench-scale fleet size, feeds
-// the collected dataset through the analysis library, and prints the same
-// rows/series the paper reports alongside the paper's published values.
+// The benches measure what the paper-fidelity scorecard (cellrel_scorecard)
+// does not: the TIMP optimizer, monitoring overhead, the data-rate check,
+// the ablations, detection cost and the campaign runner itself. Each runs
+// its campaigns at a bench-scale fleet size.
 //
 // Scale knobs (environment):
 //   CELLREL_BENCH_DEVICES  fleet size (default 4000)
@@ -19,21 +19,35 @@
 
 #include "analysis/aggregate.h"
 #include "analysis/report.h"
+#include "cli.h"
 #include "workload/campaign.h"
 
 namespace cellrel::bench {
 
+/// Reads an unsigned knob with the CLI tools' full-string rule; a value
+/// that does not parse exits 2 naming the variable.
 inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
-  return value ? static_cast<std::uint64_t>(std::atoll(value)) : fallback;
+  if (value == nullptr) return fallback;
+  std::uint64_t parsed = 0;
+  if (!cli::parse_u64(value, &parsed)) {
+    std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", name, value);
+    std::exit(2);
+  }
+  return parsed;
 }
 
+/// The bench-scale scenario; an unrunnable one (e.g. zero devices) exits 2.
 inline Scenario bench_scenario(std::string name) {
   Scenario sc;
   sc.name = std::move(name);
   sc.device_count = static_cast<std::uint32_t>(env_u64("CELLREL_BENCH_DEVICES", 4000));
   sc.deployment.bs_count = static_cast<std::uint32_t>(env_u64("CELLREL_BENCH_BS", 8000));
   sc.seed = env_u64("CELLREL_BENCH_SEED", 20200101);
+  if (const auto errors = sc.validate(); !errors.empty()) {
+    std::fputs(format_errors(errors).c_str(), stderr);
+    std::exit(2);
+  }
   return sc;
 }
 

@@ -37,7 +37,9 @@ std::optional<T> parse_number(std::string_view s) {
   return value;
 }
 
-std::optional<double> parse_double(std::string_view s) {
+/// A time or duration in seconds: finite, non-negative, and small enough
+/// that SimDuration::seconds' int64 microsecond conversion is defined.
+std::optional<double> parse_seconds(std::string_view s) {
   // std::from_chars for double is not universally available; strtod via a
   // bounded copy keeps this portable.
   char buf[64];
@@ -46,7 +48,8 @@ std::optional<double> parse_double(std::string_view s) {
   buf[s.size()] = '\0';
   char* end = nullptr;
   const double v = std::strtod(buf, &end);
-  if (end != buf + s.size()) return std::nullopt;
+  // The negated range test also rejects nan; inf fails the upper bound.
+  if (end != buf + s.size() || !(v >= 0.0 && v * 1e6 < 0x1p63)) return std::nullopt;
   return v;
 }
 
@@ -124,8 +127,8 @@ std::optional<TraceRecord> trace_record_from_csv(std::string_view line) {
   const auto model = parse_number<int>(f[1]);
   const auto isp = isp_from_string(f[2]);
   const auto type = failure_type_from_string(f[3]);
-  const auto at = parse_double(f[4]);
-  const auto duration = parse_double(f[5]);
+  const auto at = parse_seconds(f[4]);
+  const auto duration = parse_seconds(f[5]);
   const auto method = duration_method_from_string(f[6]);
   const auto rat = rat_from_string(f[7]);
   const auto level = parse_number<std::size_t>(f[8]);
@@ -302,7 +305,7 @@ TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
       if (f.size() != 3) malformed(file, n);
       const auto rat = rat_from_string(f[0]);
       const auto level = parse_number<std::size_t>(f[1]);
-      const auto seconds = parse_double(f[2]);
+      const auto seconds = parse_seconds(f[2]);
       if (!rat || !level || *level >= kSignalLevelCount || !seconds) malformed(file, n);
       data.connected_time.add(*rat, signal_level_from_index(*level), *seconds);
     });
@@ -428,7 +431,8 @@ std::optional<RecordBatch::RowView> spill_row_from_csv(std::string_view line,
   const auto cause = parse_number<std::int32_t>(f[9]);
   const auto probe_rounds = parse_number<std::uint32_t>(f[11]);
   const auto gt = parse_number<unsigned>(f[12]);
-  if (!device || !type || *type >= kFailureTypeCount || !at_us || !duration_us ||
+  if (!device || !type || *type >= kFailureTypeCount || !at_us || *at_us < 0 ||
+      !duration_us || *duration_us < 0 ||
       !method || *method > static_cast<unsigned>(DurationMethod::kStateTracking) ||
       !rat || *rat >= kRatCount || !level || *level >= kSignalLevelCount || !bs ||
       !cause || !probe_rounds || !gt || *gt >= kFalsePositiveKindCount ||

@@ -57,7 +57,9 @@ std::optional<Rat> rat_from_string(std::string_view s);
 std::optional<DurationMethod> duration_method_from_string(std::string_view s);
 std::optional<CellIdentity> cell_identity_from_string(std::string_view s);
 
-/// Parses one records.csv row (the to_csv() format).
+/// Parses one records.csv row (the to_csv() format). Returns nullopt on a
+/// malformed row, including an at_s/duration_s that is not finite, is
+/// negative, or lies outside the SimTime range.
 std::optional<TraceRecord> trace_record_from_csv(std::string_view line);
 
 // ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ class BatchSpillWriter {
 
 /// Parses one spill row into a batch row view; `apns` receives the APN
 /// text (interned, first-appearance order). Returns nullopt on malformed
-/// input.
+/// input, including a negative at_us or duration_us.
 std::optional<RecordBatch::RowView> spill_row_from_csv(std::string_view line,
                                                        StringPool& apns);
 

@@ -97,11 +97,32 @@ std::string render_transition_matrix(const Aggregator::TransitionMatrix& m,
   return out;
 }
 
+std::string_view Comparison::verdict() const {
+  if (holds()) return "pass";
+  return expected_deviation.empty() ? "FAIL" : "deviates";
+}
+
+namespace {
+
+/// Whole numbers (relation counts, ranks) without decimals, the rest with 2.
+std::string claim_number(double v) {
+  return TextTable::num(v, v == std::floor(v) ? 0 : 2);
+}
+
+std::string tolerance(const Comparison& row) {
+  if (row.lo == row.hi) return "= " + claim_number(row.lo);
+  if (std::isinf(row.hi)) return ">= " + claim_number(row.lo);
+  if (std::isinf(row.lo)) return "<= " + claim_number(row.hi);
+  return claim_number(row.lo) + " .. " + claim_number(row.hi);
+}
+
+}  // namespace
+
 std::string render_comparisons(std::span<const Comparison> rows) {
-  TextTable table({"metric", "paper", "measured", "unit"});
+  TextTable table({"claim", "paper", "measured", "tolerance", "verdict", "unit"});
   for (const auto& row : rows) {
-    table.add_row({row.metric, TextTable::num(row.paper), TextTable::num(row.measured),
-                   row.unit});
+    table.add_row({row.metric, claim_number(row.paper), claim_number(row.measured),
+                   tolerance(row), std::string(row.verdict()), row.unit});
   }
   return table.render();
 }

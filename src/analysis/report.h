@@ -1,11 +1,13 @@
-// Text renderers for figures and tables (used by bench binaries and
-// examples to print the paper-style rows/series).
+// Text renderers for figures and tables (used by the query presets, the
+// full report and the paper-fidelity scorecard).
 
 #ifndef CELLREL_ANALYSIS_REPORT_H
 #define CELLREL_ANALYSIS_REPORT_H
 
+#include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/aggregate.h"
@@ -48,13 +50,25 @@ std::span<const double> default_cdf_quantiles();
 std::string render_transition_matrix(const Aggregator::TransitionMatrix& m,
                                      std::string_view title);
 
-/// Side-by-side paper-vs-measured comparison row helper.
+/// One paper claim checked against a measurement: a row of the
+/// paper-fidelity scorecard (tools/scorecard.h). The claim holds when
+/// `measured` lies in [lo, hi]. A claim known to miss carries an
+/// `expected_deviation` reason: its verdict then reads "deviates" instead
+/// of "FAIL", and its row still shows the measured value.
 struct Comparison {
-  std::string metric;
+  std::string metric;  // the claim id, e.g. "F21.stall_duration_cut"
   double paper = 0.0;
   double measured = 0.0;
   std::string unit;
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  std::string expected_deviation;
+
+  bool holds() const { return measured >= lo && measured <= hi; }
+  /// "pass", "deviates" or "FAIL".
+  std::string_view verdict() const;
 };
+/// Claim | paper | measured | tolerance | verdict | unit, one row each.
 std::string render_comparisons(std::span<const Comparison> rows);
 
 /// One-row-per-metric summary table of a campaign's MetricRegistry (the

@@ -1,8 +1,6 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "common/check.h"
 
@@ -55,56 +53,6 @@ void LinearHistogram::merge(const LinearHistogram& other) {
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   total_ += other.total_;
-}
-
-LogHistogram::LogHistogram(double first_edge, double ratio, std::size_t bins)
-    : first_edge_(first_edge), ratio_(ratio), counts_(bins, 0) {
-  CELLREL_CHECK(first_edge > 0.0 && ratio > 1.0 && bins > 0)
-      << "bad log histogram: first_edge=" << first_edge << " ratio=" << ratio
-      << " bins=" << bins;
-}
-
-void LogHistogram::add(double x, std::uint64_t weight) {
-  total_ += weight;
-  std::size_t idx = 0;
-  if (x >= first_edge_) {
-    idx = 1 + static_cast<std::size_t>(std::log(x / first_edge_) / std::log(ratio_));
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  counts_[idx] += weight;
-}
-
-double LogHistogram::bin_lo(std::size_t i) const {
-  if (i == 0) return 0.0;
-  return first_edge_ * std::pow(ratio_, static_cast<double>(i - 1));
-}
-
-double LogHistogram::bin_hi(std::size_t i) const {
-  return first_edge_ * std::pow(ratio_, static_cast<double>(i));
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  CELLREL_CHECK(first_edge_ == other.first_edge_ && ratio_ == other.ratio_ &&
-                counts_.size() == other.counts_.size())
-      << "merging differently-shaped log histograms";
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-std::string LogHistogram::render(std::size_t max_width) const {
-  std::string out;
-  const std::uint64_t peak = *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    char head[96];
-    std::snprintf(head, sizeof(head), "[%10.1f, %10.1f) %10llu ", bin_lo(i), bin_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += head;
-    const auto bar = peak ? counts_[i] * max_width / peak : 0;
-    out.append(static_cast<std::size_t>(bar), '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace cellrel

@@ -1,10 +1,9 @@
-// Fixed- and logarithmic-bin histograms for duration and count data.
+// Fixed-bin histograms for duration and count data.
 
 #ifndef CELLREL_COMMON_HISTOGRAM_H
 #define CELLREL_COMMON_HISTOGRAM_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cellrel {
@@ -44,35 +43,6 @@ class LinearHistogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// A histogram whose bin edges grow geometrically from `first_edge`;
-/// suitable for heavy-tailed data (failure durations, per-BS counts).
-class LogHistogram {
- public:
-  /// Bins: [0, first_edge), [first_edge, first_edge*ratio), ... capped at
-  /// `bins` bins; everything beyond falls in the last bin.
-  LogHistogram(double first_edge, double ratio, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Pretty one-line-per-bin rendering (for bench/report output).
-  std::string render(std::size_t max_width = 50) const;
-
-  /// Bin-wise accumulation of an identically-shaped histogram (checked).
-  void merge(const LogHistogram& other);
-
- private:
-  double first_edge_;
-  double ratio_;
-  std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
 

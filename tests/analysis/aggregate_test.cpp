@@ -242,10 +242,21 @@ TEST(Report, TransitionMatrixRendering) {
 }
 
 TEST(Report, ComparisonTable) {
-  const std::vector<Comparison> rows = {{"prevalence", 23.0, 21.5, "%"}};
+  const std::vector<Comparison> rows = {
+      {"T1.prevalence", 23.0, 21.5, "%", 18.4, 27.6, ""},
+      {"F16.5g_riskier", 6.0, 5.0, "levels", 6.0, 6.0, ""},
+      {"F21.median_timp", 2.0, 5.13, "s", 1.6, 2.4, "setup retries set the median"},
+  };
+  EXPECT_EQ(rows[0].verdict(), "pass");
+  EXPECT_EQ(rows[1].verdict(), "FAIL");
+  EXPECT_EQ(rows[2].verdict(), "deviates");
   const std::string out = render_comparisons(rows);
-  EXPECT_NE(out.find("prevalence"), std::string::npos);
-  EXPECT_NE(out.find("23.00"), std::string::npos);
+  EXPECT_NE(out.find("| claim"), std::string::npos);
+  EXPECT_NE(out.find("| T1.prevalence   | 23    | 21.50    | 18.40 .. 27.60 | pass     | %"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("| 6     | 5        | = 6"), std::string::npos) << out;
+  EXPECT_NE(out.find("| deviates |"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -227,6 +227,10 @@ TEST(BatchSpill, MalformedRowIsRejected) {
   // Out-of-range enum index (failure type 200).
   EXPECT_FALSE(
       spill_row_from_csv("1,200,0,0,0,0,0,4,cmnet,0,0,0,0", pool).has_value());
+  // Negative timestamp / duration (microseconds).
+  EXPECT_FALSE(spill_row_from_csv("7,1,-5,1000,1,2,3,44,cmnet,0,0,2,0", pool).has_value());
+  EXPECT_FALSE(
+      spill_row_from_csv("7,1,123456,-9000000000000,1,2,3,44,cmnet,0,0,2,0", pool).has_value());
   // A well-formed row parses.
   const auto row = spill_row_from_csv("7,1,123456,1000,1,2,3,44,cmnet,0,0,2,0", pool);
   ASSERT_TRUE(row.has_value());

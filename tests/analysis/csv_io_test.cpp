@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "analysis/aggregate.h"
 #include "workload/campaign.h"
@@ -88,6 +89,17 @@ TEST(CsvParsing, RejectsMalformedRows) {
   EXPECT_FALSE(
       trace_record_from_csv("x,12,ISP-B,Data_Stall,1,2,probing,5G,2,3,460-0-1-1,apn,NONE,0,0")
           .has_value());
+  // Times and durations must be finite, non-negative seconds inside the
+  // SimTime range (inf used to reach SimDuration::seconds' int64 cast).
+  const auto row = [](const char* at, const char* duration) {
+    return std::string("1,12,ISP-B,Data_Stall,") + at + "," + duration +
+           ",probing,5G,2,3,460-0-1-1,apn,NONE,0,0";
+  };
+  ASSERT_TRUE(trace_record_from_csv(row("1", "2")).has_value());
+  for (const char* bad : {"nan", "inf", "-inf", "-1", "-1e300", "1e300", "1e13"}) {
+    EXPECT_FALSE(trace_record_from_csv(row(bad, "2")).has_value()) << "at_s=" << bad;
+    EXPECT_FALSE(trace_record_from_csv(row("1", bad)).has_value()) << "duration_s=" << bad;
+  }
 }
 
 TEST(CsvIo, DatasetRoundTripPreservesAnalysis) {

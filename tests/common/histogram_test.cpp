@@ -37,35 +37,5 @@ TEST(LinearHistogram, CumulativeFraction) {
   EXPECT_DOUBLE_EQ(h.cumulative_fraction(0.0), 0.0);
 }
 
-TEST(LogHistogram, GeometricEdges) {
-  LogHistogram h(1.0, 2.0, 8);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 4.0);
-}
-
-TEST(LogHistogram, Placement) {
-  LogHistogram h(1.0, 10.0, 5);
-  h.add(0.5);      // bin 0: [0, 1)
-  h.add(5.0);      // bin 1: [1, 10)
-  h.add(50.0);     // bin 2: [10, 100)
-  h.add(1e9);      // clamped into last bin
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(1), 1u);
-  EXPECT_EQ(h.bin(2), 1u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LogHistogram, RenderMentionsNonEmptyBins) {
-  LogHistogram h(1.0, 10.0, 4);
-  h.add(5.0, 3);
-  const std::string out = h.render();
-  EXPECT_NE(out.find('3'), std::string::npos);
-  EXPECT_NE(out.find('#'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace cellrel

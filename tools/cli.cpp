@@ -86,8 +86,6 @@ std::string Parser::usage() const {
   return out;
 }
 
-namespace {
-
 bool parse_u64(std::string_view text, std::uint64_t* out) {
   if (text.empty() || text[0] == '-') return false;
   const std::string buf(text);
@@ -98,8 +96,6 @@ bool parse_u64(std::string_view text, std::uint64_t* out) {
   *out = v;
   return true;
 }
-
-}  // namespace
 
 std::function<bool(std::string_view)> u32_value(std::uint32_t* out) {
   return [out](std::string_view text) {

@@ -69,6 +69,10 @@ class Parser {
   std::vector<Spec> specs_;
 };
 
+/// Parses a whole string as a base-10 unsigned integer: no sign, no
+/// trailing garbage ("4k" and "-1" are rejected), no overflow.
+bool parse_u64(std::string_view text, std::uint64_t* out);
+
 // Typed value binders for add_option. Each rejects trailing garbage
 // ("12x" is not a number) and, for unsigned types, negative input.
 std::function<bool(std::string_view)> u32_value(std::uint32_t* out);
