@@ -1,9 +1,5 @@
-// Shared plumbing for the bench binaries.
-//
-// The benches measure what the paper-fidelity scorecard (cellrel_scorecard)
-// does not: the TIMP optimizer, monitoring overhead, the data-rate check,
-// the ablations, detection cost and the campaign runner itself. Each runs
-// its campaigns at a bench-scale fleet size.
+// Scenario plumbing for bench_detection, which times the campaign at a
+// bench-scale fleet size.
 //
 // Scale knobs (environment):
 //   CELLREL_BENCH_DEVICES  fleet size (default 4000)
@@ -17,8 +13,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "analysis/aggregate.h"
-#include "analysis/report.h"
 #include "cli.h"
 #include "workload/campaign.h"
 
@@ -55,15 +49,6 @@ inline void print_header(const char* artifact, const char* description) {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", artifact, description);
   std::printf("==============================================================\n");
-}
-
-inline CampaignResult run_measurement(const char* artifact, const char* description) {
-  print_header(artifact, description);
-  Scenario sc = bench_scenario(artifact);
-  std::printf("[campaign: %u devices, %u BSes, seed %llu]\n\n", sc.device_count,
-              sc.deployment.bs_count, static_cast<unsigned long long>(sc.seed));
-  Campaign campaign(sc);
-  return campaign.run();
 }
 
 }  // namespace cellrel::bench

@@ -18,9 +18,8 @@ void append_f(std::string& out, const char* fmt, auto... args) {
 
 }  // namespace
 
-std::string render_full_report(const Aggregator& agg, const FullReportOptions& options) {
-  std::string out;
-  out += "# " + options.title + "\n\n";
+std::string render_full_report(const Aggregator& agg) {
+  std::string out = "# Cellular reliability campaign report\n\n";
 
   // --- General statistics (§3.1) ---
   out += "## General statistics\n\n";
@@ -71,21 +70,18 @@ std::string render_full_report(const Aggregator& agg, const FullReportOptions& o
   append_f(out, "- Android 10: prevalence %.1f%% vs Android 9 %.1f%%\n\n",
            by_android[1].prevalence() * 100.0, by_android[0].prevalence() * 100.0);
 
-  if (options.include_model_table) {
-    const auto by_model = agg.by_model();
-    TextTable table({"model", "5G", "android", "devices", "prevalence", "frequency"});
-    for (const auto& spec : phone_models()) {
-      const auto it = by_model.find(spec.model_id);
-      const PrevalenceFrequency pf =
-          it != by_model.end() ? it->second : PrevalenceFrequency{};
-      table.add_row({std::to_string(spec.model_id), spec.has_5g ? "YES" : "-",
-                     spec.android == AndroidVersion::kAndroid10 ? "10.0" : "9.0",
-                     std::to_string(pf.devices), TextTable::percent(pf.prevalence()),
-                     TextTable::num(pf.frequency(), 1)});
-    }
-    out += table.render();
-    out += "\n";
+  const auto by_model = agg.by_model();
+  TextTable table({"model", "5G", "android", "devices", "prevalence", "frequency"});
+  for (const auto& spec : phone_models()) {
+    const auto it = by_model.find(spec.model_id);
+    const PrevalenceFrequency pf = it != by_model.end() ? it->second : PrevalenceFrequency{};
+    table.add_row({std::to_string(spec.model_id), spec.has_5g ? "YES" : "-",
+                   spec.android == AndroidVersion::kAndroid10 ? "10.0" : "9.0",
+                   std::to_string(pf.devices), TextTable::percent(pf.prevalence()),
+                   TextTable::num(pf.frequency(), 1)});
   }
+  out += table.render();
+  out += "\n";
 
   out += "Top Data_Setup_Error codes (false positives removed):\n\n";
   TextTable codes({"rank", "code", "share"});
@@ -128,20 +124,17 @@ std::string render_full_report(const Aggregator& agg, const FullReportOptions& o
   }
   out += "\n\n";
 
-  if (options.include_transition_matrices) {
-    out += "## RAT transition risk (increase of failure probability)\n\n```\n";
-    const std::pair<Rat, Rat> panels[] = {{Rat::k2G, Rat::k3G}, {Rat::k2G, Rat::k4G},
-                                          {Rat::k2G, Rat::k5G}, {Rat::k3G, Rat::k4G},
-                                          {Rat::k3G, Rat::k5G}, {Rat::k4G, Rat::k5G}};
-    for (const auto& [from, to] : panels) {
-      out += render_transition_matrix(
-          agg.transition_increase(from, to),
-          std::string(to_string(from)) + " level-i -> " + std::string(to_string(to)) +
-              " level-j");
-      out += "\n";
-    }
-    out += "```\n";
+  out += "## RAT transition risk (increase of failure probability)\n\n```\n";
+  const std::pair<Rat, Rat> panels[] = {{Rat::k2G, Rat::k3G}, {Rat::k2G, Rat::k4G},
+                                        {Rat::k2G, Rat::k5G}, {Rat::k3G, Rat::k4G},
+                                        {Rat::k3G, Rat::k5G}, {Rat::k4G, Rat::k5G}};
+  for (const auto& [from, to] : panels) {
+    out += render_transition_matrix(agg.transition_increase(from, to),
+                                    std::string(to_string(from)) + " level-i -> " +
+                                        std::string(to_string(to)) + " level-j");
+    out += "\n";
   }
+  out += "```\n";
   return out;
 }
 

@@ -11,21 +11,12 @@
 
 namespace cellrel {
 
-struct FullReportOptions {
-  std::string title = "Cellular reliability campaign report";
-  /// Include the six RAT-transition matrices (verbose).
-  bool include_transition_matrices = true;
-  /// Include the 34-row per-model table.
-  bool include_model_table = true;
-};
-
 /// Renders the complete markdown report from an Aggregator. Every statistic
 /// is pulled through the aggregator — never from a raw dataset — so the
 /// report is byte-identical whichever adapter fed the fold (see aggregate.h's
 /// bit-identity contract). Callers holding a TraceDataset wrap it in an
 /// `Aggregator` first.
-std::string render_full_report(const Aggregator& agg,
-                               const FullReportOptions& options = {});
+std::string render_full_report(const Aggregator& agg);
 
 }  // namespace cellrel
 

@@ -551,8 +551,8 @@ void Campaign::DeviceRun::plan_sessions() {
   const auto stock_policy =
       make_policy_for_android(static_cast<int>(profile_.model->android));
   const StabilityCompatiblePolicy stability_policy;
-  DualConnectivityManager dualconn;
-  dualconn.set_enabled(stability && scenario_.dual_connectivity);
+  const bool dual_connectivity = stability && scenario_.dual_connectivity;
+  constexpr double kDisruptionFactor = DualConnectivityManager::Config{}.disruption_factor;
 
   std::optional<CellCandidate> prev_stock;
   std::optional<CellCandidate> prev_active;
@@ -604,16 +604,10 @@ void Campaign::DeviceRun::plan_sessions() {
     const CellCandidate prev_a = prev_active.value_or(s.active);
     // Dual connectivity softens the transition term on the active path:
     // the prepared secondary leg makes 4G<->5G switches less disruptive.
-    double dc_mult = 1.0;
-    if (s.transitioned_active && dualconn.enabled() &&
-        (s.active.rat == Rat::k5G || prev_a.rat == Rat::k5G)) {
-      dualconn.update_secondary(s.active.rat == Rat::k5G
-                                    ? std::optional<CellCandidate>(s.active)
-                                    : std::nullopt);
-      dc_mult = dualconn.covers(s.active)
-                    ? dualconn.disruption_multiplier(s.active)
-                    : DualConnectivityManager::Config{}.disruption_factor;
-    }
+    const double dc_mult = s.transitioned_active && dual_connectivity &&
+                                   (s.active.rat == Rat::k5G || prev_a.rat == Rat::k5G)
+                               ? kDisruptionFactor
+                               : 1.0;
     s.hazard_stock =
         context_hazard(cal_, bs_stock, s.stock, s.transitioned_stock, prev_s, 1.0);
     s.hazard_active =

@@ -26,21 +26,10 @@ TEST(FullReport, ContainsAllSections) {
   for (const char* needle :
        {"# Cellular reliability campaign report", "## General statistics",
         "## Android phone landscape", "## ISP and base-station landscape",
-        "## RAT transition risk", "Top Data_Setup_Error codes", "Zipf",
+        "## RAT transition risk", "| model ", "Top Data_Setup_Error codes", "Zipf",
         "false-positive filter: precision"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle;
   }
-}
-
-TEST(FullReport, OptionsControlVerbosity) {
-  FullReportOptions options;
-  options.title = "custom title";
-  options.include_transition_matrices = false;
-  options.include_model_table = false;
-  const std::string report = render_full_report(Aggregator(campaign_dataset()), options);
-  EXPECT_NE(report.find("# custom title"), std::string::npos);
-  EXPECT_EQ(report.find("## RAT transition risk"), std::string::npos);
-  EXPECT_EQ(report.find("| model |"), std::string::npos);
 }
 
 TEST(FullReport, ImportedDatasetOmitsFilterScore) {

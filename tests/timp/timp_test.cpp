@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -152,6 +153,22 @@ TEST(RecoveryOptimizer, ReproducesPaperShape) {
   EXPECT_LT(reduction, 0.70);
   // The paper's optimum is V-shaped: Pro_0 (21 s) > Pro_1 (6 s).
   EXPECT_GT(result.probations_s[0], result.probations_s[1]);
+
+  // The annealed optimum is a genuine minimum of Eq. 1: no uniform schedule
+  // and no -5/+5/+15 s change to one probation evaluates below it.
+  const TimpModel& eq1 = optimizer.model();
+  for (double p : {2.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 90.0}) {
+    EXPECT_GE(eq1.expected_recovery_time({p, p, p}), result.expected_recovery_s)
+        << "uniform " << p << " s";
+  }
+  for (std::size_t stage = 0; stage < 3; ++stage) {
+    for (double delta : {-5.0, 5.0, 15.0}) {
+      auto p = result.probations_s;
+      p[stage] = std::max(1.0, p[stage] + delta);
+      EXPECT_GE(eq1.expected_recovery_time(p), result.expected_recovery_s)
+          << "Pro_" << stage << " " << delta << " s";
+    }
+  }
 }
 
 TEST(RecoveryOptimizer, ScheduleConversion) {

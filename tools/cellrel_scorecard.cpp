@@ -1,7 +1,8 @@
 // cellrel_scorecard — the paper-fidelity scorecard.
 //
-// Runs the baseline campaign and its stability-policy and TIMP-recovery
-// variants at bench scale (4,000 devices, 8,000 BSes) from one seed, then
+// Runs the baseline campaign and its stability-policy, TIMP-recovery and
+// unprobed-detection variants at bench scale (4,000 devices, 8,000 BSes)
+// from one seed, anneals Eq. 1 once on the baseline's stall durations, then
 // prints one row per paper claim: id, paper value, measured value,
 // tolerance and verdict, followed by the reasons of the expected
 // deviations. Exits 1 naming every claim that fails without such a reason.
@@ -36,8 +37,8 @@ int main(int argc, char** argv) {
   base.deployment.bs_count = scorecard::kBaseStations;
   base.threads = 0;  // one per hardware thread; the result is thread-count-identical
   const scorecard::Runs runs = scorecard::run_campaigns(base);
-  const std::vector<Comparison> claims =
-      scorecard::evaluate(runs.baseline, runs.stability, runs.timp);
+  const std::vector<Comparison> claims = scorecard::evaluate(
+      runs.scenario, runs.baseline, runs.stability, runs.timp, runs.unprobed);
   std::fputs(scorecard::render(claims, seed).c_str(), stdout);
 
   const std::vector<std::string> failing = scorecard::failing_claims(claims);

@@ -1,13 +1,16 @@
-// The paper-fidelity scorecard behind `cellrel_scorecard`: three campaigns
-// sharing one seed (the stock baseline, the stability-compatible RAT policy
-// and the TIMP-optimized recovery) and every §3/§4 claim of the paper
-// evaluated over them as a Comparison row with a stated tolerance.
+// The paper-fidelity scorecard behind `cellrel_scorecard`: four campaigns
+// sharing one seed (the stock baseline, the stability-compatible RAT policy,
+// the TIMP-optimized recovery and vanilla stall detection without probing)
+// and every §2.2/§3/§4 claim of the paper evaluated over them as a
+// Comparison row with a stated tolerance.
 //
 // Tolerances come from the paper, never from measured values:
 //   - an ordering or direction claim counts the relations that hold and
 //     must hold all of them;
 //   - a magnitude must land within +-20% of the paper value, the band the
 //     paper's Fig. 21 stall-duration cut (30-45% around 38%) sets;
+//   - a stated budget or floor ("below 2%", "over 95%") is the range it
+//     names;
 //   - a per-model correlation with the paper's Table 1 column must reach
 //     0.85.
 // Scale-limited magnitudes (per-BS and per-phone maxima, the mean per BS,
@@ -30,23 +33,27 @@ namespace cellrel::scorecard {
 inline constexpr std::uint32_t kDevices = 4000;
 inline constexpr std::uint32_t kBaseStations = 8000;
 
-/// The three campaigns one scorecard compares. `baseline` is the vanilla
-/// side of both A/B pairs (Fig. 19/20 and Fig. 21).
+/// The four campaigns one scorecard compares. `baseline` is the vanilla
+/// side of the Fig. 19/20 and Fig. 21 pairs and the probing side of §2.2's.
 struct Runs {
+  Scenario scenario;         // the baseline's, as run
   CampaignResult baseline;
   CampaignResult stability;  // PolicyVariant::kStabilityCompatible
   CampaignResult timp;       // RecoveryVariant::kTimpOptimized
+  CampaignResult unprobed;   // Scenario::monitor_probing = false
 };
 
-/// Runs `base` (stock policy, vanilla recovery) and its two variants as
-/// streaming campaigns carrying the inline query the Fig. 20 per-type
-/// claims read.
+/// Runs `base` (stock policy, vanilla recovery, probing monitor) and its
+/// three variants as streaming campaigns carrying the inline query the
+/// Fig. 20 per-type claims read.
 Runs run_campaigns(Scenario base);
 
-/// Every claim, in paper order (DESIGN.md §3). `baseline` is the vanilla
-/// side of both A/B pairs; every run must come from run_campaigns.
-std::vector<Comparison> evaluate(const CampaignResult& baseline, const CampaignResult& stability,
-                                 const CampaignResult& timp);
+/// Every claim, in DESIGN.md §3's order. `scenario` supplies the seed the
+/// §4.2 data-rate check draws from and the campaign length the overhead
+/// rates divide by; every run must come from run_campaigns(scenario).
+std::vector<Comparison> evaluate(const Scenario& scenario, const CampaignResult& baseline,
+                                 const CampaignResult& stability, const CampaignResult& timp,
+                                 const CampaignResult& unprobed);
 
 /// Ids of the claims whose verdict is FAIL (they miss and carry no
 /// expected_deviation reason). Non-empty means the scorecard exits 1.
