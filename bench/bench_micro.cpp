@@ -30,6 +30,38 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
+// The campaign's kernel shape: a self-rescheduling 2.5 s traffic tick that
+// schedules from inside its own callback, plus a stall-check watchdog that
+// is cancelled and re-armed every fourth tick, so slots are freed and reused.
+void BM_EventQueueTickWatchdog(benchmark::State& state) {
+  struct Load {
+    Simulator sim;
+    std::uint64_t remaining = 0;
+    ScheduledEvent watchdog;
+    std::uint64_t watchdog_fired = 0;
+    void tick() {
+      if (remaining == 0) return;
+      --remaining;
+      if (remaining % 4 == 0) {
+        watchdog.cancel();
+        watchdog = sim.schedule_after(SimDuration::seconds(30.0), [this] { ++watchdog_fired; });
+      }
+      sim.schedule_after(SimDuration::seconds(2.5), [this] { tick(); });
+    }
+  };
+  const auto ticks = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    Load load;
+    load.remaining = ticks;
+    load.sim.schedule_after(SimDuration::zero(), [&load] { load.tick(); });
+    events += load.sim.run();
+    benchmark::DoNotOptimize(load.watchdog_fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueTickWatchdog)->Arg(1540);
+
 void BM_RngLognormal(benchmark::State& state) {
   Rng rng(42);
   double sink = 0.0;

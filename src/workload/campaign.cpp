@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <functional>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -464,7 +463,10 @@ class Campaign::DeviceRun final : public FailureEventListener {
   void run_oos_episode(const Session& s);
   void prepare_cell(const Session& s, double base_failure_prob, double overload_override);
   bool ensure_active(const Session& s);
-  void drive_until(const std::function<bool()>& done, std::uint64_t max_steps = 4'000'000);
+  /// Steps the simulator until `done()` holds, the queue drains or
+  /// `max_steps` events have fired; adds the steps to simulated_events.
+  template <typename Done>
+  void drive_until(const Done& done, std::uint64_t max_steps = 4'000'000);
   void schedule_traffic();
   bool stage_fix(RecoveryStage stage);
   void clear_fault();
@@ -777,8 +779,8 @@ void Campaign::DeviceRun::prepare_cell(const Session& s, double base_failure_pro
   tm.set_cell_context({s.active.bs, s.active.rat, s.active.level});
 }
 
-void Campaign::DeviceRun::drive_until(const std::function<bool()>& done,
-                                      std::uint64_t max_steps) {
+template <typename Done>
+void Campaign::DeviceRun::drive_until(const Done& done, std::uint64_t max_steps) {
   std::uint64_t steps = 0;
   while (!done() && steps < max_steps) {
     if (!sim_->step()) break;

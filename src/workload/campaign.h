@@ -102,6 +102,11 @@ struct CampaignResult {
   /// Byte-identical JSON/CSV exports across both modes and every `threads`
   /// value.
   std::vector<query::QueryResult> query_results;
+  /// Events fired by the episode runners' drive-until-condition steps,
+  /// summed over every device. Events fired while the clock is advanced
+  /// between sessions (run_until to the next session start) are not counted.
+  /// cellbench pins it as `sim.events`, so a change that only speeds up the
+  /// kernel must leave it equal.
   std::uint64_t simulated_events = 0;
   std::uint64_t episodes_run = 0;
 };

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace cellrel {
 namespace {
@@ -56,8 +63,8 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_FALSE(e.pending());
   EXPECT_EQ(sim.run(), 0u);
   EXPECT_EQ(fired, 0);
-  // The clock still advances past cancelled entries' times only if fired;
-  // cancelled events do not advance now().
+  // Popping a cancelled entry still advances the clock to its time.
+  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 1.0);
 }
 
 TEST(Simulator, CancelAfterFireIsNoop) {
@@ -135,6 +142,153 @@ TEST(Simulator, CancellationFromInsideEvent) {
   later = sim.schedule_after(SimDuration::seconds(2.0), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Simulator, StaleHandleDoesNotTouchReusedSlot) {
+  Simulator sim;
+  int a_fired = 0;
+  int b_fired = 0;
+  ScheduledEvent a = sim.schedule_after(SimDuration::seconds(1.0), [&] { ++a_fired; });
+  EXPECT_TRUE(sim.step());
+  // The queue is empty, so B takes the slot A just freed.
+  ScheduledEvent b = sim.schedule_after(SimDuration::seconds(1.0), [&] { ++b_fired; });
+  EXPECT_FALSE(a.pending());
+  a.cancel();
+  EXPECT_TRUE(b.pending());
+  EXPECT_FALSE(a.pending());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(a_fired, 1);
+  EXPECT_EQ(b_fired, 1);
+}
+
+TEST(Simulator, HandleCopiesShareCancellation) {
+  Simulator sim;
+  int fired = 0;
+  ScheduledEvent original = sim.schedule_after(SimDuration::seconds(1.0), [&] { ++fired; });
+  ScheduledEvent copy = original;
+  EXPECT_TRUE(copy.pending());
+  copy.cancel();
+  EXPECT_FALSE(original.pending());
+  EXPECT_FALSE(copy.pending());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Simulator, HandleIsNotPendingInsideItsOwnCallback) {
+  Simulator sim;
+  ScheduledEvent self;
+  std::optional<bool> pending_inside;
+  self = sim.schedule_after(SimDuration::seconds(1.0), [&] {
+    pending_inside = self.pending();
+    self.cancel();  // a no-op on a running event
+  });
+  EXPECT_EQ(sim.run(), 1u);
+  ASSERT_TRUE(pending_inside.has_value());
+  EXPECT_FALSE(*pending_inside);
+  EXPECT_FALSE(self.pending());
+}
+
+TEST(Simulator, CallbackCancelsLaterEventAtSameTime) {
+  Simulator sim;
+  std::vector<int> order;
+  ScheduledEvent second;
+  sim.schedule_at(SimTime::from_seconds(1.0), [&] {
+    order.push_back(1);
+    second.cancel();
+  });
+  second = sim.schedule_at(SimTime::from_seconds(1.0), [&] { order.push_back(2); });
+  sim.schedule_at(SimTime::from_seconds(1.0), [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_FALSE(second.pending());
+}
+
+// Drives the Simulator and a naive ordered-multimap model of it through the
+// same random mix of schedule / cancel / step calls. Callbacks themselves
+// schedule and cancel, so slots are reused and reallocated mid-callback.
+// Fire order, the clock and the queue length must match after every step.
+TEST(Simulator, MatchesReferenceModelUnderRandomOperations) {
+  enum class State { kQueued, kCancelled, kGone };
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time in us, seq)
+  std::multimap<Key, std::size_t> model;
+  std::vector<State> state;  // per event id
+  std::uint64_t model_seq = 0;
+  std::int64_t model_now_us = 0;
+
+  Simulator sim;
+  std::vector<ScheduledEvent> handles;  // per event id
+  std::vector<std::size_t> fired;
+  Rng rng(20211015);
+
+  auto cancel_both = [&](std::size_t id) {
+    handles[id].cancel();
+    if (state[id] == State::kQueued) state[id] = State::kCancelled;
+  };
+  std::function<void(std::int64_t)> schedule_both = [&](std::int64_t delay_s) {
+    const std::size_t id = handles.size();
+    // Decide now what the callback will do when it fires.
+    const bool spawns = rng.bernoulli(0.3);
+    const std::int64_t spawn_delay_s = rng.uniform_int(0, 5);
+    const bool cancels = id > 0 && rng.bernoulli(0.2);
+    const auto target =
+        cancels ? static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(id) - 1))
+                : id;
+    auto callback = [&, id, spawns, spawn_delay_s, target] {
+      fired.push_back(id);
+      if (spawns) schedule_both(spawn_delay_s);
+      if (target != id) cancel_both(target);
+    };
+    handles.push_back(
+        sim.schedule_after(SimDuration::seconds(static_cast<double>(delay_s)), callback));
+    state.push_back(State::kQueued);
+    model.emplace(Key{model_now_us + delay_s * 1'000'000, model_seq++}, id);
+  };
+  auto model_step = [&]() -> std::optional<std::size_t> {
+    while (!model.empty()) {
+      const auto it = model.begin();
+      model_now_us = it->first.first;
+      const std::size_t id = it->second;
+      model.erase(it);
+      const bool was_cancelled = state[id] == State::kCancelled;
+      state[id] = State::kGone;
+      if (!was_cancelled) return id;
+    }
+    return std::nullopt;
+  };
+
+  std::size_t steps_that_fired = 0;
+  for (int op = 0; op < 10'000; ++op) {
+    const double pick = rng.next_double();
+    if (pick < 0.45) {
+      schedule_both(rng.uniform_int(0, 20));
+    } else if (pick < 0.65) {
+      if (!handles.empty()) {
+        cancel_both(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1)));
+      }
+    } else {
+      // The model pops first: the callback schedules into the model too, and
+      // must see the model clock at the fired event's time.
+      const std::optional<std::size_t> want = model_step();
+      const std::size_t fired_before = fired.size();
+      ASSERT_EQ(sim.step(), want.has_value()) << "op " << op;
+      if (want) {
+        ASSERT_EQ(fired.size(), fired_before + 1) << "op " << op;
+        ASSERT_EQ(fired[fired_before], *want) << "op " << op;
+        ++steps_that_fired;
+      }
+    }
+    ASSERT_EQ(sim.now().since_origin().count_us(), model_now_us) << "op " << op;
+    ASSERT_EQ(sim.pending_events(), model.size()) << "op " << op;
+    if (!handles.empty()) {
+      const auto id = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      ASSERT_EQ(handles[id].pending(), state[id] == State::kQueued) << "op " << op;
+    }
+  }
+  // The mix must actually exercise firing, cancellation and slot reuse.
+  EXPECT_GT(steps_that_fired, 1000u);
+  EXPECT_GT(handles.size(), 4000u);
 }
 
 }  // namespace
