@@ -159,16 +159,4 @@ std::vector<std::uint64_t> BsRegistry::failure_counts() const {
   return counts;
 }
 
-std::vector<BsIndex> BsRegistry::failure_ranking() const {
-  std::vector<BsIndex> order(stations_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<BsIndex>(i);
-  std::sort(order.begin(), order.end(), [this](BsIndex a, BsIndex b) {
-    const std::uint64_t fa = stations_[a].failure_count();
-    const std::uint64_t fb = stations_[b].failure_count();
-    if (fa != fb) return fa > fb;
-    return a < b;
-  });
-  return order;
-}
-
 }  // namespace cellrel

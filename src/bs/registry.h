@@ -49,11 +49,6 @@ class BsRegistry {
   /// Per-BS failure totals, index-aligned with the registry.
   std::vector<std::uint64_t> failure_counts() const;
 
-  /// BS indices ordered by true failure count descending (index ascending on
-  /// ties): the injected Zipf failure ranking detection quality is scored
-  /// against. Deterministic total order.
-  std::vector<BsIndex> failure_ranking() const;
-
   /// Applies one shard's ground-truth failure delta: one entry per kept
   /// failure, naming the BS it occurred on. Called from the merge phase
   /// only (single-threaded), so counter updates never race; integer

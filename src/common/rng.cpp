@@ -80,23 +80,6 @@ double Rng::normal(double mean, double stddev) {
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
-std::uint64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean < 64.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= next_double();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double draw = normal(mean, std::sqrt(mean));
-  return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
-
 std::uint64_t Rng::geometric(double p) {
   if (p >= 1.0) return 0;
   CELLREL_DCHECK(p > 0.0) << "geometric: p=" << p;

@@ -60,10 +60,6 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
 
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64 to stay O(1)).
-  std::uint64_t poisson(double mean);
-
   /// Geometric: number of failures before first success, success prob p.
   std::uint64_t geometric(double p);
 

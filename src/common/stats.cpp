@@ -7,43 +7,6 @@
 
 namespace cellrel {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 void SampleSet::add(double x) {
   samples_.push_back(x);
   sorted_ = false;
@@ -96,22 +59,6 @@ double SampleSet::fraction_below(double threshold) const {
 std::span<const double> SampleSet::sorted() const {
   ensure_sorted();
   return samples_;
-}
-
-std::vector<CdfPoint> empirical_cdf(const SampleSet& samples, std::size_t max_points) {
-  std::vector<CdfPoint> cdf;
-  const auto sorted = samples.sorted();
-  const std::size_t n = sorted.size();
-  if (n == 0 || max_points == 0) return cdf;
-  const std::size_t points = std::min(max_points, n);
-  cdf.reserve(points);
-  for (std::size_t k = 0; k < points; ++k) {
-    // Evenly spaced ranks, always covering the first and last sample.
-    const std::size_t idx =
-        points == 1 ? n - 1 : k * (n - 1) / (points - 1);
-    cdf.push_back({sorted[idx], static_cast<double>(idx + 1) / static_cast<double>(n)});
-  }
-  return cdf;
 }
 
 LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {

@@ -1,38 +1,13 @@
-// Streaming and batch statistics used throughout the analysis pipeline.
+// Batch statistics used throughout the analysis pipeline.
 
 #ifndef CELLREL_COMMON_STATS_H
 #define CELLREL_COMMON_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace cellrel {
-
-/// Welford's online mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::uint64_t count() const { return n_; }
-  bool empty() const { return n_ == 0; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Unbiased sample variance; 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Batch sample container with exact quantiles; samples are stored and
 /// sorted lazily on first query.
@@ -62,16 +37,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };
-
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;
-  double cumulative = 0.0;  // fraction of mass at or below `value`
-};
-
-/// Builds an empirical CDF downsampled to at most `max_points` points
-/// (always including the extremes).
-std::vector<CdfPoint> empirical_cdf(const SampleSet& samples, std::size_t max_points = 200);
 
 /// Linear regression y = slope*x + intercept via least squares.
 struct LinearFit {

@@ -1,7 +1,5 @@
 #include "radio/ril.h"
 
-#include <algorithm>
-
 namespace cellrel {
 
 RadioInterfaceLayer::RadioInterfaceLayer(Simulator& sim, Rng rng)
@@ -42,28 +40,6 @@ std::uint64_t RadioInterfaceLayer::reregister(ResponseCallback cb) {
 
 std::uint64_t RadioInterfaceLayer::restart_radio(ResponseCallback cb) {
   return dispatch(modem_.restart_radio(), std::move(cb), restart_metrics_);
-}
-
-void RadioInterfaceLayer::add_listener(RilIndicationListener* l) {
-  if (l && std::find(listeners_.begin(), listeners_.end(), l) == listeners_.end()) {
-    listeners_.push_back(l);
-  }
-}
-
-void RadioInterfaceLayer::remove_listener(RilIndicationListener* l) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), l), listeners_.end());
-}
-
-void RadioInterfaceLayer::indicate_signal_strength(const SignalMeasurement& m) {
-  for (auto* l : listeners_) l->on_signal_strength_changed(m);
-}
-
-void RadioInterfaceLayer::indicate_service_lost() {
-  for (auto* l : listeners_) l->on_service_lost();
-}
-
-void RadioInterfaceLayer::indicate_service_restored() {
-  for (auto* l : listeners_) l->on_service_restored();
 }
 
 }  // namespace cellrel

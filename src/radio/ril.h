@@ -1,12 +1,11 @@
 // Radio Interface Layer (RIL) simulator.
 //
-// In Android, the framework talks to the baseband through the RIL: an async
-// command/response channel plus unsolicited indications (signal strength
-// changed, service state changed). This class reproduces that contract on
-// top of the discrete-event simulator: commands complete after the modem's
-// latency, responses arrive via callbacks, and listeners receive unsolicited
-// indications. The telephony layer (DcTracker etc.) is written against this
-// interface exactly as the framework is written against the real RIL.
+// In Android, the framework talks to the baseband through the RIL, an async
+// command/response channel. This class reproduces that channel on top of
+// the discrete-event simulator: commands complete after the modem's latency
+// and responses arrive via callbacks. The telephony layer (DcTracker etc.)
+// is written against this interface exactly as the framework is written
+// against the real RIL.
 
 #ifndef CELLREL_RADIO_RIL_H
 #define CELLREL_RADIO_RIL_H
@@ -14,22 +13,12 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "radio/modem.h"
 #include "sim/event_queue.h"
 
 namespace cellrel {
-
-/// Listener for unsolicited RIL indications.
-class RilIndicationListener {
- public:
-  virtual ~RilIndicationListener() = default;
-  virtual void on_signal_strength_changed(const SignalMeasurement& m) = 0;
-  virtual void on_service_lost() = 0;
-  virtual void on_service_restored() = 0;
-};
 
 /// Asynchronous command interface to the (simulated) baseband.
 class RadioInterfaceLayer {
@@ -57,16 +46,6 @@ class RadioInterfaceLayer {
   ModemSimulator& modem() { return modem_; }
   const ModemSimulator& modem() const { return modem_; }
 
-  /// Listener registration (non-owning; caller must outlive the RIL or
-  /// remove itself).
-  void add_listener(RilIndicationListener* l);
-  void remove_listener(RilIndicationListener* l);
-
-  /// Environment hooks: deliver unsolicited indications to listeners.
-  void indicate_signal_strength(const SignalMeasurement& m);
-  void indicate_service_lost();
-  void indicate_service_restored();
-
   std::uint64_t commands_issued() const { return next_serial_; }
 
   /// Wires this RIL to a metric sink: each command records its (simulated)
@@ -88,7 +67,6 @@ class RadioInterfaceLayer {
   Simulator& sim_;
   ModemSimulator modem_;
   ChannelConditions channel_;
-  std::vector<RilIndicationListener*> listeners_;
   std::uint64_t next_serial_ = 0;
   CommandMetrics setup_metrics_;
   CommandMetrics deactivate_metrics_;

@@ -1,9 +1,9 @@
-// Received signal strength (RSS) model.
+// Received signal strength (RSS) levels.
 //
 // Android buckets raw signal measurements into discrete levels; the paper
-// uses levels 0 (worst) .. 5 (excellent). The mapping from dBm to level
-// follows the LTE RSRP thresholds in Android's CellSignalStrengthLte with a
-// sixth bucket for "excellent", and analogous thresholds for the other RATs.
+// uses levels 0 (worst) .. 5 (excellent). The simulation works on levels
+// directly: base stations draw a level per session and no dBm value is
+// modelled.
 
 #ifndef CELLREL_RADIO_SIGNAL_H
 #define CELLREL_RADIO_SIGNAL_H
@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 
-#include "common/rng.h"
 #include "radio/rat.h"
 
 namespace cellrel {
@@ -37,25 +36,6 @@ constexpr std::size_t index_of(SignalLevel l) { return static_cast<std::size_t>(
 constexpr SignalLevel signal_level_from_index(std::size_t i) {
   return static_cast<SignalLevel>(i < kSignalLevelCount ? i : kSignalLevelCount - 1);
 }
-
-/// Maps a raw reference-signal power measurement (dBm) to a level for the
-/// given RAT. Thresholds mirror Android's signal-strength bucketing with a
-/// dedicated "excellent" bucket (level 5).
-SignalLevel signal_level_from_dbm(Rat rat, double dbm);
-
-/// Representative dBm for a level (bucket midpoint); inverse of the above
-/// in the bucket-midpoint sense. Used when synthesizing measurements.
-double representative_dbm(Rat rat, SignalLevel level);
-
-/// A point-in-time signal measurement from the modem.
-struct SignalMeasurement {
-  Rat rat = Rat::k4G;
-  double dbm = -140.0;
-  SignalLevel level = SignalLevel::kLevel0;
-};
-
-/// Samples a plausible dBm within the level's bucket (uniform).
-SignalMeasurement sample_measurement(Rat rat, SignalLevel level, Rng& rng);
 
 }  // namespace cellrel
 

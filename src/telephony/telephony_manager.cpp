@@ -32,19 +32,13 @@ TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, Config config)
                      [this] { return network_.fault() != NetworkFault::kNone; },
                      nullptr}),
       sms_(sim, ril_, rng.fork(0x736d73ULL)),
-      voice_(sim, rng.fork(0x766f6963ULL)),
-      policy_(make_policy_for_android(config.android_version)) {
-  dual_conn_.set_enabled(config.enable_dual_connectivity && config.device_5g_capable);
+      voice_(sim, rng.fork(0x766f6963ULL)) {
   stall_detector_.set_cell_context_source([this] { return dc_tracker_.cell_context(); });
   // An offhook voice call on a non-DSDA device disrupts the data connection
   // (one of the false-positive sources §2.2 filters).
   voice_.set_call_state_hook([this](CallState state) {
     if (state == CallState::kOffhook) dc_tracker_.disrupt_by_voice_call();
   });
-}
-
-void TelephonyManager::set_rat_policy(std::unique_ptr<RatSelectionPolicy> policy) {
-  if (policy) policy_ = std::move(policy);
 }
 
 void TelephonyManager::register_failure_listener(FailureEventListener* l) {

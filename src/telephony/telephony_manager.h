@@ -2,15 +2,17 @@
 //
 // Bundles the components a single device runs — RIL + modem, DcTracker,
 // ServiceStateTracker, kernel TCP counters, network stack, Data_Stall
-// detector and recoverer, RAT policy, dual-connectivity manager — and
-// exposes the listener-registration surface that Android-MOD instruments.
+// detector and recoverer, SMS and voice services — and exposes the
+// listener-registration surface that Android-MOD instruments. RAT
+// selection and 4G/5G dual connectivity are not modelled here: the
+// campaign's session planner picks cells and applies EN-DC (§4.2).
 // Out_of_Service transitions are converted into failure events here, the
 // way Android's ServiceState notifications reach registered listeners.
 
 #ifndef CELLREL_TELEPHONY_TELEPHONY_MANAGER_H
 #define CELLREL_TELEPHONY_TELEPHONY_MANAGER_H
 
-#include <memory>
+#include <array>
 #include <vector>
 
 #include "net/network_stack.h"
@@ -19,9 +21,7 @@
 #include "telephony/apn.h"
 #include "telephony/data_stall.h"
 #include "telephony/dc_tracker.h"
-#include "telephony/dual_connectivity.h"
 #include "telephony/events.h"
-#include "telephony/rat_policy.h"
 #include "telephony/recovery.h"
 #include "telephony/service_state.h"
 #include "telephony/sms_service.h"
@@ -34,9 +34,6 @@ class TelephonyManager {
     DcTracker::Config dc;
     DataStallDetector::Config stall;
     ProbationSchedule recovery_schedule = vanilla_probation_schedule();
-    int android_version = 10;
-    bool device_5g_capable = false;
-    bool enable_dual_connectivity = false;
     /// Carrier subscription: selects the APN list (cmnet / ctnet / 3gnet).
     IspId isp = IspId::kIspA;
     /// Default stage effectiveness when no campaign overrides the hooks:
@@ -60,23 +57,18 @@ class TelephonyManager {
   NetworkStack& network() { return network_; }
   DataStallDetector& stall_detector() { return stall_detector_; }
   DataStallRecoverer& recoverer() { return recoverer_; }
-  DualConnectivityManager& dual_connectivity() { return dual_conn_; }
   const ApnManager& apn_manager() const { return apn_manager_; }
   SmsService& sms() { return sms_; }
   VoiceCallManager& voice() { return voice_; }
   const Config& config() const { return config_; }
-
-  /// RAT policy in force (defaults to the model's Android version policy).
-  RatSelectionPolicy& rat_policy() { return *policy_; }
-  void set_rat_policy(std::unique_ptr<RatSelectionPolicy> policy);
 
   /// Registers a listener for ALL failure-event sources (setup errors,
   /// stalls, service state). This is the hook Android-MOD uses (§2.2).
   void register_failure_listener(FailureEventListener* l);
   void unregister_failure_listener(FailureEventListener* l);
 
-  /// Marks the device out of / back in service (driven by RIL indications
-  /// or the campaign environment); emits the corresponding events.
+  /// Marks the device out of / back in service (driven by the campaign
+  /// environment); emits the corresponding events.
   void enter_out_of_service(FalsePositiveKind ground_truth = FalsePositiveKind::kNone);
   void exit_out_of_service();
 
@@ -107,10 +99,8 @@ class TelephonyManager {
   NetworkStack network_;
   DataStallDetector stall_detector_;
   DataStallRecoverer recoverer_;
-  DualConnectivityManager dual_conn_;
   SmsService sms_;
   VoiceCallManager voice_;
-  std::unique_ptr<RatSelectionPolicy> policy_;
   std::vector<FailureEventListener*> listeners_;
   FalsePositiveKind oos_ground_truth_ = FalsePositiveKind::kNone;
 };

@@ -399,6 +399,9 @@ struct Session {
   bool degraded = false;       // attached to a degraded-cluster BS in-window
 };
 
+/// Share of a 4G<->5G transition's hazard kept under EN-DC dual connectivity (§4.2).
+constexpr double kDisruptionFactor = 0.45;
+
 double context_hazard(const Calibration& cal, const BaseStation& bs, const CellCandidate& cell,
                       bool transitioned, const CellCandidate& prev, double dualconn_mult) {
   const RatLevelRiskTable& risk = *cal.risk_table;
@@ -554,7 +557,6 @@ void Campaign::DeviceRun::plan_sessions() {
       make_policy_for_android(static_cast<int>(profile_.model->android));
   const StabilityCompatiblePolicy stability_policy;
   const bool dual_connectivity = stability && scenario_.dual_connectivity;
-  constexpr double kDisruptionFactor = DualConnectivityManager::Config{}.disruption_factor;
 
   std::optional<CellCandidate> prev_stock;
   std::optional<CellCandidate> prev_active;
@@ -685,10 +687,6 @@ void Campaign::DeviceRun::account_session(const Session& s, bool failure_occurre
 void Campaign::DeviceRun::build_stack() {
   sim_ = std::make_unique<Simulator>();
   AndroidMod::Config config;
-  config.telephony.android_version = static_cast<int>(profile_.model->android);
-  config.telephony.device_5g_capable = profile_.model->has_5g;
-  config.telephony.enable_dual_connectivity =
-      scenario_.policy == PolicyVariant::kStabilityCompatible && scenario_.dual_connectivity;
   config.telephony.recovery_schedule = scenario_.recovery == RecoveryVariant::kTimpOptimized
                                            ? scenario_.timp_schedule
                                            : vanilla_probation_schedule();

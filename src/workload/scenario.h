@@ -92,7 +92,9 @@ struct Scenario {
 
   PolicyVariant policy = PolicyVariant::kStock;
   /// 4G/5G dual connectivity rides along with the stability-compatible
-  /// policy (§4.2); switchable for the ablation bench.
+  /// policy (§4.2): the session planner scales a 4G<->5G transition's
+  /// hazard by its EN-DC disruption factor. Stock campaigns ignore it.
+  /// cellrel_campaign's --no-dualconn clears it; cellbench sets it.
   bool dual_connectivity = true;
   RecoveryVariant recovery = RecoveryVariant::kVanilla;
   /// Probations used when recovery == kTimpOptimized (filled by the caller

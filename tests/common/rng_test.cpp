@@ -107,17 +107,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[n / 2], std::exp(1.0), 0.1);
 }
 
-TEST(Rng, PoissonSmallAndLargeMeans) {
-  Rng rng(7);
-  for (double mean : {0.5, 4.0, 100.0}) {
-    double sum = 0.0;
-    const int n = 50'000;
-    for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
-    EXPECT_NEAR(sum / n, mean, mean * 0.05 + 0.05) << "mean=" << mean;
-  }
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(Rng, GeometricMean) {
   Rng rng(8);
   double sum = 0.0;

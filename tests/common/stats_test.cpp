@@ -10,58 +10,6 @@
 namespace cellrel {
 namespace {
 
-TEST(RunningStats, Empty) {
-  RunningStats s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownValues) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeEqualsCombined) {
-  Rng rng(5);
-  RunningStats a, b, combined;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(10, 3);
-    if (i % 3 == 0) {
-      a.add(x);
-    } else {
-      b.add(x);
-    }
-    combined.add(x);
-  }
-  RunningStats merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), combined.count());
-  EXPECT_NEAR(merged.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(merged.variance(), combined.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(merged.min(), combined.min());
-  EXPECT_DOUBLE_EQ(merged.max(), combined.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats merged = a;
-  merged.merge(empty);
-  EXPECT_EQ(merged.count(), 2u);
-  RunningStats from_empty = empty;
-  from_empty.merge(a);
-  EXPECT_DOUBLE_EQ(from_empty.mean(), 2.0);
-}
-
 TEST(SampleSet, QuantilesExact) {
   SampleSet s;
   for (double x : {10.0, 20.0, 30.0, 40.0, 50.0}) s.add(x);
@@ -97,29 +45,6 @@ TEST(SampleSet, EmptyQueriesAreSafe) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.quantile(0.5), 0.0);
   EXPECT_EQ(s.fraction_below(1.0), 0.0);
-}
-
-TEST(EmpiricalCdf, CoversExtremesAndIsMonotone) {
-  SampleSet s;
-  Rng rng(9);
-  for (int i = 0; i < 5000; ++i) s.add(rng.exponential(10.0));
-  const auto cdf = empirical_cdf(s, 50);
-  ASSERT_EQ(cdf.size(), 50u);
-  EXPECT_DOUBLE_EQ(cdf.front().value, s.min());
-  EXPECT_DOUBLE_EQ(cdf.back().value, s.max());
-  EXPECT_DOUBLE_EQ(cdf.back().cumulative, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].value, cdf[i].value);
-    EXPECT_LE(cdf[i - 1].cumulative, cdf[i].cumulative);
-  }
-}
-
-TEST(EmpiricalCdf, FewerSamplesThanPoints) {
-  SampleSet s;
-  s.add(1.0);
-  s.add(2.0);
-  const auto cdf = empirical_cdf(s, 100);
-  EXPECT_EQ(cdf.size(), 2u);
 }
 
 TEST(LinearFit, ExactLine) {

@@ -5,21 +5,6 @@
 namespace cellrel {
 namespace {
 
-class RecordingListener final : public RilIndicationListener {
- public:
-  void on_signal_strength_changed(const SignalMeasurement& m) override {
-    last_level = m.level;
-    ++signal_updates;
-  }
-  void on_service_lost() override { ++lost; }
-  void on_service_restored() override { ++restored; }
-
-  SignalLevel last_level = SignalLevel::kLevel0;
-  int signal_updates = 0;
-  int lost = 0;
-  int restored = 0;
-};
-
 TEST(Ril, AsyncResponseArrivesAfterLatency) {
   Simulator sim;
   RadioInterfaceLayer ril(sim, Rng{1});
@@ -62,30 +47,6 @@ TEST(Ril, ChannelConditionsDriveOutcomes) {
   ril.setup_data_call([&](const ModemResult& r) { failed = !r.success; });
   sim.run();
   EXPECT_TRUE(failed);
-}
-
-TEST(Ril, ListenersReceiveIndications) {
-  Simulator sim;
-  RadioInterfaceLayer ril(sim, Rng{4});
-  RecordingListener a, b;
-  ril.add_listener(&a);
-  ril.add_listener(&b);
-  ril.add_listener(&a);  // duplicate registration ignored
-
-  Rng rng(5);
-  ril.indicate_signal_strength(sample_measurement(Rat::k4G, SignalLevel::kLevel2, rng));
-  ril.indicate_service_lost();
-  ril.indicate_service_restored();
-  EXPECT_EQ(a.signal_updates, 1);
-  EXPECT_EQ(a.last_level, SignalLevel::kLevel2);
-  EXPECT_EQ(a.lost, 1);
-  EXPECT_EQ(a.restored, 1);
-  EXPECT_EQ(b.signal_updates, 1);
-
-  ril.remove_listener(&a);
-  ril.indicate_service_lost();
-  EXPECT_EQ(a.lost, 1);
-  EXPECT_EQ(b.lost, 2);
 }
 
 }  // namespace

@@ -2,61 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 namespace cellrel {
 namespace {
-
-TEST(Signal, LteThresholdsMatchAndroidBuckets) {
-  // Android CellSignalStrengthLte RSRP buckets, with level-5 "excellent".
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -130.0), SignalLevel::kLevel0);
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -128.0), SignalLevel::kLevel1);
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -118.0), SignalLevel::kLevel2);
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -108.0), SignalLevel::kLevel3);
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -98.0), SignalLevel::kLevel4);
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -88.0), SignalLevel::kLevel5);
-  EXPECT_EQ(signal_level_from_dbm(Rat::k4G, -50.0), SignalLevel::kLevel5);
-}
-
-TEST(Signal, VeryWeakIsLevel0ForAllRats) {
-  for (Rat rat : kAllRats) {
-    EXPECT_EQ(signal_level_from_dbm(rat, -150.0), SignalLevel::kLevel0) << to_string(rat);
-  }
-}
 
 TEST(Signal, LevelIndexHelpers) {
   EXPECT_EQ(index_of(SignalLevel::kLevel3), 3u);
   EXPECT_EQ(signal_level_from_index(5), SignalLevel::kLevel5);
   EXPECT_EQ(signal_level_from_index(99), SignalLevel::kLevel5);  // clamped
 }
-
-// Round-trip property over all (RAT, level) pairs: the representative dBm
-// and sampled measurements map back to the same level.
-class SignalRoundTripTest
-    : public ::testing::TestWithParam<std::tuple<Rat, SignalLevel>> {};
-
-TEST_P(SignalRoundTripTest, RepresentativeDbmMapsBack) {
-  const auto [rat, level] = GetParam();
-  EXPECT_EQ(signal_level_from_dbm(rat, representative_dbm(rat, level)), level);
-}
-
-TEST_P(SignalRoundTripTest, SampledMeasurementsConsistent) {
-  const auto [rat, level] = GetParam();
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const SignalMeasurement m = sample_measurement(rat, level, rng);
-    EXPECT_EQ(m.rat, rat);
-    EXPECT_EQ(m.level, level);
-    EXPECT_EQ(signal_level_from_dbm(rat, m.dbm), level);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllRatLevels, SignalRoundTripTest,
-    ::testing::Combine(::testing::Values(Rat::k2G, Rat::k3G, Rat::k4G, Rat::k5G),
-                       ::testing::Values(SignalLevel::kLevel0, SignalLevel::kLevel1,
-                                         SignalLevel::kLevel2, SignalLevel::kLevel3,
-                                         SignalLevel::kLevel4, SignalLevel::kLevel5)));
 
 TEST(Rat, NamesAndOrdering) {
   EXPECT_EQ(to_string(Rat::k5G), "5G");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace cellrel {
@@ -154,6 +155,91 @@ TEST(PolicyFactory, MatchesAndroidVersion) {
   EXPECT_EQ(make_policy_for_android(10)->name(), "android10-aggressive-5g");
   EXPECT_EQ(make_policy_for_android(11)->name(), "android10-aggressive-5g");
 }
+
+// The Fig. 17 transition question, asked from every serving cell of the
+// RAT x signal-level grid: offered a level-0 target, Android 10 jumps to NR
+// (§3.2), the stability-compatible policy stays (§4.2) and Android 9 never
+// camps on NR.
+struct ServingCell {
+  Rat rat;
+  SignalLevel level;
+};
+
+std::vector<ServingCell> all_serving_cells() {
+  std::vector<ServingCell> cells;
+  for (Rat rat : kAllRats) {
+    for (SignalLevel level : kAllSignalLevels) cells.push_back({rat, level});
+  }
+  return cells;
+}
+
+class TransitionFromServingCell : public ::testing::TestWithParam<ServingCell> {
+ protected:
+  CellCandidate serving() const { return cell(1, GetParam().rat, GetParam().level); }
+};
+
+TEST_P(TransitionFromServingCell, Android10TakesLevel0NrTarget) {
+  Android10Policy policy;
+  const CellCandidate s = serving();
+  const std::vector<CellCandidate> candidates = {s, cell(2, Rat::k5G, SignalLevel::kLevel0)};
+  const auto chosen = policy.choose(candidates, s);
+  ASSERT_TRUE(chosen.has_value());
+  EXPECT_EQ(chosen->rat, Rat::k5G);
+  // Only an NR serving cell can keep the device: same RAT, level no worse.
+  EXPECT_EQ(chosen->bs, s.rat == Rat::k5G ? s.bs : 2u);
+}
+
+TEST_P(TransitionFromServingCell, StabilityRefusesLevel0Targets) {
+  // 3G level 0 outscores 2G level 1 on risk alone, so only the level-0
+  // rule keeps a weak 2G serving cell.
+  StabilityCompatiblePolicy policy;
+  const CellCandidate s = serving();
+  std::vector<CellCandidate> candidates;
+  for (Rat rat : kAllRats) {
+    candidates.push_back(cell(2 + index_of(rat), rat, SignalLevel::kLevel0));
+  }
+  candidates.push_back(s);
+  const auto chosen = policy.choose(candidates, s);
+  ASSERT_TRUE(chosen.has_value());
+  if (s.level == SignalLevel::kLevel0) {
+    EXPECT_EQ(chosen->level, SignalLevel::kLevel0);
+  } else {
+    EXPECT_EQ(chosen->bs, s.bs);
+  }
+}
+
+TEST_P(TransitionFromServingCell, StabilityHysteresisHoldsAgainstEqualCell) {
+  // The twin comes first, so it wins the scoring tie and only hysteresis
+  // keeps the device on its serving cell.
+  StabilityCompatiblePolicy policy;
+  const CellCandidate s = serving();
+  const std::vector<CellCandidate> candidates = {cell(2, s.rat, s.level), s};
+  const auto chosen = policy.choose(candidates, s);
+  ASSERT_TRUE(chosen.has_value());
+  EXPECT_EQ(chosen->bs, s.bs);
+}
+
+TEST_P(TransitionFromServingCell, Android9NeverOffersNr) {
+  Android9Policy policy;
+  const CellCandidate s = serving();
+  const std::vector<CellCandidate> candidates = {s, cell(2, Rat::k5G, SignalLevel::kLevel5)};
+  const auto chosen = policy.choose(candidates, s);
+  // A camp-able pre-5G serving cell is kept. A level-0 one is dropped as
+  // soon as anything else is audible, which leaves nothing to camp on.
+  if (s.rat != Rat::k5G && s.level != SignalLevel::kLevel0) {
+    ASSERT_TRUE(chosen.has_value());
+    EXPECT_EQ(chosen->bs, s.bs);
+  } else {
+    EXPECT_FALSE(chosen.has_value());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RatLevelGrid, TransitionFromServingCell, ::testing::ValuesIn(all_serving_cells()),
+    [](const ::testing::TestParamInfo<ServingCell>& info) {
+      return std::string(to_string(info.param.rat)) + "_level" +
+             std::to_string(index_of(info.param.level));
+    });
 
 }  // namespace
 }  // namespace cellrel

@@ -67,37 +67,6 @@ TEST(TelephonyManager, UnregisterStopsDelivery) {
   EXPECT_TRUE(recorder.events.empty());
 }
 
-TEST(TelephonyManager, PolicyDefaultsFollowAndroidVersion) {
-  Simulator sim;
-  TelephonyManager::Config c9;
-  c9.android_version = 9;
-  TelephonyManager tm9(sim, Rng{5}, c9);
-  EXPECT_EQ(tm9.rat_policy().name(), "android9");
-
-  TelephonyManager::Config c10;
-  c10.android_version = 10;
-  TelephonyManager tm10(sim, Rng{6}, c10);
-  EXPECT_EQ(tm10.rat_policy().name(), "android10-aggressive-5g");
-
-  tm10.set_rat_policy(std::make_unique<StabilityCompatiblePolicy>());
-  EXPECT_EQ(tm10.rat_policy().name(), "stability-compatible");
-  tm10.set_rat_policy(nullptr);  // ignored
-  EXPECT_EQ(tm10.rat_policy().name(), "stability-compatible");
-}
-
-TEST(TelephonyManager, DualConnectivityRequires5GCapability) {
-  Simulator sim;
-  TelephonyManager::Config config;
-  config.enable_dual_connectivity = true;
-  config.device_5g_capable = false;
-  TelephonyManager tm(sim, Rng{7}, config);
-  EXPECT_FALSE(tm.dual_connectivity().enabled());
-
-  config.device_5g_capable = true;
-  TelephonyManager tm5g(sim, Rng{8}, config);
-  EXPECT_TRUE(tm5g.dual_connectivity().enabled());
-}
-
 TEST(TelephonyManager, DefaultRecoveryHooksFixViaStages) {
   Simulator sim;
   TelephonyManager::Config config;

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "analysis/aggregate.h"
+#include "obs/export.h"
 
 namespace cellrel {
 namespace {
@@ -226,6 +227,24 @@ TEST(EnhancementAb, StabilityPolicyReduces5GFailures) {
   const auto v0 = agg_v.by_5g_capability()[0];
   const auto e0 = agg_e.by_5g_capability()[0];
   EXPECT_NEAR(e0.frequency() / v0.frequency(), 1.0, 0.10);
+}
+
+TEST(EnhancementAb, DualConnectivitySoftensOnlyStabilityTransitions) {
+  // EN-DC scales the hazard of the stability policy's 4G<->5G transitions
+  // (§4.2): it must move that campaign's metrics and leave stock alone.
+  Scenario sc;
+  sc.device_count = 500;
+  sc.deployment.bs_count = 8000;
+  sc.campaign_days = 30.0;
+  sc.seed = 11;
+  sc.threads = 1;
+  const auto metrics_json = [](Scenario s, bool dual_connectivity) {
+    s.dual_connectivity = dual_connectivity;
+    return obs::metrics_to_json(Campaign(s).run().metrics);
+  };
+  EXPECT_EQ(metrics_json(sc, true), metrics_json(sc, false));
+  sc.policy = PolicyVariant::kStabilityCompatible;
+  EXPECT_NE(metrics_json(sc, true), metrics_json(sc, false));
 }
 
 TEST(EnhancementAb, TimpRecoveryShortensStalls) {
