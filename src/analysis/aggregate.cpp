@@ -26,6 +26,12 @@ void TransitionDwellCounts::add(const TransitionRecord& t) {
   }
 }
 
+void TransitionDwellCounts::add(std::span<const TransitionRecord> transitions,
+                                std::span<const DwellRecord> dwells) {
+  for (const TransitionRecord& t : transitions) add(t);
+  for (const DwellRecord& d : dwells) add(d);
+}
+
 void TransitionDwellCounts::merge(const TransitionDwellCounts& other) {
   for (std::size_t r = 0; r < kRatCount; ++r) {
     for (std::size_t l = 0; l < kSignalLevelCount; ++l) {
@@ -43,6 +49,28 @@ void TransitionDwellCounts::merge(const TransitionDwellCounts& other) {
       }
     }
   }
+}
+
+TransitionMatrix TransitionDwellCounts::increase(Rat from_rat, Rat to_rat) const {
+  const auto& dwells = dwell_total[index_of(from_rat)];
+  const auto& dwell_fails = dwell_fail[index_of(from_rat)];
+  const auto& trans_total = transition_total[index_of(from_rat)][index_of(to_rat)];
+  const auto& trans_fail = transition_fail[index_of(from_rat)][index_of(to_rat)];
+  TransitionMatrix m{};
+  for (std::size_t i = 0; i < kSignalLevelCount; ++i) {
+    const double baseline =
+        dwells[i] ? static_cast<double>(dwell_fails[i]) / static_cast<double>(dwells[i]) : 0.0;
+    for (std::size_t j = 0; j < kSignalLevelCount; ++j) {
+      if (trans_total[i][j] == 0) {
+        m[i][j] = 0.0;
+        continue;
+      }
+      const double rate =
+          static_cast<double>(trans_fail[i][j]) / static_cast<double>(trans_total[i][j]);
+      m[i][j] = rate - baseline;
+    }
+  }
+  return m;
 }
 
 namespace {
@@ -78,21 +106,9 @@ void slice_devices(
 
 Aggregator::Aggregator(const TraceDataset& dataset) {
   add_devices(dataset.devices);
-  for (const TraceRecord& r : dataset.records) {
-    RecordBatch::RowView row;
-    row.device = r.device;
-    row.duration_us = r.duration.count_us();
-    row.cause = r.cause;
-    row.type = r.type;
-    row.rat = r.rat;
-    row.level = r.level;
-    row.filtered_false_positive = r.filtered_false_positive;
-    row.ground_truth_fp = r.ground_truth_fp;
-    fold(row);
-  }
+  for (const TraceRecord& r : dataset.records) fold(RecordBatch::row_of(r));
   add_connected_time(dataset.connected_time);
-  for (const DwellRecord& d : dataset.dwells) td_.add(d);
-  for (const TransitionRecord& t : dataset.transitions) td_.add(t);
+  td_.add(dataset.transitions, dataset.dwells);
   base_stations_ = dataset.base_stations;
 }
 
@@ -328,29 +344,6 @@ std::vector<Aggregator::ErrorCodeShare> Aggregator::top_error_codes(std::size_t 
   });
   if (out.size() > n) out.resize(n);
   return out;
-}
-
-Aggregator::TransitionMatrix Aggregator::transition_increase(Rat from_rat, Rat to_rat) const {
-  const auto& dwell_total = td_.dwell_total[index_of(from_rat)];
-  const auto& dwell_fail = td_.dwell_fail[index_of(from_rat)];
-  const auto& trans_total = td_.transition_total[index_of(from_rat)][index_of(to_rat)];
-  const auto& trans_fail = td_.transition_fail[index_of(from_rat)][index_of(to_rat)];
-  TransitionMatrix m{};
-  for (std::size_t i = 0; i < kSignalLevelCount; ++i) {
-    const double baseline =
-        dwell_total[i] ? static_cast<double>(dwell_fail[i]) / static_cast<double>(dwell_total[i])
-                       : 0.0;
-    for (std::size_t j = 0; j < kSignalLevelCount; ++j) {
-      if (trans_total[i][j] == 0) {
-        m[i][j] = 0.0;
-        continue;
-      }
-      const double rate =
-          static_cast<double>(trans_fail[i][j]) / static_cast<double>(trans_total[i][j]);
-      m[i][j] = rate - baseline;
-    }
-  }
-  return m;
 }
 
 std::size_t Aggregator::resident_bytes() const {

@@ -59,6 +59,10 @@ struct PrevalenceFrequency {
   }
 };
 
+/// Cell [from_level][to_level] = P(failure | transition from_rat level i ->
+/// to_rat level j) - P(failure | dwell at from_rat level i).
+using TransitionMatrix = std::array<std::array<double, kSignalLevelCount>, kSignalLevelCount>;
+
 /// Order-independent integer count tables for the RAT-transition analysis
 /// (Fig. 17). Shards accumulate these as they emit transition/dwell
 /// samples: the transition matrices only ever consume counts, and integer
@@ -79,7 +83,12 @@ struct TransitionDwellCounts {
 
   void add(const DwellRecord& d);
   void add(const TransitionRecord& t);
+  /// Folds a materialized dataset's transition/dwell samples.
+  void add(std::span<const TransitionRecord> transitions, std::span<const DwellRecord> dwells);
   void merge(const TransitionDwellCounts& other);
+
+  /// The Fig. 17 matrix for one RAT pair; cells with no transitions are 0.
+  TransitionMatrix increase(Rat from_rat, Rat to_rat) const;
 };
 
 /// The §3 analysis surface, folded from record rows (see the file comment).
@@ -105,10 +114,6 @@ class Aggregator {
     std::uint64_t count = 0;
     double percent = 0.0;  // of all kept Data_Setup_Error failures
   };
-
-  /// Cell [from_level][to_level] = P(failure | transition from_rat level i ->
-  /// to_rat level j) - P(failure | dwell at from_rat level i).
-  using TransitionMatrix = std::array<std::array<double, kSignalLevelCount>, kSignalLevelCount>;
 
   struct FilterScore {
     std::uint64_t true_positives = 0;   // FPs correctly filtered
@@ -187,7 +192,9 @@ class Aggregator {
   std::vector<ErrorCodeShare> top_error_codes(std::size_t n = 10) const;
 
   // --- RAT transitions (Fig. 17) ---
-  TransitionMatrix transition_increase(Rat from_rat, Rat to_rat) const;
+  TransitionMatrix transition_increase(Rat from_rat, Rat to_rat) const {
+    return td_.increase(from_rat, to_rat);
+  }
 
   // --- Filter scoring (validation; uses ground truth) ---
   FilterScore filter_score() const { return fscore_; }

@@ -39,23 +39,27 @@ void RecordBatch::clear() {
   flags_.clear();
 }
 
+RecordBatch::RowView RecordBatch::row_of(const TraceRecord& record) {
+  RowView v;
+  v.device = record.device;
+  v.at_us = record.at.since_origin().count_us();
+  v.duration_us = record.duration.count_us();
+  v.bs = record.bs;
+  v.cause = record.cause;
+  v.probe_rounds = record.probe_rounds;
+  v.type = record.type;
+  v.duration_method = record.duration_method;
+  v.rat = record.rat;
+  v.level = record.level;
+  v.filtered_false_positive = record.filtered_false_positive;
+  v.ground_truth_fp = record.ground_truth_fp;
+  return v;
+}
+
 void RecordBatch::push(const TraceRecord& record, StringPool& apns) {
-  CELLREL_DCHECK(!full()) << "RecordBatch::push past capacity";
-  device_.push_back(record.device);
-  at_us_.push_back(record.at.since_origin().count_us());
-  duration_us_.push_back(record.duration.count_us());
-  bs_.push_back(record.bs);
-  apn_.push_back(apns.intern(record.apn));
-  cause_.push_back(static_cast<std::int32_t>(record.cause));
-  probe_rounds_.push_back(record.probe_rounds);
-  type_.push_back(static_cast<std::uint8_t>(record.type));
-  method_.push_back(static_cast<std::uint8_t>(record.duration_method));
-  rat_.push_back(static_cast<std::uint8_t>(record.rat));
-  level_.push_back(static_cast<std::uint8_t>(record.level));
-  const std::uint8_t flags =
-      static_cast<std::uint8_t>(record.filtered_false_positive ? 1u : 0u) |
-      static_cast<std::uint8_t>(static_cast<std::uint8_t>(record.ground_truth_fp) << 1u);
-  flags_.push_back(flags);
+  RowView v = row_of(record);
+  v.apn = apns.intern(record.apn);
+  push_row(v);
 }
 
 void RecordBatch::push_row(const RowView& row) {

@@ -90,6 +90,10 @@ class RecordBatch {
   /// Drops the rows but keeps the column buffers (arena reuse).
   void clear();
 
+  /// Decodes one record into a row: the one TraceRecord -> row field list.
+  /// The APN is not interned (`apn` stays 0); push() does that.
+  static RowView row_of(const TraceRecord& record);
+
   /// Appends one record, interning its APN into `apns`. The caller checks
   /// full() first; pushing past capacity is a contract violation.
   void push(const TraceRecord& record, StringPool& apns);

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/names.h"
+
 namespace cellrel {
 
 namespace {
@@ -67,24 +69,9 @@ std::ifstream open_in(const std::filesystem::path& path) {
 
 }  // namespace
 
-std::optional<FailureType> failure_type_from_string(std::string_view s) {
-  for (std::size_t i = 0; i < kFailureTypeCount; ++i) {
-    const auto t = static_cast<FailureType>(i);
-    if (to_string(t) == s) return t;
-  }
-  return std::nullopt;
-}
-
 std::optional<IspId> isp_from_string(std::string_view s) {
   for (IspId isp : kAllIsps) {
     if (to_string(isp) == s) return isp;
-  }
-  return std::nullopt;
-}
-
-std::optional<Rat> rat_from_string(std::string_view s) {
-  for (Rat rat : kAllRats) {
-    if (to_string(rat) == s) return rat;
   }
   return std::nullopt;
 }
@@ -126,11 +113,11 @@ std::optional<TraceRecord> trace_record_from_csv(std::string_view line) {
   const auto device = parse_number<std::uint64_t>(f[0]);
   const auto model = parse_number<int>(f[1]);
   const auto isp = isp_from_string(f[2]);
-  const auto type = failure_type_from_string(f[3]);
+  const auto type = parse_failure_type(f[3]);
   const auto at = parse_seconds(f[4]);
   const auto duration = parse_seconds(f[5]);
   const auto method = duration_method_from_string(f[6]);
-  const auto rat = rat_from_string(f[7]);
+  const auto rat = parse_rat(f[7]);
   const auto level = parse_number<std::size_t>(f[8]);
   const auto bs = parse_number<BsIndex>(f[9]);
   const auto cell = cell_identity_from_string(f[10]);
@@ -303,7 +290,7 @@ TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
     for_each_row(in, file, [&](std::string_view line, int n) {
       const auto f = split(line);
       if (f.size() != 3) malformed(file, n);
-      const auto rat = rat_from_string(f[0]);
+      const auto rat = parse_rat(f[0]);
       const auto level = parse_number<std::size_t>(f[1]);
       const auto seconds = parse_seconds(f[2]);
       if (!rat || !level || *level >= kSignalLevelCount || !seconds) malformed(file, n);
@@ -317,9 +304,9 @@ TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
       const auto f = split(line);
       if (f.size() != 6) malformed(file, n);
       const auto device = parse_number<std::uint64_t>(f[0]);
-      const auto from_rat = rat_from_string(f[1]);
+      const auto from_rat = parse_rat(f[1]);
       const auto from_level = parse_number<std::size_t>(f[2]);
-      const auto to_rat = rat_from_string(f[3]);
+      const auto to_rat = parse_rat(f[3]);
       const auto to_level = parse_number<std::size_t>(f[4]);
       if (!device || !from_rat || !from_level || !to_rat || !to_level ||
           *from_level >= kSignalLevelCount || *to_level >= kSignalLevelCount ||
@@ -338,7 +325,7 @@ TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
       const auto f = split(line);
       if (f.size() != 4) malformed(file, n);
       const auto device = parse_number<std::uint64_t>(f[0]);
-      const auto rat = rat_from_string(f[1]);
+      const auto rat = parse_rat(f[1]);
       const auto level = parse_number<std::size_t>(f[2]);
       if (!device || !rat || !level || *level >= kSignalLevelCount ||
           (f[3] != "0" && f[3] != "1")) {

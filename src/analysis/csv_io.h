@@ -51,9 +51,7 @@ TraceDataset read_dataset_csv(const std::filesystem::path& dir);
 TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir);
 
 // --- parsing helpers (exposed for tests) ---
-std::optional<FailureType> failure_type_from_string(std::string_view s);
 std::optional<IspId> isp_from_string(std::string_view s);
-std::optional<Rat> rat_from_string(std::string_view s);
 std::optional<DurationMethod> duration_method_from_string(std::string_view s);
 std::optional<CellIdentity> cell_identity_from_string(std::string_view s);
 

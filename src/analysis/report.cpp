@@ -61,7 +61,7 @@ std::string render_cdf(const SampleSet& samples, std::span<const double> probe_q
   return out;
 }
 
-std::string render_transition_matrix(const Aggregator::TransitionMatrix& m,
+std::string render_transition_matrix(const TransitionMatrix& m,
                                      std::string_view title) {
   std::string out;
   out += "# ";

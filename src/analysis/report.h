@@ -47,7 +47,7 @@ std::string render_cdf(const SampleSet& samples, std::span<const double> probe_q
 std::span<const double> default_cdf_quantiles();
 
 /// A 6x6 transition heatmap (Fig. 17 panels) with a coarse shade ramp.
-std::string render_transition_matrix(const Aggregator::TransitionMatrix& m,
+std::string render_transition_matrix(const TransitionMatrix& m,
                                      std::string_view title);
 
 /// One paper claim checked against a measurement: a row of the

@@ -6,18 +6,13 @@
 #include <limits>
 
 #include "common/check.h"
+#include "obs/export.h"
 
 namespace cellrel::detect {
 
 namespace {
 
-/// Shortest round-trip decimal form (the obs exporter convention): the same
-/// double bit pattern renders to the same bytes on every run.
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using obs::fmt_double;
 
 std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 

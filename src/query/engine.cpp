@@ -94,41 +94,10 @@ void QueryExecutor::add_devices(std::span<const DeviceMeta> devices) {
 }
 
 void QueryExecutor::consume(const RecordBatch& batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const RecordBatch::RowView row = batch.row(i);
-    if (row.filtered_false_positive) continue;
-    RowFacts facts;
-    facts.at_s = canonical_seconds(static_cast<double>(row.at_us) / 1e6);
-    facts.duration_s = canonical_seconds(static_cast<double>(row.duration_us) / 1e6);
-    facts.type = row.type;
-    facts.rat = row.rat;
-    facts.level = row.level;
-    facts.bs = row.bs;
-    facts.cause = row.cause;
-    ingest(row.device, facts);
-  }
-}
-
-void QueryExecutor::add_record(const TraceRecord& record) {
-  if (record.filtered_false_positive) return;
-  RowFacts facts;
-  facts.at_s = canonical_seconds(record.at.to_seconds());
-  facts.duration_s = canonical_seconds(record.duration.to_seconds());
-  facts.type = record.type;
-  facts.rat = record.rat;
-  facts.level = record.level;
-  facts.bs = record.bs;
-  facts.cause = record.cause;
-  ingest(record.device, facts);
+  for (std::size_t i = 0; i < batch.size(); ++i) ingest(batch.row(i));
 }
 
 void QueryExecutor::add_counts(const TransitionDwellCounts& counts) { td_.merge(counts); }
-
-void QueryExecutor::add_transition_samples(std::span<const TransitionRecord> transitions,
-                                           std::span<const DwellRecord> dwells) {
-  for (const DwellRecord& d : dwells) td_.add(d);
-  for (const TransitionRecord& t : transitions) td_.add(t);
-}
 
 bool QueryExecutor::device_passes(const DeviceMeta& device) const {
   const QueryFilter& f = spec_.filter;
@@ -137,44 +106,48 @@ bool QueryExecutor::device_passes(const DeviceMeta& device) const {
   return true;
 }
 
-bool QueryExecutor::record_passes(const RowFacts& facts) const {
+bool QueryExecutor::record_passes(const RecordBatch::RowView& row, double at_s) const {
   const QueryFilter& f = spec_.filter;
-  if (f.rat && facts.rat != *f.rat) return false;
-  if (f.level && facts.level != *f.level) return false;
-  if (f.bs && facts.bs != *f.bs) return false;
-  if (f.type && facts.type != *f.type) return false;
-  if (f.since_s && facts.at_s < *f.since_s) return false;
-  if (f.until_s && facts.at_s >= *f.until_s) return false;
+  if (f.rat && row.rat != *f.rat) return false;
+  if (f.level && row.level != *f.level) return false;
+  if (f.bs && row.bs != *f.bs) return false;
+  if (f.type && row.type != *f.type) return false;
+  if (f.since_s && at_s < *f.since_s) return false;
+  if (f.until_s && at_s >= *f.until_s) return false;
   return true;
 }
 
-std::int64_t QueryExecutor::group_id(const DeviceMeta& device, const RowFacts& facts) const {
+std::int64_t QueryExecutor::group_id(const DeviceMeta& device,
+                                     const RecordBatch::RowView& row) const {
   switch (spec_.group) {
     case GroupBy::kNone: return 0;
     case GroupBy::kModel: return device.model_id;
     case GroupBy::kIsp: return static_cast<std::int64_t>(index_of(device.isp));
-    case GroupBy::kRat: return static_cast<std::int64_t>(index_of(facts.rat));
-    case GroupBy::kLevel: return static_cast<std::int64_t>(index_of(facts.level));
-    case GroupBy::kBs: return static_cast<std::int64_t>(facts.bs);
-    case GroupBy::kType: return static_cast<std::int64_t>(index_of(facts.type));
-    case GroupBy::kCause: return static_cast<std::int64_t>(facts.cause);
+    case GroupBy::kRat: return static_cast<std::int64_t>(index_of(row.rat));
+    case GroupBy::kLevel: return static_cast<std::int64_t>(index_of(row.level));
+    case GroupBy::kBs: return static_cast<std::int64_t>(row.bs);
+    case GroupBy::kType: return static_cast<std::int64_t>(index_of(row.type));
+    case GroupBy::kCause: return static_cast<std::int64_t>(row.cause);
     case GroupBy::kFiveG: return device.has_5g ? 1 : 0;
     case GroupBy::kAndroid: return device.android == AndroidVersion::kAndroid10 ? 1 : 0;
   }
   return 0;
 }
 
-void QueryExecutor::ingest(DeviceId device, const RowFacts& facts) {
-  if (spec_.agg == AggKind::kTransition) return;  // fed by count tables only
-  const auto it = devices_.find(device);
+void QueryExecutor::ingest(const RecordBatch::RowView& row) {
+  // Transition specs are fed by the count tables only.
+  if (row.filtered_false_positive || spec_.agg == AggKind::kTransition) return;
+  const double at_s = canonical_seconds(static_cast<double>(row.at_us) / 1e6);
+  const double duration_s = canonical_seconds(static_cast<double>(row.duration_us) / 1e6);
+  const auto it = devices_.find(row.device);
   if (it == devices_.end()) return;  // no metadata (foreign record): skip
   const DeviceMeta& meta = it->second;
-  if (!device_passes(meta) || !record_passes(facts)) return;
-  const std::int64_t gid = group_id(meta, facts);
+  if (!device_passes(meta) || !record_passes(row, at_s)) return;
+  const std::int64_t gid = group_id(meta, row);
   switch (spec_.agg) {
-    case AggKind::kPrevalenceFrequency: ++pf_counts_[gid][device]; break;
-    case AggKind::kTypeBreakdown: ++breakdown_[gid][index_of(facts.type)]; break;
-    case AggKind::kCdf: cdf_[gid].add(facts.duration_s); break;
+    case AggKind::kPrevalenceFrequency: ++pf_counts_[gid][row.device]; break;
+    case AggKind::kTypeBreakdown: ++breakdown_[gid][index_of(row.type)]; break;
+    case AggKind::kCdf: cdf_[gid].add(duration_s); break;
     case AggKind::kTopK:
       ++top_counts_[gid];
       ++top_total_;
@@ -203,15 +176,7 @@ QueryResult QueryExecutor::result() const {
       for (const auto& [id, meta] : devices_) {
         if (!device_passes(meta)) continue;
         ++eligible;
-        if (spec_.group == GroupBy::kModel) {
-          ++device_counts[meta.model_id];
-        } else if (spec_.group == GroupBy::kIsp) {
-          ++device_counts[static_cast<std::int64_t>(index_of(meta.isp))];
-        } else if (spec_.group == GroupBy::kFiveG) {
-          ++device_counts[meta.has_5g ? 1 : 0];
-        } else if (spec_.group == GroupBy::kAndroid) {
-          ++device_counts[meta.android == AndroidVersion::kAndroid10 ? 1 : 0];
-        }
+        if (device_keyed(spec_.group)) ++device_counts[group_id(meta, {})];
       }
       for (std::int64_t gid : domain) {
         QueryResult::PfRow row;
@@ -281,30 +246,9 @@ QueryResult QueryExecutor::result() const {
       if (out.top.size() > spec_.top_k) out.top.resize(spec_.top_k);
       break;
     }
-    case AggKind::kTransition: {
-      // Identical arithmetic to Aggregator::transition_increase.
-      const auto& dwell_total = td_.dwell_total[index_of(spec_.from_rat)];
-      const auto& dwell_fail = td_.dwell_fail[index_of(spec_.from_rat)];
-      const auto& trans_total =
-          td_.transition_total[index_of(spec_.from_rat)][index_of(spec_.to_rat)];
-      const auto& trans_fail =
-          td_.transition_fail[index_of(spec_.from_rat)][index_of(spec_.to_rat)];
-      for (std::size_t i = 0; i < kSignalLevelCount; ++i) {
-        const double baseline = dwell_total[i] ? static_cast<double>(dwell_fail[i]) /
-                                                     static_cast<double>(dwell_total[i])
-                                               : 0.0;
-        for (std::size_t j = 0; j < kSignalLevelCount; ++j) {
-          if (trans_total[i][j] == 0) {
-            out.matrix[i][j] = 0.0;
-            continue;
-          }
-          const double rate =
-              static_cast<double>(trans_fail[i][j]) / static_cast<double>(trans_total[i][j]);
-          out.matrix[i][j] = rate - baseline;
-        }
-      }
+    case AggKind::kTransition:
+      out.matrix = td_.increase(spec_.from_rat, spec_.to_rat);
       break;
-    }
   }
   return out;
 }
@@ -312,8 +256,10 @@ QueryResult QueryExecutor::result() const {
 QueryResult execute_over_dataset(const TraceDataset& dataset, const QuerySpec& spec) {
   QueryExecutor executor(spec);
   executor.add_devices(dataset.devices);
-  for (const TraceRecord& r : dataset.records) executor.add_record(r);
-  executor.add_transition_samples(dataset.transitions, dataset.dwells);
+  for (const TraceRecord& r : dataset.records) executor.ingest(RecordBatch::row_of(r));
+  TransitionDwellCounts counts;
+  counts.add(dataset.transitions, dataset.dwells);
+  executor.add_counts(counts);
   return executor.result();
 }
 
@@ -331,7 +277,9 @@ QueryResult execute_over_spill(const std::filesystem::path& spill_dir,
   if (shard == 0) {
     throw std::runtime_error("query: no spill shards under " + spill_dir.string());
   }
-  executor.add_transition_samples(sidecars.transitions, sidecars.dwells);
+  TransitionDwellCounts counts;
+  counts.add(sidecars.transitions, sidecars.dwells);
+  executor.add_counts(counts);
   return executor.result();
 }
 

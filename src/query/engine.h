@@ -2,11 +2,13 @@
 // over any of the campaign's record sources.
 //
 // QueryExecutor mirrors the Aggregator ingestion surface (add_devices /
-// consume(RecordBatch) / add_record(TraceRecord) / add_counts /
-// add_transition_samples), so ONE engine serves all four sources: an
-// in-memory dataset, a dataset directory's CSVs, the per-shard spill CSVs,
-// and the live batch stream of every campaign merge (inline queries ride the
-// merge's single fold pass in both merge modes).
+// consume(RecordBatch) / ingest(RowView) / add_counts), so ONE engine serves
+// all four sources: an in-memory dataset, a dataset directory's CSVs, the
+// per-shard spill CSVs, and the live batch stream of every campaign merge
+// (inline queries ride the merge's single fold pass in both merge modes).
+// A materialized dataset reaches the same row path through
+// RecordBatch::row_of, and its transition/dwell samples the same count
+// tables through TransitionDwellCounts::add.
 //
 // Bit-identity contract (the PR 2/3/5 determinism contract, extended to
 // query results): records are ingested in sequential record order on every
@@ -84,7 +86,7 @@ struct QueryResult {
   std::vector<BreakdownRow> breakdown;
   std::vector<CdfRow> cdf;
   std::vector<TopRow> top;
-  Aggregator::TransitionMatrix matrix{};
+  TransitionMatrix matrix{};
 };
 
 /// Accumulates one query over a record stream. Ingestion order must be the
@@ -97,17 +99,13 @@ class QueryExecutor {
   // --- Ingestion ---
   /// Device metadata (whole table, or one shard at a time in shard order).
   void add_devices(std::span<const DeviceMeta> devices);
-  /// One columnar batch, in emission order.
+  /// One columnar batch, in emission order: ingest() on every row.
   void consume(const RecordBatch& batch);
-  /// One materialized record. Filtered records are skipped internally (the
-  /// query surface, like the aggregators, sees kept failures only).
-  void add_record(const TraceRecord& record);
-  /// Order-independent transition/dwell count tables (streaming shards).
+  /// One record row. Filtered rows are skipped internally (the query
+  /// surface, like the aggregators, sees kept failures only).
+  void ingest(const RecordBatch::RowView& row);
+  /// Order-independent transition/dwell count tables.
   void add_counts(const TransitionDwellCounts& counts);
-  /// Per-sample transition/dwell rows (materialized datasets); folded into
-  /// the same count tables, so both feeds produce identical matrices.
-  void add_transition_samples(std::span<const TransitionRecord> transitions,
-                              std::span<const DwellRecord> dwells);
 
   // --- Finalize ---
   QueryResult result() const;
@@ -115,20 +113,9 @@ class QueryExecutor {
   const QuerySpec& spec() const { return spec_; }
 
  private:
-  struct RowFacts {
-    double at_s = 0.0;        // canonical seconds
-    double duration_s = 0.0;  // canonical seconds
-    FailureType type = FailureType::kDataSetupError;
-    Rat rat = Rat::k4G;
-    SignalLevel level = SignalLevel::kLevel0;
-    BsIndex bs = kInvalidBs;
-    FailCause cause = FailCause::kNone;
-  };
-
-  void ingest(DeviceId device, const RowFacts& facts);
   bool device_passes(const DeviceMeta& device) const;
-  bool record_passes(const RowFacts& facts) const;
-  std::int64_t group_id(const DeviceMeta& device, const RowFacts& facts) const;
+  bool record_passes(const RecordBatch::RowView& row, double at_s) const;
+  std::int64_t group_id(const DeviceMeta& device, const RecordBatch::RowView& row) const;
 
   QuerySpec spec_;
   /// Keyed device table: lookups during ingestion (model/isp are re-derived

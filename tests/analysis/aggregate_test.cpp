@@ -234,7 +234,7 @@ TEST(Report, CdfRendering) {
 }
 
 TEST(Report, TransitionMatrixRendering) {
-  Aggregator::TransitionMatrix m{};
+  TransitionMatrix m{};
   m[4][0] = 0.37;
   const std::string out = render_transition_matrix(m, "4G->5G");
   EXPECT_NE(out.find("4G->5G"), std::string::npos);

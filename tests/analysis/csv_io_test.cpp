@@ -28,12 +28,8 @@ class ScopedTempDir {
 };
 
 TEST(CsvParsing, FieldParsers) {
-  EXPECT_EQ(failure_type_from_string("Data_Stall"), FailureType::kDataStall);
-  EXPECT_FALSE(failure_type_from_string("nonsense").has_value());
   EXPECT_EQ(isp_from_string("ISP-C"), IspId::kIspC);
-  EXPECT_EQ(rat_from_string("5G"), Rat::k5G);
   EXPECT_EQ(duration_method_from_string("probing"), DurationMethod::kProbing);
-  EXPECT_FALSE(rat_from_string("6G").has_value());
 }
 
 TEST(CsvParsing, CellIdentityRoundTrip) {

@@ -10,7 +10,8 @@
 // The presets must also reproduce the legacy figure renderers: fig2/fig5
 // byte-equal to the render_series output the bench builds from
 // Aggregator::by_model, fig17 byte-equal to render_transition_matrix over
-// Aggregator::transition_increase, table2 value-equal to top_error_codes.
+// Aggregator::transition_increase (and the 5G->4G / 3G->4G matrices equal to
+// it), table2 value-equal to top_error_codes.
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,8 @@ std::vector<QuerySpec> all_specs() {
       "name=bstop agg=topk group=bs k=7",
       "name=ratmix agg=breakdown group=rat since=3600 until=2000000",
       "name=ispwin agg=pf group=isp level=2",
+      "name=t54 agg=transition from=5G to=4G",
+      "name=t34 agg=transition from=3G to=4G",
   };
   for (const char* text : custom) {
     std::string error;
@@ -308,6 +311,16 @@ TEST_F(QueryContractTest, PresetsReproduceLegacyRenderers) {
     EXPECT_EQ(query_result_to_text(qr),
               render_transition_matrix(agg.transition_increase(Rat::k4G, Rat::k5G),
                                        "4G level-i -> 5G level-j"));
+  }
+
+  // Two more RAT pairs: the query matrix equals transition_increase.
+  for (const char* text :
+       {"name=t54 agg=transition from=5G to=4G", "name=t34 agg=transition from=3G to=4G"}) {
+    SCOPED_TRACE(text);
+    const auto spec = parse_query_spec(text, nullptr);
+    ASSERT_TRUE(spec.has_value());
+    const QueryResult qr = execute_over_dataset(result.dataset, *spec);
+    EXPECT_EQ(qr.matrix, agg.transition_increase(spec->from_rat, spec->to_rat));
   }
 
   {  // table2: top error codes, value-equal to Aggregator::top_error_codes.

@@ -3,7 +3,6 @@
 // Subcommand CLI:
 //   cellrel_analyze report DATASET_DIR [--figures] [--report OUT.md]
 //   cellrel_analyze health DATASET_DIR [--window S]
-//   cellrel_analyze query  DATASET_DIR --preset NAME | --spec SPEC [...]
 //
 // `report` loads the CSVs written by `cellrel_campaign --out DIR` and prints
 // the §3 analysis: headline statistics, device slices, ISP/BS landscape,
@@ -11,8 +10,8 @@
 // figures. `health` replays the dataset's records through the online
 // BS-health tracker (src/detect) and prints the detector's verdicts —
 // offline datasets carry no ground-truth annotations, so the report is
-// unscored. `query` is the shared query driver (same flags as
-// cellrel_query). Anything else prints the usage and exits 2.
+// unscored. Anything else (queries included: those are cellrel_query's)
+// prints the usage and exits 2.
 
 #include <algorithm>
 #include <cmath>
@@ -27,7 +26,6 @@
 #include "analysis/report.h"
 #include "cli.h"
 #include "detect/detector.h"
-#include "query_cli.h"
 
 using namespace cellrel;
 
@@ -169,26 +167,9 @@ int cmd_health(int argc, char** argv) {
   return 0;
 }
 
-int cmd_query(int argc, char** argv) {
-  QueryToolOptions opts;
-  cli::Parser parser("cellrel_analyze query", "DATASET_DIR");
-  register_query_options(parser, &opts);
-  const cli::ParseResult parsed = parser.parse(argc, argv);
-  if (parsed.help_requested) {
-    std::fputs(parser.usage().c_str(), stdout);
-    return 0;
-  }
-  if (!parsed.ok) {
-    std::fputs(parser.usage().c_str(), stderr);
-    return 2;
-  }
-  return run_query_tool(opts, parsed.positionals);
-}
-
 constexpr const char* kUsage =
     "usage: cellrel_analyze report DATASET_DIR [--figures] [--report OUT.md]\n"
     "       cellrel_analyze health DATASET_DIR [--window S]\n"
-    "       cellrel_analyze query  DATASET_DIR --preset NAME | --spec SPEC [...]\n"
     "run `cellrel_analyze <subcommand> --help` for the subcommand's options\n";
 
 }  // namespace
@@ -200,7 +181,6 @@ int main(int argc, char** argv) {
     // becomes the de-facto argv[0] the parser skips.
     if (std::strcmp(cmd, "report") == 0) return cmd_report(argc - 1, argv + 1);
     if (std::strcmp(cmd, "health") == 0) return cmd_health(argc - 1, argv + 1);
-    if (std::strcmp(cmd, "query") == 0) return cmd_query(argc - 1, argv + 1);
   }
   const bool help = argc == 2 && (std::strcmp(argv[1], "--help") == 0 ||
                                    std::strcmp(argv[1], "-h") == 0);
