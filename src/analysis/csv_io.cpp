@@ -1,5 +1,6 @@
 #include "analysis/csv_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -237,13 +238,37 @@ void for_each_row(std::ifstream& in, const std::filesystem::path& file,
 
 }  // namespace
 
+RecordReferences::RecordReferences(const TraceDataset& sidecars)
+    : bs_count_(sidecars.base_stations.size()) {
+  devices_.reserve(sidecars.devices.size());
+  for (const DeviceMeta& d : sidecars.devices) devices_.push_back(d.id);
+  std::sort(devices_.begin(), devices_.end());
+}
+
+void RecordReferences::check(DeviceId device, BsIndex bs, const std::filesystem::path& file,
+                             int row) const {
+  std::string reason;
+  if (!std::binary_search(devices_.begin(), devices_.end(), device)) {
+    reason = std::string("device ") + std::to_string(device) + " has no row in " +
+             DatasetFiles::kDevices;
+  } else if (bs != kInvalidBs && bs >= bs_count_) {
+    reason = std::string("bs ") + std::to_string(bs) + " is outside the " +
+             std::to_string(bs_count_) + " rows of " + DatasetFiles::kBaseStations;
+  }
+  if (reason.empty()) return;
+  throw std::runtime_error(std::string("csv_io: row ") + std::to_string(row) + " in " +
+                           file.string() + ": " + reason);
+}
+
 TraceDataset read_dataset_csv(const std::filesystem::path& dir) {
   TraceDataset data = read_dataset_sidecars_csv(dir);
+  const RecordReferences refs(data);
   const auto file = dir / DatasetFiles::kRecords;
   auto in = open_in(file);
   for_each_row(in, file, [&](std::string_view line, int n) {
     auto record = trace_record_from_csv(line);
     if (!record) malformed(file, n);
+    refs.check(record->device, record->bs, file, n);
     data.records.push_back(std::move(*record));
   });
   return data;

@@ -41,7 +41,8 @@ struct DatasetFiles {
 void write_dataset_csv(const TraceDataset& dataset, const std::filesystem::path& dir);
 
 /// Reads a dataset previously written by write_dataset_csv. Throws
-/// std::runtime_error on missing files or malformed rows.
+/// std::runtime_error on missing files, malformed rows, or a record that
+/// points outside the dataset (see RecordReferences).
 TraceDataset read_dataset_csv(const std::filesystem::path& dir);
 
 /// Reads every table EXCEPT records.csv (devices, base stations, connected
@@ -49,6 +50,22 @@ TraceDataset read_dataset_csv(const std::filesystem::path& dir);
 /// files hold the lossless record rows while the device/BS sidecars come
 /// from a dataset directory. Throws like read_dataset_csv.
 TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir);
+
+/// The referential rule every record row must meet against its dataset's
+/// sidecars: its device has a devices.csv row, and its bs indexes a
+/// base_stations.csv row (kInvalidBs, "no serving cell", stays legal).
+class RecordReferences {
+ public:
+  explicit RecordReferences(const TraceDataset& sidecars);
+
+  /// Throws std::runtime_error naming `file`, the 1-based data `row` and
+  /// the offending field when the record breaks the rule.
+  void check(DeviceId device, BsIndex bs, const std::filesystem::path& file, int row) const;
+
+ private:
+  std::vector<DeviceId> devices_;  // sorted
+  std::size_t bs_count_ = 0;
+};
 
 // --- parsing helpers (exposed for tests) ---
 std::optional<IspId> isp_from_string(std::string_view s);

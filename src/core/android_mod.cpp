@@ -2,10 +2,11 @@
 
 namespace cellrel {
 
-AndroidMod::AndroidMod(Simulator& sim, Rng rng, Config config, TraceUploader::Sink sink)
-    : telephony_(sim, rng, config.telephony),
+AndroidMod::AndroidMod(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config config,
+                       TraceUploader::Sink sink)
+    : telephony_(sim, rng, metrics, config.telephony),
       recovery_bridge_(telephony_),
-      monitor_(telephony_, config.identity, std::move(sink), config.monitor) {
+      monitor_(telephony_, metrics, config.identity, std::move(sink), config.monitor) {
   // Framework-side recovery reacts to the same detector the monitor
   // instruments; register the bridge after the monitor so records open
   // before recovery mutates state.

@@ -4,7 +4,11 @@
 // pieces vanilla Android keeps separate: the Data_Stall detector drives both
 // the recovery manager (framework behaviour) and the monitor (Android-MOD
 // instrumentation). This is the object a campaign instantiates per opt-in
-// device, and the object the examples use as the public entry point.
+// device, and the one place that fixes the order of the stack's failure-event
+// listeners: the monitor first, then the recovery bridge, then whatever the
+// owner registers (the campaign's DeviceRun). Same-time follow-up events are
+// scheduled in that order, so it is part of the determinism contract. The
+// metric sink is handed to every instrumented component at construction.
 
 #ifndef CELLREL_CORE_ANDROID_MOD_H
 #define CELLREL_CORE_ANDROID_MOD_H
@@ -24,8 +28,11 @@ class AndroidMod {
     MonitorService::Identity identity;
   };
 
-  /// `sink` receives uploaded trace batches (the backend server).
-  AndroidMod(Simulator& sim, Rng rng, Config config, TraceUploader::Sink sink);
+  /// `metrics` receives the whole stack's metrics (campaigns hand every
+  /// device of a shard the shard's sink); `sink` receives uploaded trace
+  /// batches (the backend server).
+  AndroidMod(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config config,
+             TraceUploader::Sink sink);
 
   AndroidMod(const AndroidMod&) = delete;
   AndroidMod& operator=(const AndroidMod&) = delete;
@@ -36,13 +43,6 @@ class AndroidMod {
   /// Starts the background machinery (stall detection polling).
   void boot();
   void shutdown();
-
-  /// Wires the whole device stack (telephony components + monitor) to a
-  /// metric sink. Campaigns hand every device of a shard the shard's sink.
-  void set_metrics(obs::MetricSink* sink) {
-    telephony_.set_metrics(sink);
-    monitor_.set_metrics(sink);
-  }
 
  private:
   class StallRecoveryBridge final : public FailureEventListener {

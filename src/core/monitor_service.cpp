@@ -5,13 +5,13 @@
 
 namespace cellrel {
 
-MonitorService::MonitorService(TelephonyManager& telephony, Identity identity,
-                               TraceUploader::Sink sink)
-    : MonitorService(telephony, identity, std::move(sink), Config{}) {}
-
-MonitorService::MonitorService(TelephonyManager& telephony, Identity identity,
-                               TraceUploader::Sink sink, Config config)
+MonitorService::MonitorService(TelephonyManager& telephony, obs::MetricSink& metrics,
+                               Identity identity, TraceUploader::Sink sink, Config config)
     : telephony_(telephony),
+      metrics_{metrics.counter("monitor.events.handled"),
+               metrics.counter("monitor.records.written"),
+               metrics.counter("monitor.records.filtered_fp"),
+               metrics.counter("monitor.probe.rounds")},
       identity_(identity),
       config_(config),
       prober_(telephony.simulator(), telephony.network(), config.prober),
@@ -28,17 +28,6 @@ MonitorService::MonitorService(TelephonyManager& telephony, Identity identity,
 }
 
 MonitorService::~MonitorService() { telephony_.unregister_failure_listener(this); }
-
-void MonitorService::set_metrics(obs::MetricSink* sink) {
-  if (!sink) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.events = &sink->counter("monitor.events.handled");
-  metrics_.records = &sink->counter("monitor.records.written");
-  metrics_.filtered_fp = &sink->counter("monitor.records.filtered_fp");
-  metrics_.probe_rounds = &sink->counter("monitor.probe.rounds");
-}
 
 TraceRecord MonitorService::base_record(const FailureEvent& event) const {
   TraceRecord r;
@@ -61,15 +50,15 @@ void MonitorService::write_record(TraceRecord record) {
   overhead_.on_record_written(compressed_record_bytes(record));
   overhead_.add_failure_duration(record.duration);
   ++records_written_;
-  if (metrics_.records) metrics_.records->add();
-  if (metrics_.filtered_fp && record.filtered_false_positive) metrics_.filtered_fp->add();
+  metrics_.records.add();
+  if (record.filtered_false_positive) metrics_.filtered_fp.add();
   if (observe_record_) observe_record_(record);
   uploader_.submit(std::move(record));
 }
 
 void MonitorService::on_failure_event(const FailureEvent& event) {
   overhead_.on_event_handled();
-  if (metrics_.events) metrics_.events->add();
+  metrics_.events.add();
   const DeviceObservables obs = observables_ ? observables_() : DeviceObservables{};
   switch (event.type) {
     case FailureType::kDataSetupError: {
@@ -159,7 +148,7 @@ void MonitorService::on_failure_cleared(FailureType type, SimTime at) {
 void MonitorService::on_probe_complete(const NetworkStateProber::Report& report) {
   if (!open_stall_) return;
   for (std::uint32_t i = 0; i < report.rounds; ++i) overhead_.on_probe_round();
-  if (metrics_.probe_rounds) metrics_.probe_rounds->add(report.rounds);
+  metrics_.probe_rounds.add(report.rounds);
   overhead_.on_probe_traffic(prober_.total_probe_bytes() - probe_bytes_seen_);
   probe_bytes_seen_ = prober_.total_probe_bytes();
 

@@ -47,9 +47,11 @@ class MonitorService final : public FailureEventListener {
   /// Observer for the monitor's record fan-out (see set_record_observer).
   using RecordObserver = std::function<void(const TraceRecord&)>;
 
-  MonitorService(TelephonyManager& telephony, Identity identity, TraceUploader::Sink sink);
-  MonitorService(TelephonyManager& telephony, Identity identity, TraceUploader::Sink sink,
-                 Config config);
+  /// Registers on `telephony`'s failure-event bus and resolves the
+  /// "monitor.*" metric handles (events handled, records written / filtered
+  /// as false positives, probe-ladder rounds) in `metrics`, once.
+  MonitorService(TelephonyManager& telephony, obs::MetricSink& metrics, Identity identity,
+                 TraceUploader::Sink sink, Config config);
   ~MonitorService() override;
 
   MonitorService(const MonitorService&) = delete;
@@ -75,13 +77,7 @@ class MonitorService final : public FailureEventListener {
   void on_failure_cleared(FailureType type, SimTime at) override;
 
   const OverheadAccountant& overhead() const { return overhead_; }
-  const TraceUploader& uploader() const { return uploader_; }
   std::uint64_t records_written() const { return records_written_; }
-
-  /// Wires the monitor to a metric sink ("monitor.*" namespace): events
-  /// handled, records written / filtered as false positives, and probe-ladder
-  /// rounds. Pass nullptr to detach.
-  void set_metrics(obs::MetricSink* sink);
 
   /// Subscribes an observer to the monitor's record fan-out: called once per
   /// finalized record — kept AND filtered, verdicts attached — right before
@@ -96,10 +92,10 @@ class MonitorService final : public FailureEventListener {
 
  private:
   struct Metrics {
-    obs::Counter* events = nullptr;
-    obs::Counter* records = nullptr;
-    obs::Counter* filtered_fp = nullptr;
-    obs::Counter* probe_rounds = nullptr;
+    obs::Counter& events;
+    obs::Counter& records;
+    obs::Counter& filtered_fp;
+    obs::Counter& probe_rounds;
   };
 
   void sync_upload_accounting() {
@@ -119,6 +115,7 @@ class MonitorService final : public FailureEventListener {
   void close_setup_episode(SimTime at);
 
   TelephonyManager& telephony_;
+  Metrics metrics_;
   Identity identity_;
   Config config_;
   FalsePositiveFilter filter_;
@@ -140,7 +137,6 @@ class MonitorService final : public FailureEventListener {
   // Open Out_of_Service episode.
   std::optional<TraceRecord> open_oos_;
 
-  Metrics metrics_;
   std::uint64_t records_written_ = 0;
   std::uint64_t probe_bytes_seen_ = 0;
   std::uint64_t uploaded_bytes_seen_ = 0;

@@ -27,11 +27,6 @@ std::uint64_t TcpSegmentCounters::sent_in_window(SimTime now) const {
   return sent_.size();
 }
 
-std::uint64_t TcpSegmentCounters::received_in_window(SimTime now) const {
-  expire(now);
-  return received_.size();
-}
-
 bool TcpSegmentCounters::stall_suspected(SimTime now, std::uint64_t sent_threshold) const {
   expire(now);
   return sent_.size() > sent_threshold && received_.empty();

@@ -27,7 +27,6 @@ class TcpSegmentCounters {
 
   /// Counts within (now - window, now].
   std::uint64_t sent_in_window(SimTime now) const;
-  std::uint64_t received_in_window(SimTime now) const;
 
   /// Android's stall predicate: > `sent_threshold` outbound and zero inbound
   /// segments within the window.

@@ -140,7 +140,10 @@ void QueryExecutor::ingest(const RecordBatch::RowView& row) {
   const double at_s = canonical_seconds(static_cast<double>(row.at_us) / 1e6);
   const double duration_s = canonical_seconds(static_cast<double>(row.duration_us) / 1e6);
   const auto it = devices_.find(row.device);
-  if (it == devices_.end()) return;  // no metadata (foreign record): skip
+  if (it == devices_.end()) {
+    throw std::runtime_error(std::string("query: record of device ") +
+                             std::to_string(row.device) + " has no device metadata");
+  }
   const DeviceMeta& meta = it->second;
   if (!device_passes(meta) || !record_passes(row, at_s)) return;
   const std::int64_t gid = group_id(meta, row);
@@ -269,9 +272,17 @@ QueryResult execute_over_spill(const std::filesystem::path& spill_dir,
   executor.add_devices(sidecars.devices);
   StringPool apns;
   std::size_t shard = 0;
+  const RecordReferences refs(sidecars);
   while (std::filesystem::exists(spill_dir / spill_shard_file(shard))) {
-    read_spill_batches(spill_dir / spill_shard_file(shard), 4096, apns,
-                       [&](const RecordBatch& batch) { executor.consume(batch); });
+    const std::filesystem::path file = spill_dir / spill_shard_file(shard);
+    int row = 0;
+    read_spill_batches(file, 4096, apns, [&](const RecordBatch& batch) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const RecordBatch::RowView r = batch.row(i);
+        refs.check(r.device, r.bs, file, ++row);
+      }
+      executor.consume(batch);
+    });
     ++shard;
   }
   if (shard == 0) {

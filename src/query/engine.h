@@ -102,7 +102,8 @@ class QueryExecutor {
   /// One columnar batch, in emission order: ingest() on every row.
   void consume(const RecordBatch& batch);
   /// One record row. Filtered rows are skipped internally (the query
-  /// surface, like the aggregators, sees kept failures only).
+  /// surface, like the aggregators, sees kept failures only). Throws
+  /// std::runtime_error on a kept row whose device has no metadata.
   void ingest(const RecordBatch::RowView& row);
   /// Order-independent transition/dwell count tables.
   void add_counts(const TransitionDwellCounts& counts);
@@ -140,8 +141,9 @@ QueryResult execute_over_dataset(const TraceDataset& dataset, const QuerySpec& s
 /// (shard-0.csv, shard-1.csv, ... read in shard-index order — the sequential
 /// record order). `sidecars` supplies the device/BS/transition tables the
 /// spill files do not carry (read_dataset_sidecars_csv of the campaign's
-/// dataset directory). Throws std::runtime_error on missing shard-0 or
-/// malformed rows.
+/// dataset directory). Throws std::runtime_error on missing shard-0,
+/// malformed rows, or a row that points outside the sidecars
+/// (RecordReferences).
 QueryResult execute_over_spill(const std::filesystem::path& spill_dir,
                                const TraceDataset& sidecars, const QuerySpec& spec);
 

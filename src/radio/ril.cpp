@@ -2,26 +2,25 @@
 
 namespace cellrel {
 
-RadioInterfaceLayer::RadioInterfaceLayer(Simulator& sim, Rng rng)
-    : sim_(sim), modem_(rng) {}
-
-void RadioInterfaceLayer::set_metrics(obs::MetricSink* sink) {
-  auto resolve = [&](const char* command) -> CommandMetrics {
-    if (!sink) return {};
-    const std::string base = std::string("ril.") + command;
-    return {&sink->sim_timer(base + ".latency"), &sink->counter(base + ".failures")};
-  };
-  setup_metrics_ = resolve("setup_data_call");
-  deactivate_metrics_ = resolve("deactivate_data_call");
-  reregister_metrics_ = resolve("reregister");
-  restart_metrics_ = resolve("restart_radio");
+RadioInterfaceLayer::CommandMetrics RadioInterfaceLayer::resolve(obs::MetricSink& sink,
+                                                                 const char* command) {
+  const std::string base = std::string("ril.") + command;
+  return {sink.sim_timer(base + ".latency"), sink.counter(base + ".failures")};
 }
+
+RadioInterfaceLayer::RadioInterfaceLayer(Simulator& sim, Rng rng, obs::MetricSink& metrics)
+    : sim_(sim),
+      modem_(rng),
+      setup_metrics_(resolve(metrics, "setup_data_call")),
+      deactivate_metrics_(resolve(metrics, "deactivate_data_call")),
+      reregister_metrics_(resolve(metrics, "reregister")),
+      restart_metrics_(resolve(metrics, "restart_radio")) {}
 
 std::uint64_t RadioInterfaceLayer::dispatch(ModemResult result, ResponseCallback cb,
                                             const CommandMetrics& metrics) {
   const std::uint64_t serial = next_serial_++;
-  if (metrics.latency) metrics.latency->record(result.latency);
-  if (metrics.failures && !result.success) metrics.failures->add();
+  metrics.latency.record(result.latency);
+  if (!result.success) metrics.failures.add();
   sim_.schedule_after(result.latency, [result, cb = std::move(cb)] { cb(result); });
   return serial;
 }

@@ -25,7 +25,10 @@ class RadioInterfaceLayer {
  public:
   using ResponseCallback = std::function<void(const ModemResult&)>;
 
-  RadioInterfaceLayer(Simulator& sim, Rng rng);
+  /// Each command records its (simulated) modem latency under
+  /// "ril.<command>.latency" and failures under "ril.<command>.failures" in
+  /// `metrics`; the handles are resolved here, once.
+  RadioInterfaceLayer(Simulator& sim, Rng rng, obs::MetricSink& metrics);
 
   RadioInterfaceLayer(const RadioInterfaceLayer&) = delete;
   RadioInterfaceLayer& operator=(const RadioInterfaceLayer&) = delete;
@@ -48,18 +51,13 @@ class RadioInterfaceLayer {
 
   std::uint64_t commands_issued() const { return next_serial_; }
 
-  /// Wires this RIL to a metric sink: each command records its (simulated)
-  /// modem latency under "ril.<command>.latency" and failures under
-  /// "ril.<command>.failures". Handles are resolved here, once; pass
-  /// nullptr to detach.
-  void set_metrics(obs::MetricSink* sink);
-
  private:
-  /// Per-command metric handles, resolved at set_metrics() time.
+  /// Per-command metric handles, resolved at construction.
   struct CommandMetrics {
-    obs::SimTimerStat* latency = nullptr;
-    obs::Counter* failures = nullptr;
+    obs::SimTimerStat& latency;
+    obs::Counter& failures;
   };
+  static CommandMetrics resolve(obs::MetricSink& sink, const char* command);
 
   std::uint64_t dispatch(ModemResult result, ResponseCallback cb,
                          const CommandMetrics& metrics);

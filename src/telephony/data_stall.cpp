@@ -1,32 +1,27 @@
 #include "telephony/data_stall.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace cellrel {
 
-DataStallDetector::DataStallDetector(Simulator& sim, const TcpSegmentCounters& tcp,
-                                     const NetworkStack& stack)
-    : DataStallDetector(sim, tcp, stack, Config{}) {}
+namespace {
+
+/// Outbound-segment threshold (Android: "over 10").
+constexpr std::uint64_t kSentThreshold = 10;
+/// Poll cadence against the kernel counters.
+constexpr SimDuration kCheckInterval = SimDuration::seconds(10.0);
+
+}  // namespace
 
 DataStallDetector::DataStallDetector(Simulator& sim, const TcpSegmentCounters& tcp,
-                                     const NetworkStack& stack, Config config)
-    : sim_(sim), tcp_(tcp), stack_(stack), config_(config) {
-  CELLREL_CHECK_OP(config_.sent_threshold, >, std::uint64_t{0});
-  CELLREL_CHECK(config_.check_interval > SimDuration::zero())
-      << "check_interval=" << to_string(config_.check_interval);
-}
-
-void DataStallDetector::add_listener(FailureEventListener* l) {
-  if (l && std::find(listeners_.begin(), listeners_.end(), l) == listeners_.end()) {
-    listeners_.push_back(l);
-  }
-}
-
-void DataStallDetector::remove_listener(FailureEventListener* l) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), l), listeners_.end());
-}
+                                     const NetworkStack& stack, FailureEventBus& events,
+                                     obs::MetricSink& metrics)
+    : sim_(sim),
+      tcp_(tcp),
+      stack_(stack),
+      events_(events),
+      metrics_{metrics.counter("data_stall.checks"), metrics.counter("data_stall.episodes"),
+               metrics.sim_timer("data_stall.episode.duration")} {}
 
 void DataStallDetector::start() {
   if (running_) return;
@@ -41,23 +36,13 @@ void DataStallDetector::stop() {
 
 void DataStallDetector::schedule_next() {
   if (!running_) return;
-  next_check_ = sim_.schedule_after(config_.check_interval, [this] {
+  next_check_ = sim_.schedule_after(kCheckInterval, [this] {
     check();
     schedule_next();
   });
 }
 
 void DataStallDetector::poll_now() { check(); }
-
-void DataStallDetector::set_metrics(obs::MetricSink* sink) {
-  if (!sink) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.checks = &sink->counter("data_stall.checks");
-  metrics_.episodes = &sink->counter("data_stall.episodes");
-  metrics_.episode_duration = &sink->sim_timer("data_stall.episode.duration");
-}
 
 FalsePositiveKind DataStallDetector::ground_truth() const {
   switch (stack_.fault()) {
@@ -79,28 +64,18 @@ void DataStallDetector::check() {
   CELLREL_CHECK(!episode_active_ || episode_started_ <= now)
       << "episode started at " << to_string(episode_started_) << ", now "
       << to_string(now);
-  if (metrics_.checks) metrics_.checks->add();
-  const bool suspected = tcp_.stall_suspected(now, config_.sent_threshold);
+  metrics_.checks.add();
+  const bool suspected = tcp_.stall_suspected(now, kSentThreshold);
   if (suspected && !episode_active_) {
     episode_active_ = true;
     episode_started_ = now;
     ++episodes_;
-    if (metrics_.episodes) metrics_.episodes->add();
-    FailureEvent event;
-    event.type = FailureType::kDataStall;
-    event.at = now;
-    if (cell_source_) {
-      const CellContext ctx = cell_source_();
-      event.rat = ctx.rat;
-      event.level = ctx.level;
-      event.bs = ctx.bs;
-    }
-    event.ground_truth_fp = ground_truth();
-    for (auto* l : listeners_) l->on_failure_event(event);
+    metrics_.episodes.add();
+    events_.raise(FailureType::kDataStall, now, FailCause::kNone, ground_truth());
   } else if (!suspected && episode_active_) {
     episode_active_ = false;
-    if (metrics_.episode_duration) metrics_.episode_duration->record(now - episode_started_);
-    for (auto* l : listeners_) l->on_failure_cleared(FailureType::kDataStall, now);
+    metrics_.episode_duration.record(now - episode_started_);
+    events_.clear(FailureType::kDataStall, now);
   }
 }
 

@@ -3,69 +3,47 @@
 // "When there have been over 10 outbound TCP segments but not a single
 // inbound TCP segment during the last minute, a Data_Stall failure is
 // reported to both relevant system services and user-space apps." The
-// detector polls the kernel TCP counters, raises one event at the start of
-// each suspected episode, and signals when the predicate clears.
+// detector polls the kernel TCP counters every 10 s, raises one event on the
+// stack's FailureEventBus at the start of each suspected episode (stamped
+// with the bus's serving cell), and clears it when the predicate clears.
 
 #ifndef CELLREL_TELEPHONY_DATA_STALL_H
 #define CELLREL_TELEPHONY_DATA_STALL_H
-
-#include <functional>
-#include <vector>
 
 #include "net/network_stack.h"
 #include "net/tcp_stats.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
-#include "telephony/dc_tracker.h"
 #include "telephony/events.h"
 
 namespace cellrel {
 
 class DataStallDetector {
  public:
-  struct Config {
-    /// Outbound-segment threshold (Android: "over 10").
-    std::uint64_t sent_threshold = 10;
-    /// Poll cadence against the kernel counters.
-    SimDuration check_interval = SimDuration::seconds(10.0);
-  };
-
-  DataStallDetector(Simulator& sim, const TcpSegmentCounters& tcp, const NetworkStack& stack);
-  DataStallDetector(Simulator& sim, const TcpSegmentCounters& tcp,
-                    const NetworkStack& stack, Config config);
+  /// Raises on `events`; resolves its "data_stall.*" metric handles in
+  /// `metrics` here, once.
+  DataStallDetector(Simulator& sim, const TcpSegmentCounters& tcp, const NetworkStack& stack,
+                    FailureEventBus& events, obs::MetricSink& metrics);
 
   DataStallDetector(const DataStallDetector&) = delete;
   DataStallDetector& operator=(const DataStallDetector&) = delete;
-
-  /// Context source for enriching the raised events.
-  void set_cell_context_source(std::function<CellContext()> source) {
-    cell_source_ = std::move(source);
-  }
-
-  void add_listener(FailureEventListener* l);
-  void remove_listener(FailureEventListener* l);
 
   /// Starts/stops periodic polling.
   void start();
   void stop();
 
   bool episode_active() const { return episode_active_; }
-  SimTime episode_started_at() const { return episode_started_; }
   std::uint64_t episodes_detected() const { return episodes_; }
 
   /// Forces an immediate predicate check (used when traffic or fault state
   /// changes faster than the poll cadence).
   void poll_now();
 
-  /// Wires the detector to a metric sink ("data_stall.*" namespace); handles
-  /// are resolved once here. Pass nullptr to detach.
-  void set_metrics(obs::MetricSink* sink);
-
  private:
   struct Metrics {
-    obs::Counter* checks = nullptr;
-    obs::Counter* episodes = nullptr;
-    obs::SimTimerStat* episode_duration = nullptr;
+    obs::Counter& checks;
+    obs::Counter& episodes;
+    obs::SimTimerStat& episode_duration;
   };
 
   void schedule_next();
@@ -75,15 +53,13 @@ class DataStallDetector {
   Simulator& sim_;
   const TcpSegmentCounters& tcp_;
   const NetworkStack& stack_;
-  Config config_;
-  std::function<CellContext()> cell_source_;
-  std::vector<FailureEventListener*> listeners_;
+  FailureEventBus& events_;
+  Metrics metrics_;
   ScheduledEvent next_check_;
   bool running_ = false;
   bool episode_active_ = false;
   SimTime episode_started_;
   std::uint64_t episodes_ = 0;
-  Metrics metrics_;
 };
 
 }  // namespace cellrel

@@ -6,38 +6,25 @@
 
 namespace cellrel {
 
-DcTracker::DcTracker(Simulator& sim, RadioInterfaceLayer& ril)
-    : DcTracker(sim, ril, Config{}) {}
+namespace {
 
-DcTracker::DcTracker(Simulator& sim, RadioInterfaceLayer& ril, Config config)
-    : sim_(sim), ril_(ril), config_(std::move(config)) {}
+constexpr SimDuration kFirstRetryDelay = SimDuration::seconds(1.0);
+constexpr SimDuration kMaxRetryDelay = SimDuration::seconds(45.0);
 
-void DcTracker::set_metrics(obs::MetricSink* sink) {
-  if (!sink) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.attempts = &sink->counter("dc_tracker.setup.attempts");
-  metrics_.failures = &sink->counter("dc_tracker.setup.failures");
-  metrics_.retries = &sink->counter("dc_tracker.retry.scheduled");
-  // Backoff delays top out at max_retry_delay (45 s by default); 12 bins of
-  // 5 s resolve every doubling step of the 1s * 2^n ladder.
-  metrics_.backoff_s = &sink->histogram("dc_tracker.retry.backoff_s", 0.0, 60.0, 12);
-}
+}  // namespace
 
-void DcTracker::add_listener(FailureEventListener* l) {
-  if (l && std::find(listeners_.begin(), listeners_.end(), l) == listeners_.end()) {
-    listeners_.push_back(l);
-  }
-}
-
-void DcTracker::remove_listener(FailureEventListener* l) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), l), listeners_.end());
-}
-
-void DcTracker::report(const FailureEvent& event) {
-  for (auto* l : listeners_) l->on_failure_event(event);
-}
+DcTracker::DcTracker(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& events,
+                     obs::MetricSink& metrics, std::string apn)
+    : sim_(sim),
+      ril_(ril),
+      events_(events),
+      metrics_{metrics.counter("dc_tracker.setup.attempts"),
+               metrics.counter("dc_tracker.setup.failures"),
+               metrics.counter("dc_tracker.retry.scheduled"),
+               // Backoff delays top out at kMaxRetryDelay; 12 bins of 5 s
+               // resolve every doubling step of the 1s * 2^n ladder.
+               metrics.histogram("dc_tracker.retry.backoff_s", 0.0, 60.0, 12)},
+      apn_(std::move(apn)) {}
 
 void DcTracker::request_data() {
   want_data_ = true;
@@ -55,7 +42,7 @@ void DcTracker::attempt_setup() {
   CELLREL_CHECK(dc_.state() == DcState::kActivating)
       << "SETUP_DATA_CALL issued in state " << to_string(dc_.state());
   ++setup_attempts_;
-  if (metrics_.attempts) metrics_.attempts->add();
+  metrics_.attempts.add();
   ril_.setup_data_call([this](const ModemResult& r) { on_setup_response(r); });
 }
 
@@ -83,18 +70,10 @@ void DcTracker::on_setup_response(const ModemResult& result) {
   }
 
   ++setup_failures_;
-  if (metrics_.failures) metrics_.failures->add();
+  metrics_.failures.add();
   CELLREL_DCHECK(setup_failures_ <= setup_attempts_)
       << setup_failures_ << " failures vs " << setup_attempts_ << " attempts";
-  FailureEvent event;
-  event.type = FailureType::kDataSetupError;
-  event.at = sim_.now();
-  event.rat = cell_.rat;
-  event.level = cell_.level;
-  event.bs = cell_.bs;
-  event.cause = r.cause;
-  event.ground_truth_fp = classify_ground_truth(r);
-  report(event);
+  events_.raise(FailureType::kDataSetupError, sim_.now(), r.cause, classify_ground_truth(r));
   voice_disruption_pending_ = false;
 
   ++consecutive_failures_;
@@ -102,10 +81,9 @@ void DcTracker::on_setup_response(const ModemResult& result) {
   // Progressive backoff: 2^(n-1) * first_delay, capped.
   double factor = 1.0;
   for (std::uint32_t i = 1; i < consecutive_failures_ && factor < 64.0; ++i) factor *= 2.0;
-  SimDuration delay = config_.first_retry_delay * factor;
-  delay = std::min(delay, config_.max_retry_delay);
-  if (metrics_.retries) metrics_.retries->add();
-  if (metrics_.backoff_s) metrics_.backoff_s->add(delay.to_seconds());
+  const SimDuration delay = std::min(kFirstRetryDelay * factor, kMaxRetryDelay);
+  metrics_.retries.add();
+  metrics_.backoff_s.add(delay.to_seconds());
   pending_retry_ = sim_.schedule_after(delay, [this] { attempt_setup(); });
 }
 
@@ -119,15 +97,8 @@ void DcTracker::teardown(bool user_initiated) {
     // canonical local cause so the filter sees realistic codes. Reported
     // before the state transitions so listeners observing the connection
     // see the event inside the episode it belongs to.
-    FailureEvent event;
-    event.type = FailureType::kDataSetupError;
-    event.at = now;
-    event.rat = cell_.rat;
-    event.level = cell_.level;
-    event.bs = cell_.bs;
-    event.cause = FailCause::kDataSettingsDisabled;
-    event.ground_truth_fp = FalsePositiveKind::kManualDisconnect;
-    report(event);
+    events_.raise(FailureType::kDataSetupError, now, FailCause::kDataSettingsDisabled,
+                  FalsePositiveKind::kManualDisconnect);
   }
   switch (dc_.state()) {
     case DcState::kActive:
@@ -153,15 +124,8 @@ void DcTracker::disrupt_by_voice_call() {
   voice_disruption_pending_ = true;
   // The framework immediately tries to re-establish data; on non-DSDA
   // devices that attempt fails while the voice call holds the radio.
-  FailureEvent event;
-  event.type = FailureType::kDataSetupError;
-  event.at = now;
-  event.rat = cell_.rat;
-  event.level = cell_.level;
-  event.bs = cell_.bs;
-  event.cause = FailCause::kCdmaIncomingCall;
-  event.ground_truth_fp = FalsePositiveKind::kIncomingVoiceCall;
-  report(event);
+  events_.raise(FailureType::kDataSetupError, now, FailCause::kCdmaIncomingCall,
+                FalsePositiveKind::kIncomingVoiceCall);
   if (want_data_) {
     // Re-attempt once the (short) voice call would release the channel.
     pending_retry_ = sim_.schedule_after(SimDuration::seconds(2.0), [this] {

@@ -1,20 +1,20 @@
 // DcTracker: the connection-setup driver (Android's DcTracker analogue).
 //
 // Owns the DataConnection state machine, issues SETUP_DATA_CALL through the
-// RIL, reports Data_Setup_Error events to registered listeners (with the
-// protocol error code from the radio), and retries with a progressive
+// RIL, raises Data_Setup_Error events on the stack's FailureEventBus (with
+// the protocol error code from the radio), and retries with a progressive
 // backoff — reproducing the control flow of §2.1: "if a user device fails to
 // establish a data connection ... a Data_Setup_Error failure event will be
 // reported to relevant system services; then, a retry attempt will be
-// initiated".
+// initiated". The backoff follows Android's data-retry config, which starts
+// short and grows: 1 s * 2^(n-1) after the n-th consecutive failure, capped
+// at 45 s. The serving cell the events carry is the bus's, not the tracker's.
 
 #ifndef CELLREL_TELEPHONY_DC_TRACKER_H
 #define CELLREL_TELEPHONY_DC_TRACKER_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "radio/ril.h"
@@ -23,40 +23,19 @@
 
 namespace cellrel {
 
-/// Cell context the connectivity engine keeps current on the tracker so
-/// failure events carry the right in-situ information.
-struct CellContext {
-  BsIndex bs = kInvalidBs;
-  Rat rat = Rat::k4G;
-  SignalLevel level = SignalLevel::kLevel0;
-};
-
 class DcTracker {
  public:
-  /// Retry backoff: Android's data-retry config starts at short delays and
-  /// grows; we use 1s * 2^attempt capped at `max_retry_delay`.
-  struct Config {
-    SimDuration first_retry_delay = SimDuration::seconds(1.0);
-    SimDuration max_retry_delay = SimDuration::seconds(45.0);
-    std::string apn = "cmnet";
-  };
-
-  DcTracker(Simulator& sim, RadioInterfaceLayer& ril);
-  DcTracker(Simulator& sim, RadioInterfaceLayer& ril, Config config);
+  /// Raises on `events`; resolves its "dc_tracker.*" metric handles in
+  /// `metrics` here, once. `apn` is the default-type APN the setups use.
+  DcTracker(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& events,
+            obs::MetricSink& metrics, std::string apn = "cmnet");
 
   DcTracker(const DcTracker&) = delete;
   DcTracker& operator=(const DcTracker&) = delete;
 
   const DataConnection& connection() const { return dc_; }
   DataConnection& connection() { return dc_; }
-  const std::string& apn() const { return config_.apn; }
-
-  void set_cell_context(const CellContext& ctx) { cell_ = ctx; }
-  const CellContext& cell_context() const { return cell_; }
-
-  /// Listener registration (the hook Android-MOD instruments).
-  void add_listener(FailureEventListener* l);
-  void remove_listener(FailureEventListener* l);
+  const std::string& apn() const { return apn_; }
 
   /// Starts establishing a data connection (no-op unless Inactive).
   void request_data();
@@ -75,33 +54,26 @@ class DcTracker {
   void suspend_for_balance();
   void restore_service_account();
 
-  std::uint64_t setup_attempts() const { return setup_attempts_; }
   std::uint64_t setup_failures() const { return setup_failures_; }
-
-  /// Wires the tracker to a metric sink ("dc_tracker.*" namespace); handles
-  /// are resolved once here. Pass nullptr to detach.
-  void set_metrics(obs::MetricSink* sink);
 
  private:
   void attempt_setup();
   void on_setup_response(const ModemResult& result);
-  void report(const FailureEvent& event);
   FalsePositiveKind classify_ground_truth(const ModemResult& result) const;
 
   struct Metrics {
-    obs::Counter* attempts = nullptr;
-    obs::Counter* failures = nullptr;
-    obs::Counter* retries = nullptr;
-    LinearHistogram* backoff_s = nullptr;
+    obs::Counter& attempts;
+    obs::Counter& failures;
+    obs::Counter& retries;
+    LinearHistogram& backoff_s;
   };
 
   Simulator& sim_;
   RadioInterfaceLayer& ril_;
-  Config config_;
-  DataConnection dc_;
-  CellContext cell_;
+  FailureEventBus& events_;
   Metrics metrics_;
-  std::vector<FailureEventListener*> listeners_;
+  std::string apn_;
+  DataConnection dc_;
   ScheduledEvent pending_retry_;
   std::uint32_t consecutive_failures_ = 0;
   std::uint64_t setup_attempts_ = 0;

@@ -1,10 +1,14 @@
-// Failure-event taxonomy and listener interfaces.
+// Failure-event taxonomy, listener interface and the per-device event bus.
 //
 // These mirror the notification surface of Android's telephony service that
 // Android-MOD instruments (§2.2): cellular failure events are delivered to
 // registered listeners together with whatever context the framework has.
-// The in-situ enrichment (RAT, RSS, APN, BS identity, protocol error code)
-// is performed by the monitoring service in src/core.
+// One FailureEventBus per device stack is that surface: every source (setup
+// errors, stalls, service state, SMS and voice) raises through it, it stamps
+// each event with the serving cell, and it dispatches to the listeners in
+// registration order. The rest of the in-situ enrichment (cell identity,
+// APN, false-positive verdicts) is performed by the monitoring service in
+// src/core.
 
 #ifndef CELLREL_TELEPHONY_EVENTS_H
 #define CELLREL_TELEPHONY_EVENTS_H
@@ -12,6 +16,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bs/base_station.h"
 #include "common/names.h"
@@ -46,6 +51,36 @@ class FailureEventListener {
   virtual void on_failure_event(const FailureEvent& event) = 0;
   /// Signals that an ongoing failure episode (OOS or stall) ended.
   virtual void on_failure_cleared(FailureType type, SimTime at) = 0;
+};
+
+/// The serving cell the connectivity engine keeps current so failure events
+/// carry the right in-situ information.
+struct CellContext {
+  BsIndex bs = kInvalidBs;
+  Rat rat = Rat::k4G;
+  SignalLevel level = SignalLevel::kLevel0;
+};
+
+/// One device stack's failure-event channel. Registration order is dispatch
+/// order, which fixes the order same-time follow-up events are scheduled in
+/// — part of the campaign's determinism contract.
+class FailureEventBus {
+ public:
+  /// Appends `l` to the dispatch list; null and duplicates are ignored.
+  void add_listener(FailureEventListener* l);
+  void remove_listener(FailureEventListener* l);
+
+  void set_cell_context(const CellContext& ctx) { cell_ = ctx; }
+
+  /// Stamps a new event with the serving cell and delivers it.
+  void raise(FailureType type, SimTime at, FailCause cause = FailCause::kNone,
+             FalsePositiveKind ground_truth = FalsePositiveKind::kNone);
+  /// Signals that an ongoing episode of `type` ended.
+  void clear(FailureType type, SimTime at);
+
+ private:
+  std::vector<FailureEventListener*> listeners_;
+  CellContext cell_;
 };
 
 }  // namespace cellrel

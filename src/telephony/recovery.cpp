@@ -37,32 +37,26 @@ ProbationSchedule make_probation_schedule(double pro0_s, double pro1_s, double p
   return s;
 }
 
-DataStallRecoverer::DataStallRecoverer(Simulator& sim, ProbationSchedule schedule, Hooks hooks)
-    : sim_(sim), schedule_(std::move(schedule)), hooks_(std::move(hooks)) {}
-
-void DataStallRecoverer::set_metrics(obs::MetricSink* sink) {
-  if (!sink) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.episodes = &sink->counter("recovery.episodes");
+DataStallRecoverer::DataStallRecoverer(Simulator& sim, obs::MetricSink& metrics,
+                                       ProbationSchedule schedule, Hooks hooks)
+    : sim_(sim), schedule_(std::move(schedule)), hooks_(std::move(hooks)) {
+  metrics_.episodes = &metrics.counter("recovery.episodes");
   for (std::size_t i = 0; i < kRecoveryStageCount; ++i) {
-    metrics_.stage_executed[i] = &sink->counter(
+    metrics_.stage_executed[i] = &metrics.counter(
         std::string("recovery.stage.") +
         std::string(to_string(static_cast<RecoveryStage>(i))));
   }
   for (std::size_t i = 0; i < metrics_.outcome.size(); ++i) {
-    metrics_.outcome[i] = &sink->counter(
+    metrics_.outcome[i] = &metrics.counter(
         std::string("recovery.outcome.") +
         std::string(to_string(static_cast<RecoveryOutcome>(i))));
   }
-  metrics_.episode_duration = &sink->sim_timer("recovery.episode.duration");
+  metrics_.episode_duration = &metrics.sim_timer("recovery.episode.duration");
 }
 
 void DataStallRecoverer::record_episode(const RecoveryEpisode& ep) {
-  const auto idx = static_cast<std::size_t>(ep.outcome);
-  if (idx < metrics_.outcome.size() && metrics_.outcome[idx]) metrics_.outcome[idx]->add();
-  if (metrics_.episode_duration) metrics_.episode_duration->record(ep.duration());
+  metrics_.outcome[static_cast<std::size_t>(ep.outcome)]->add();
+  metrics_.episode_duration->record(ep.duration());
 }
 
 void DataStallRecoverer::set_hooks(Hooks hooks) {
@@ -78,7 +72,7 @@ void DataStallRecoverer::on_stall_detected() {
   stages_executed_ = 0;
   started_at_ = sim_.now();
   ++episodes_started_;
-  if (metrics_.episodes) metrics_.episodes->add();
+  metrics_.episodes->add();
   arm_probation();
 }
 
@@ -98,7 +92,7 @@ void DataStallRecoverer::probation_expired() {
   }
   const auto stage = static_cast<RecoveryStage>(next_stage_);
   ++stages_executed_;
-  if (metrics_.stage_executed[next_stage_]) metrics_.stage_executed[next_stage_]->add();
+  metrics_.stage_executed[next_stage_]->add();
   const bool fixed = hooks_.execute_stage && hooks_.execute_stage(stage);
   if (fixed) {
     RecoveryEpisode ep;

@@ -87,12 +87,15 @@ class DataStallRecoverer {
     std::function<void(const RecoveryEpisode&)> on_episode_complete;
   };
 
-  DataStallRecoverer(Simulator& sim, ProbationSchedule schedule, Hooks hooks);
+  /// Resolves its "recovery.*" metric handles in `metrics` here, once:
+  /// per-stage execution counters, per-outcome episode counters, and the
+  /// episode duration (sim time).
+  DataStallRecoverer(Simulator& sim, obs::MetricSink& metrics, ProbationSchedule schedule,
+                     Hooks hooks);
 
   DataStallRecoverer(const DataStallRecoverer&) = delete;
   DataStallRecoverer& operator=(const DataStallRecoverer&) = delete;
 
-  void set_schedule(ProbationSchedule schedule) { schedule_ = std::move(schedule); }
   const ProbationSchedule& schedule() const { return schedule_; }
 
   /// Replaces the hooks (campaigns override the defaults). Must not be
@@ -113,12 +116,8 @@ class DataStallRecoverer {
   bool episode_active() const { return active_; }
   std::uint64_t episodes_started() const { return episodes_started_; }
 
-  /// Wires the recoverer to a metric sink ("recovery.*" namespace): per-stage
-  /// execution counters, per-outcome episode counters, and the episode
-  /// duration (sim time). Pass nullptr to detach.
-  void set_metrics(obs::MetricSink* sink);
-
  private:
+  /// Resolved once at construction; no handle is null.
   struct Metrics {
     obs::Counter* episodes = nullptr;
     std::array<obs::Counter*, kRecoveryStageCount> stage_executed = {};

@@ -14,21 +14,17 @@ std::string_view to_string(SmsResult r) {
   return "?";
 }
 
-SmsService::SmsService(Simulator& sim, RadioInterfaceLayer& ril, Rng rng)
-    : SmsService(sim, ril, rng, Config{}) {}
+namespace {
 
-SmsService::SmsService(Simulator& sim, RadioInterfaceLayer& ril, Rng rng, Config config)
-    : sim_(sim), ril_(ril), rng_(rng), config_(config) {}
+constexpr int kMaxRetries = 3;
+constexpr SimDuration kRetryDelay = SimDuration::seconds(5.0);
+constexpr double kTransientFailureProb = 0.02;
 
-void SmsService::add_listener(FailureEventListener* l) {
-  if (l && std::find(listeners_.begin(), listeners_.end(), l) == listeners_.end()) {
-    listeners_.push_back(l);
-  }
-}
+}  // namespace
 
-void SmsService::remove_listener(FailureEventListener* l) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), l), listeners_.end());
-}
+SmsService::SmsService(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& events,
+                       Rng rng)
+    : sim_(sim), ril_(ril), events_(events), rng_(rng) {}
 
 SmsResult SmsService::submit_once() {
   if (ril_.modem().state() == ModemState::kRadioOff) return SmsResult::kRadioOff;
@@ -38,7 +34,7 @@ SmsResult SmsService::submit_once() {
   // submission; otherwise transient failures happen at the base rate plus
   // whatever the channel's own failure mass adds.
   if (channel.level == SignalLevel::kLevel0 && rng_.bernoulli(0.6)) return SmsResult::kRetry;
-  const double p = config_.transient_failure_prob + 0.9 * channel.base_failure_prob;
+  const double p = kTransientFailureProb + 0.9 * channel.base_failure_prob;
   if (rng_.bernoulli(std::min(0.95, p))) {
     return rng_.bernoulli(0.9) ? SmsResult::kRetry : SmsResult::kNetworkReject;
   }
@@ -57,38 +53,23 @@ void SmsService::attempt(Pending pending) {
     if (pending.cb) pending.cb(true, pending.attempts);
     return;
   }
-  if (result == SmsResult::kRetry && pending.attempts <= config_.max_retries) {
-    sim_.schedule_after(config_.retry_delay,
+  if (result == SmsResult::kRetry && pending.attempts <= kMaxRetries) {
+    sim_.schedule_after(kRetryDelay,
                         [this, p = std::move(pending)]() mutable { attempt(std::move(p)); });
     return;
   }
   // Retries exhausted (or a permanent rejection): report the failure.
   ++failed_;
-  FailureEvent event;
-  event.type = FailureType::kSmsSendFail;
-  event.at = sim_.now();
-  event.rat = cell_.rat;
-  event.level = cell_.level;
-  event.bs = cell_.bs;
-  for (auto* l : listeners_) l->on_failure_event(event);
+  events_.raise(FailureType::kSmsSendFail, sim_.now());
   if (pending.cb) pending.cb(false, pending.attempts);
 }
 
-VoiceCallManager::VoiceCallManager(Simulator& sim, Rng rng)
-    : VoiceCallManager(sim, rng, Config{}) {}
+VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng)
+    : VoiceCallManager(sim, events, rng, Config{}) {}
 
-VoiceCallManager::VoiceCallManager(Simulator& sim, Rng rng, Config config)
-    : sim_(sim), rng_(rng), config_(config) {}
-
-void VoiceCallManager::add_listener(FailureEventListener* l) {
-  if (l && std::find(listeners_.begin(), listeners_.end(), l) == listeners_.end()) {
-    listeners_.push_back(l);
-  }
-}
-
-void VoiceCallManager::remove_listener(FailureEventListener* l) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), l), listeners_.end());
-}
+VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng,
+                                   Config config)
+    : sim_(sim), events_(events), rng_(rng), config_(config) {}
 
 void VoiceCallManager::set_state(CallState next) {
   if (state_ == next) return;
@@ -117,13 +98,7 @@ void VoiceCallManager::end_call(bool dropped) {
   if (state_ != CallState::kOffhook) return;
   if (dropped) {
     ++dropped_;
-    FailureEvent event;
-    event.type = FailureType::kVoiceCallDrop;
-    event.at = sim_.now();
-    event.rat = cell_.rat;
-    event.level = cell_.level;
-    event.bs = cell_.bs;
-    for (auto* l : listeners_) l->on_failure_event(event);
+    events_.raise(FailureType::kVoiceCallDrop, sim_.now());
   } else {
     ++completed_;
   }

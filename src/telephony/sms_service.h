@@ -6,7 +6,8 @@
 // path — submit over the signalling channel, retry up to a limit with
 // backoff, report a failure event when retries exhaust — and a voice-call
 // manager whose active calls disrupt the data connection on non-DSDA
-// devices (one of the false-positive sources §2.2 filters).
+// devices (one of the false-positive sources §2.2 filters). Both raise on
+// the stack's FailureEventBus.
 
 #ifndef CELLREL_TELEPHONY_SMS_SERVICE_H
 #define CELLREL_TELEPHONY_SMS_SERVICE_H
@@ -14,11 +15,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "radio/ril.h"
-#include "telephony/dc_tracker.h"
 #include "telephony/events.h"
 
 namespace cellrel {
@@ -33,27 +32,15 @@ enum class SmsResult : std::uint8_t {
 
 std::string_view to_string(SmsResult r);
 
-/// Android-style SMS send path with bounded retries.
+/// Android-style SMS send path with bounded retries: up to 3 resubmissions
+/// (Android's default) 5 s apart, with a 2% per-attempt transient-failure
+/// rate on a healthy channel.
 class SmsService {
  public:
-  struct Config {
-    int max_retries = 3;                              // Android's default
-    SimDuration retry_delay = SimDuration::seconds(5.0);
-    /// Per-attempt transient-failure probability on a healthy channel.
-    double transient_failure_prob = 0.02;
-  };
-
-  SmsService(Simulator& sim, RadioInterfaceLayer& ril, Rng rng);
-  SmsService(Simulator& sim, RadioInterfaceLayer& ril, Rng rng, Config config);
+  SmsService(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& events, Rng rng);
 
   SmsService(const SmsService&) = delete;
   SmsService& operator=(const SmsService&) = delete;
-
-  void add_listener(FailureEventListener* l);
-  void remove_listener(FailureEventListener* l);
-
-  /// Context stamped onto failure events.
-  void set_cell_context(const CellContext& ctx) { cell_ = ctx; }
 
   using SendCallback = std::function<void(bool delivered, int attempts)>;
 
@@ -74,10 +61,8 @@ class SmsService {
 
   Simulator& sim_;
   RadioInterfaceLayer& ril_;
+  FailureEventBus& events_;
   Rng rng_;
-  Config config_;
-  CellContext cell_;
-  std::vector<FailureEventListener*> listeners_;
   std::uint64_t delivered_ = 0;
   std::uint64_t failed_ = 0;
 };
@@ -99,15 +84,11 @@ class VoiceCallManager {
     double drop_probability = 0.01;
   };
 
-  VoiceCallManager(Simulator& sim, Rng rng);
-  VoiceCallManager(Simulator& sim, Rng rng, Config config);
+  VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng);
+  VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng, Config config);
 
   VoiceCallManager(const VoiceCallManager&) = delete;
   VoiceCallManager& operator=(const VoiceCallManager&) = delete;
-
-  void add_listener(FailureEventListener* l);
-  void remove_listener(FailureEventListener* l);
-  void set_cell_context(const CellContext& ctx) { cell_ = ctx; }
 
   /// Hook invoked when a call goes offhook / ends (the campaign uses it to
   /// disrupt and restore the data connection).
@@ -128,11 +109,10 @@ class VoiceCallManager {
   void end_call(bool dropped);
 
   Simulator& sim_;
+  FailureEventBus& events_;
   Rng rng_;
   Config config_;
-  CellContext cell_;
   CallState state_ = CallState::kIdle;
-  std::vector<FailureEventListener*> listeners_;
   std::function<void(CallState)> on_state_;
   ScheduledEvent pending_;
   std::uint64_t completed_ = 0;

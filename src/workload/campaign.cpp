@@ -695,10 +695,10 @@ void Campaign::DeviceRun::build_stack() {
   config.identity = {profile_.id, profile_.model->model_id, profile_.isp};
 
   mod_ = std::make_unique<AndroidMod>(
-      *sim_, rng_.fork(0xdeu), std::move(config), [this](std::span<TraceRecord> batch) {
+      *sim_, rng_.fork(0xdeu), out_.metrics, std::move(config),
+      [this](std::span<TraceRecord> batch) {
         for (const auto& r : batch) out_.emit(r);
       });
-  mod_->set_metrics(&out_.metrics);
   if (out_.health) {
     // BS-health fan-out: the tracker sees exactly what the monitor writes
     // (kept and filtered records, post-verdict) — never ground truth. Not

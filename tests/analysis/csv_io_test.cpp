@@ -179,5 +179,54 @@ TEST(CsvIo, MalformedRowThrowsWithLocation) {
   }
 }
 
+/// A two-device, three-BS dataset whose second record has no serving cell.
+TraceDataset referenced_dataset() {
+  TraceDataset data;
+  for (DeviceId id : {4u, 9u}) {
+    data.devices.push_back(DeviceMeta{id, 1, IspId::kIspA, false, AndroidVersion::kAndroid10});
+  }
+  for (BsIndex bs = 0; bs < 3; ++bs) {
+    data.base_stations.push_back(BsMeta{bs, IspId::kIspA, 1, LocationClass::kUrban, 0});
+  }
+  for (BsIndex bs : {BsIndex{2}, kInvalidBs}) {
+    TraceRecord r;
+    r.device = 9;
+    r.bs = bs;
+    r.apn = "cmnet";
+    data.records.push_back(r);
+  }
+  return data;
+}
+
+std::string read_error(const fs::path& dir) {
+  try {
+    read_dataset_csv(dir);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CsvIo, RecordsMustPointInsideTheirDataset) {
+  ScopedTempDir dir;
+  TraceDataset data = referenced_dataset();
+  write_dataset_csv(data, dir.path());
+  EXPECT_EQ(read_dataset_csv(dir.path()).records.size(), 2u);  // kInvalidBs is legal
+
+  data.records[1].device = 77777;  // no devices.csv row
+  write_dataset_csv(data, dir.path());
+  std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("row 2 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("records.csv"), std::string::npos) << error;
+  EXPECT_NE(error.find("device 77777"), std::string::npos) << error;
+
+  data.records[1].device = 4;
+  data.records[0].bs = 3;  // one past the last base_stations.csv row
+  write_dataset_csv(data, dir.path());
+  error = read_error(dir.path());
+  EXPECT_NE(error.find("row 1 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("bs 3"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace cellrel

@@ -14,12 +14,13 @@ namespace {
 
 struct DeviceHarness {
   Simulator sim;
+  obs::MetricSink metrics;
   std::vector<TraceRecord> uploaded;
   AndroidMod mod;
   DeviceObservables observables;
 
   explicit DeviceHarness(AndroidMod::Config config = make_config())
-      : mod(sim, Rng{11}, std::move(config),
+      : mod(sim, Rng{11}, metrics, std::move(config),
             [this](std::span<TraceRecord> batch) {
               for (auto& r : batch) uploaded.push_back(std::move(r));
             }) {

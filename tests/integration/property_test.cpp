@@ -168,9 +168,10 @@ class RecoveryScheduleTest
 TEST_P(RecoveryScheduleTest, StageTimesEqualCumulativeProbations) {
   const auto pro = GetParam();
   Simulator sim;
+  obs::MetricSink metrics;
   std::vector<double> stage_times;
   DataStallRecoverer recoverer(
-      sim, make_probation_schedule(pro[0], pro[1], pro[2], "sweep"),
+      sim, metrics, make_probation_schedule(pro[0], pro[1], pro[2], "sweep"),
       DataStallRecoverer::Hooks{
           [&](RecoveryStage) {
             stage_times.push_back(sim.now().to_seconds());
@@ -202,10 +203,11 @@ class MonitorAccuracyTest : public ::testing::TestWithParam<double> {};
 TEST_P(MonitorAccuracyTest, MeasuredWithinProbeError) {
   const double outage_s = GetParam();
   Simulator sim;
+  obs::MetricSink metrics;
   std::vector<TraceRecord> uploaded;
   AndroidMod::Config config;
   config.identity = {5, 10, IspId::kIspA};
-  AndroidMod mod(sim, Rng{77}, std::move(config), [&](std::span<TraceRecord> batch) {
+  AndroidMod mod(sim, Rng{77}, metrics, std::move(config), [&](std::span<TraceRecord> batch) {
     for (auto& r : batch) uploaded.push_back(std::move(r));
   });
   auto& tm = mod.telephony();
@@ -261,7 +263,9 @@ INSTANTIATE_TEST_SUITE_P(Outages, MonitorAccuracyTest,
 // ---------------------------------------------------------------------------
 TEST(DcTrackerProperty, BackoffMonotoneAndCapped) {
   Simulator sim;
-  RadioInterfaceLayer ril(sim, Rng{9});
+  obs::MetricSink metrics;
+  FailureEventBus bus;
+  RadioInterfaceLayer ril(sim, Rng{9}, metrics);
   ChannelConditions failing;
   failing.level = SignalLevel::kLevel3;
   failing.base_failure_prob = 1.0;
@@ -282,8 +286,8 @@ TEST(DcTrackerProperty, BackoffMonotoneAndCapped) {
     std::vector<double>& times_;
   } recorder{sim, failure_times};
 
-  DcTracker tracker(sim, ril);
-  tracker.add_listener(&recorder);
+  DcTracker tracker(sim, ril, bus, metrics);
+  bus.add_listener(&recorder);
   tracker.request_data();
   sim.run_until(SimTime::origin() + SimDuration::minutes(10.0));
   tracker.teardown();

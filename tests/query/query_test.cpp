@@ -381,5 +381,48 @@ TEST_F(QueryContractTest, TopKOrdersByCountThenId) {
   }
 }
 
+TEST_F(QueryContractTest, ForeignRecordsAreRejectedNotSkipped) {
+  TraceDataset sidecars;
+  sidecars.devices.push_back(DeviceMeta{4, 1, IspId::kIspA, false, AndroidVersion::kAndroid10});
+  sidecars.base_stations.push_back(BsMeta{0, IspId::kIspA, 1, LocationClass::kUrban, 0});
+  TraceRecord r;
+  r.device = 4;
+  r.bs = 0;
+  r.apn = "cmnet";
+  TraceRecord foreign = r;
+  foreign.device = 77777;
+
+  const QuerySpec spec = *find_preset("fig3");
+  QueryExecutor executor(spec);
+  executor.add_devices(sidecars.devices);
+  executor.ingest(RecordBatch::row_of(r));
+  EXPECT_THROW(executor.ingest(RecordBatch::row_of(foreign)), std::runtime_error);
+
+  // A spill row pointing outside the sidecars names its file, row and field.
+  const std::filesystem::path spill_dir =
+      std::filesystem::temp_directory_path() / "cellrel_query_foreign_test";
+  std::filesystem::remove_all(spill_dir);
+  std::filesystem::create_directories(spill_dir);
+  {
+    StringPool apns;
+    RecordBatch batch(4);
+    batch.push(r, apns);
+    batch.push(foreign, apns);
+    BatchSpillWriter writer(spill_dir / spill_shard_file(0));
+    writer.write(batch, apns);
+    writer.close();
+  }
+  std::string error;
+  try {
+    execute_over_spill(spill_dir, sidecars, spec);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::filesystem::remove_all(spill_dir);
+  EXPECT_NE(error.find("row 2 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("shard-0.csv"), std::string::npos) << error;
+  EXPECT_NE(error.find("device 77777"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace cellrel::query

@@ -7,7 +7,8 @@ namespace {
 
 TEST(Ril, AsyncResponseArrivesAfterLatency) {
   Simulator sim;
-  RadioInterfaceLayer ril(sim, Rng{1});
+  obs::MetricSink metrics;
+  RadioInterfaceLayer ril(sim, Rng{1}, metrics);
   ChannelConditions c;
   c.level = SignalLevel::kLevel4;
   ril.update_channel(c);
@@ -27,7 +28,8 @@ TEST(Ril, AsyncResponseArrivesAfterLatency) {
 
 TEST(Ril, CommandsAreSerialized) {
   Simulator sim;
-  RadioInterfaceLayer ril(sim, Rng{2});
+  obs::MetricSink metrics;
+  RadioInterfaceLayer ril(sim, Rng{2}, metrics);
   const auto s0 = ril.setup_data_call([](const ModemResult&) {});
   const auto s1 = ril.deactivate_data_call([](const ModemResult&) {});
   const auto s2 = ril.reregister([](const ModemResult&) {});
@@ -39,7 +41,8 @@ TEST(Ril, CommandsAreSerialized) {
 
 TEST(Ril, ChannelConditionsDriveOutcomes) {
   Simulator sim;
-  RadioInterfaceLayer ril(sim, Rng{3});
+  obs::MetricSink metrics;
+  RadioInterfaceLayer ril(sim, Rng{3}, metrics);
   ChannelConditions bad;
   bad.base_failure_prob = 1.0;
   ril.update_channel(bad);

@@ -42,9 +42,10 @@ TEST(Apn, RoamingRestriction) {
 
 TEST(Apn, TelephonyManagerUsesCarrierApn) {
   Simulator sim;
+  obs::MetricSink metrics;
   TelephonyManager::Config config;
   config.isp = IspId::kIspB;
-  TelephonyManager tm(sim, Rng{1}, config);
+  TelephonyManager tm(sim, Rng{1}, metrics, config);
   EXPECT_EQ(tm.dc_tracker().apn(), "ctnet");
 }
 
@@ -61,12 +62,14 @@ class SmsRecorder final : public FailureEventListener {
 
 struct SmsFixture {
   Simulator sim;
-  RadioInterfaceLayer ril{sim, Rng{3}};
-  SmsService sms{sim, ril, Rng{4}};
+  obs::MetricSink metrics;
+  FailureEventBus bus;
+  RadioInterfaceLayer ril{sim, Rng{3}, metrics};
+  SmsService sms{sim, ril, bus, Rng{4}};
   SmsRecorder recorder;
   SmsFixture() {
-    sms.add_listener(&recorder);
-    sms.set_cell_context({7, Rat::k4G, SignalLevel::kLevel4});
+    bus.add_listener(&recorder);
+    bus.set_cell_context({7, Rat::k4G, SignalLevel::kLevel4});
     ChannelConditions healthy;
     healthy.level = SignalLevel::kLevel4;
     ril.update_channel(healthy);
@@ -139,10 +142,11 @@ class VoiceRecorder final : public FailureEventListener {
 
 TEST(Voice, CallLifecycleAndHooks) {
   Simulator sim;
+  FailureEventBus bus;
   VoiceCallManager::Config config;
   config.answer_probability = 1.0;
   config.drop_probability = 0.0;
-  VoiceCallManager voice(sim, Rng{5}, config);
+  VoiceCallManager voice(sim, bus, Rng{5}, config);
   std::vector<CallState> states;
   voice.set_call_state_hook([&](CallState s) { states.push_back(s); });
   voice.incoming_call();
@@ -159,9 +163,10 @@ TEST(Voice, CallLifecycleAndHooks) {
 
 TEST(Voice, UnansweredCallReturnsToIdle) {
   Simulator sim;
+  FailureEventBus bus;
   VoiceCallManager::Config config;
   config.answer_probability = 0.0;
-  VoiceCallManager voice(sim, Rng{6}, config);
+  VoiceCallManager voice(sim, bus, Rng{6}, config);
   voice.incoming_call();
   sim.run();
   EXPECT_EQ(voice.state(), CallState::kIdle);
@@ -170,12 +175,13 @@ TEST(Voice, UnansweredCallReturnsToIdle) {
 
 TEST(Voice, DropRaisesFailureEvent) {
   Simulator sim;
+  FailureEventBus bus;
   VoiceCallManager::Config config;
   config.answer_probability = 1.0;
   config.drop_probability = 1.0;
-  VoiceCallManager voice(sim, Rng{7}, config);
+  VoiceCallManager voice(sim, bus, Rng{7}, config);
   VoiceRecorder recorder;
-  voice.add_listener(&recorder);
+  bus.add_listener(&recorder);
   voice.incoming_call();
   sim.run();
   EXPECT_EQ(recorder.drops, 1);
@@ -184,10 +190,11 @@ TEST(Voice, DropRaisesFailureEvent) {
 
 TEST(Voice, BusyLineIgnoresSecondCall) {
   Simulator sim;
+  FailureEventBus bus;
   VoiceCallManager::Config config;
   config.answer_probability = 1.0;
   config.drop_probability = 0.0;
-  VoiceCallManager voice(sim, Rng{8}, config);
+  VoiceCallManager voice(sim, bus, Rng{8}, config);
   voice.incoming_call();
   sim.run_until(SimTime::origin() + SimDuration::seconds(10.0));
   ASSERT_EQ(voice.state(), CallState::kOffhook);
@@ -198,8 +205,8 @@ TEST(Voice, BusyLineIgnoresSecondCall) {
 
 TEST(Voice, OffhookDisruptsDataViaTelephonyManager) {
   Simulator sim;
-  TelephonyManager::Config config;
-  TelephonyManager tm(sim, Rng{9}, config);
+  obs::MetricSink metrics;
+  TelephonyManager tm(sim, Rng{9}, metrics);
   ChannelConditions healthy;
   healthy.level = SignalLevel::kLevel4;
   tm.ril().update_channel(healthy);

@@ -25,14 +25,14 @@ struct Fixture {
   Simulator sim;
   TcpSegmentCounters tcp;
   NetworkStack stack{sim, Rng{3}};
-  DataStallDetector detector{sim, tcp, stack};
+  obs::MetricSink metrics;
+  FailureEventBus bus;
+  DataStallDetector detector{sim, tcp, stack, bus, metrics};
   StallRecorder recorder;
 
   Fixture() {
-    detector.add_listener(&recorder);
-    detector.set_cell_context_source([] {
-      return CellContext{9, Rat::k5G, SignalLevel::kLevel1};
-    });
+    bus.add_listener(&recorder);
+    bus.set_cell_context({9, Rat::k5G, SignalLevel::kLevel1});
   }
 
   /// Sends `n` outbound segments at 1 s spacing starting at the current time.

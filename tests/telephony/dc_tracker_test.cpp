@@ -17,16 +17,18 @@ class EventRecorder final : public FailureEventListener {
 
 struct Fixture {
   Simulator sim;
-  RadioInterfaceLayer ril{sim, Rng{7}};
-  DcTracker tracker{sim, ril};
+  obs::MetricSink metrics;
+  FailureEventBus bus;
+  RadioInterfaceLayer ril{sim, Rng{7}, metrics};
+  DcTracker tracker{sim, ril, bus, metrics};
   EventRecorder recorder;
 
   Fixture() {
-    tracker.add_listener(&recorder);
+    bus.add_listener(&recorder);
     ChannelConditions healthy;
     healthy.level = SignalLevel::kLevel4;
     ril.update_channel(healthy);
-    tracker.set_cell_context({3, Rat::k4G, SignalLevel::kLevel4});
+    bus.set_cell_context({3, Rat::k4G, SignalLevel::kLevel4});
   }
 
   void set_failing(double prob = 1.0) {
@@ -161,7 +163,7 @@ TEST(DcTracker, UserInitiatedTeardownWhenInactiveEmitsNothing) {
 
 TEST(DcTracker, ListenerRemoval) {
   Fixture f;
-  f.tracker.remove_listener(&f.recorder);
+  f.bus.remove_listener(&f.recorder);
   f.set_failing();
   f.tracker.request_data();
   f.sim.run_until(SimTime::origin() + SimDuration::seconds(3.0));

@@ -9,6 +9,7 @@ namespace {
 
 struct Harness {
   Simulator sim;
+  obs::MetricSink metrics;
   bool stalled = true;
   std::vector<RecoveryStage> executed;
   std::vector<RecoveryEpisode> episodes;
@@ -16,7 +17,7 @@ struct Harness {
 
   DataStallRecoverer make(ProbationSchedule schedule) {
     return DataStallRecoverer(
-        sim, std::move(schedule),
+        sim, metrics, std::move(schedule),
         DataStallRecoverer::Hooks{
             [this](RecoveryStage stage) {
               executed.push_back(stage);

@@ -15,7 +15,8 @@ class Recorder final : public FailureEventListener {
 
 TEST(TelephonyManager, OosEpisodeEmitsEventAndClear) {
   Simulator sim;
-  TelephonyManager tm(sim, Rng{1});
+  obs::MetricSink metrics;
+  TelephonyManager tm(sim, Rng{1}, metrics);
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.set_cell_context({5, Rat::k3G, SignalLevel::kLevel2});
@@ -37,7 +38,8 @@ TEST(TelephonyManager, OosEpisodeEmitsEventAndClear) {
 
 TEST(TelephonyManager, OosGroundTruthPropagates) {
   Simulator sim;
-  TelephonyManager tm(sim, Rng{2});
+  obs::MetricSink metrics;
+  TelephonyManager tm(sim, Rng{2}, metrics);
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.enter_out_of_service(FalsePositiveKind::kInsufficientBalance);
@@ -47,7 +49,8 @@ TEST(TelephonyManager, OosGroundTruthPropagates) {
 
 TEST(TelephonyManager, LegacyFailureReachesListeners) {
   Simulator sim;
-  TelephonyManager tm(sim, Rng{3});
+  obs::MetricSink metrics;
+  TelephonyManager tm(sim, Rng{3}, metrics);
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.report_legacy_failure(FailureType::kVoiceCallDrop);
@@ -57,7 +60,8 @@ TEST(TelephonyManager, LegacyFailureReachesListeners) {
 
 TEST(TelephonyManager, UnregisterStopsDelivery) {
   Simulator sim;
-  TelephonyManager tm(sim, Rng{4});
+  obs::MetricSink metrics;
+  TelephonyManager tm(sim, Rng{4}, metrics);
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.register_failure_listener(&recorder);  // duplicate ignored
@@ -67,18 +71,112 @@ TEST(TelephonyManager, UnregisterStopsDelivery) {
   EXPECT_TRUE(recorder.events.empty());
 }
 
-TEST(TelephonyManager, DefaultRecoveryHooksFixViaStages) {
+/// Logs what it hears, tagged with its id, into a log shared across
+/// listeners so the test sees the dispatch order between them.
+struct Heard {
+  int listener = 0;
+  FailureType type = FailureType::kDataSetupError;
+  bool cleared = false;
+  FailureEvent event;
+};
+
+class OrderedRecorder final : public FailureEventListener {
+ public:
+  OrderedRecorder(int id, std::vector<Heard>& log) : id_(id), log_(log) {}
+  void on_failure_event(const FailureEvent& event) override {
+    log_.push_back({id_, event.type, false, event});
+  }
+  void on_failure_cleared(FailureType type, SimTime) override {
+    log_.push_back({id_, type, true, {}});
+  }
+
+ private:
+  int id_;
+  std::vector<Heard>& log_;
+};
+
+/// Makes each of the stack's five event sources raise once: a setup error
+/// from a failing channel, a stall (and its clear) from the detector plus
+/// traffic, an OOS episode, a legacy failure, and an SMS send failure from a
+/// channel whose driver rejects every submission. Returns the log suffix.
+std::vector<Heard> drive_every_source(Simulator& sim, TelephonyManager& tm,
+                                      std::vector<Heard>& log) {
+  const std::size_t before = log.size();
+  // Let any earlier traffic age out of the one-minute TCP window.
+  sim.run_until(sim.now() + SimDuration::minutes(2.0));
+
+  ChannelConditions failing;
+  failing.level = SignalLevel::kLevel3;
+  failing.base_failure_prob = 1.0;
+  tm.ril().update_channel(failing);
+  const std::uint64_t failures = tm.dc_tracker().setup_failures();
+  tm.dc_tracker().request_data();
+  while (tm.dc_tracker().setup_failures() == failures && sim.step()) {
+  }
+  tm.dc_tracker().teardown();  // cancels the retry: one setup error
+
+  for (int i = 0; i < 11; ++i) tm.tcp().on_segment_sent(sim.now());
+  tm.stall_detector().poll_now();
+  tm.tcp().on_segment_received(sim.now());
+  tm.stall_detector().poll_now();
+
+  tm.enter_out_of_service();
+  tm.exit_out_of_service();
+
+  tm.report_legacy_failure(FailureType::kVoiceCallDrop);
+
+  ChannelConditions driver_fault;
+  driver_fault.level = SignalLevel::kLevel3;
+  driver_fault.driver_fault = true;
+  tm.ril().update_channel(driver_fault);
+  tm.sms().send(nullptr);
+  sim.run();
+  return {log.begin() + static_cast<std::ptrdiff_t>(before), log.end()};
+}
+
+TEST(TelephonyManager, OneChannelStampsAndOrdersEverySource) {
   Simulator sim;
-  TelephonyManager::Config config;
-  config.stage_fix_prob = {1.0, 1.0, 1.0};  // deterministic stage success
-  TelephonyManager tm(sim, Rng{9}, config);
-  tm.network().inject_fault(NetworkFault::kNetworkStall);
-  tm.recoverer().on_stall_detected();
-  sim.run_until(SimTime::origin() + SimDuration::minutes(2.0));
-  // Stage 1 (after the 60 s probation) cleared the fault via the default
-  // execute hook.
-  EXPECT_EQ(tm.network().fault(), NetworkFault::kNone);
-  EXPECT_FALSE(tm.recoverer().episode_active());
+  obs::MetricSink metrics;
+  TelephonyManager tm(sim, Rng{21}, metrics);
+  std::vector<Heard> log;
+  OrderedRecorder first(1, log);
+  OrderedRecorder second(2, log);
+  tm.register_failure_listener(&first);
+  tm.register_failure_listener(&second);
+  tm.register_failure_listener(&first);  // duplicate: heard once, order kept
+  const CellContext cell{12, Rat::k5G, SignalLevel::kLevel2};
+  tm.set_cell_context(cell);
+
+  const std::vector<Heard> heard = drive_every_source(sim, tm, log);
+  const std::vector<std::pair<FailureType, bool>> expected = {
+      {FailureType::kDataSetupError, false}, {FailureType::kDataStall, false},
+      {FailureType::kDataStall, true},       {FailureType::kOutOfService, false},
+      {FailureType::kOutOfService, true},    {FailureType::kVoiceCallDrop, false},
+      {FailureType::kSmsSendFail, false}};
+  ASSERT_EQ(heard.size(), 2 * expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    for (int k = 0; k < 2; ++k) {
+      const Heard& h = heard[2 * i + static_cast<std::size_t>(k)];
+      SCOPED_TRACE(testing::Message() << "event " << i << " listener " << k + 1);
+      EXPECT_EQ(h.listener, k + 1);  // registration order
+      EXPECT_EQ(h.type, expected[i].first);
+      EXPECT_EQ(h.cleared, expected[i].second);
+      if (!h.cleared) {
+        EXPECT_EQ(h.event.bs, cell.bs);
+        EXPECT_EQ(h.event.rat, cell.rat);
+        EXPECT_EQ(h.event.level, cell.level);
+      }
+    }
+  }
+
+  // Unregistering silences every source for that listener only.
+  tm.unregister_failure_listener(&first);
+  const std::vector<Heard> after = drive_every_source(sim, tm, log);
+  ASSERT_EQ(after.size(), expected.size());
+  for (const Heard& h : after) EXPECT_EQ(h.listener, 2);
+
+  tm.unregister_failure_listener(&second);
+  EXPECT_TRUE(drive_every_source(sim, tm, log).empty());
 }
 
 }  // namespace
