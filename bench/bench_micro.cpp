@@ -4,9 +4,12 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/aggregate.h"
+#include "analysis/string_pool.h"
 #include "common/rng.h"
 #include "core/prober.h"
 #include "net/tcp_stats.h"
+#include "query/engine.h"
+#include "query/presets.h"
 #include "sim/event_queue.h"
 #include "workload/campaign.h"
 
@@ -125,6 +128,40 @@ void BM_Aggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aggregation)->Unit(benchmark::kMillisecond);
+
+// The campaign merge's query hot loop: every preset ingesting one small
+// campaign's records, batch by batch. per_row is the time per record per
+// preset.
+void BM_QueryIngest(benchmark::State& state) {
+  Scenario sc;
+  sc.device_count = 300;
+  sc.deployment.bs_count = 1000;
+  sc.campaign_days = 60.0;
+  sc.seed = 5;
+  const CampaignResult r = Campaign(sc).run();
+  StringPool apns;
+  std::vector<RecordBatch> batches;
+  for (std::size_t i = 0; i < r.dataset.records.size(); ++i) {
+    if (i % 4096 == 0) batches.emplace_back(4096);
+    batches.back().push(r.dataset.records[i], apns);
+  }
+  std::vector<query::QuerySpec> specs;
+  for (const query::PresetInfo& info : query::preset_table()) {
+    specs.push_back(*query::find_preset(info.name));
+  }
+  for (auto _ : state) {
+    for (const query::QuerySpec& spec : specs) {
+      query::QueryExecutor executor(spec);
+      executor.add_devices(r.dataset.devices);
+      for (const RecordBatch& b : batches) executor.consume(b);
+      benchmark::DoNotOptimize(executor.result().pf.size());
+    }
+  }
+  const auto rows = static_cast<double>(r.dataset.records.size() * specs.size());
+  state.counters["per_row"] = benchmark::Counter(
+      rows, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_QueryIngest)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cellrel

@@ -12,13 +12,16 @@
 
 namespace cellrel::query {
 
-double canonical_seconds(double s) {
+namespace {
+
+/// The %.3f text round trip records.csv makes: what canonical_seconds must
+/// equal bit for bit, and its path for the inputs integer rounding does not
+/// cover.
+double printed_seconds(std::int64_t us) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", s);
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(us) / 1e6);
   return std::strtod(buf, nullptr);
 }
-
-namespace {
 
 /// `prefix` followed by the decimal id. Appends rather than `const char* +
 /// std::string&&`, which trips GCC 12's -Wrestrict false positive at -O2+.
@@ -89,8 +92,46 @@ bool device_keyed(GroupBy group) {
 
 }  // namespace
 
+double canonical_seconds(std::int64_t us) {
+  // Below 2^52 us (~143 years) the double us / 1e6 is within half an ulp
+  // (< 1 us) of the exact value, so %.3f rounds it as the integers round:
+  // to the nearest millisecond. An exact .500 tie is left to printf, which
+  // rounds the double it sees (half to even when the tie is exactly
+  // representable, as 62,500 us is: "0.062"). ms / 1000.0 is one correctly
+  // rounded division, the same double strtod makes of the printed text.
+  constexpr std::int64_t kIntegerLimitUs = std::int64_t{1} << 52;
+  const std::int64_t residue = us % 1000;
+  if (us < 0 || us >= kIntegerLimitUs || residue == 500) return printed_seconds(us);
+  const std::int64_t ms = us / 1000 + (residue > 500 ? 1 : 0);
+  return static_cast<double>(ms) / 1000.0;
+}
+
 void QueryExecutor::add_devices(std::span<const DeviceMeta> devices) {
-  for (const DeviceMeta& d : devices) devices_.emplace(d.id, d);
+  const std::size_t old_size = devices_.size();
+  devices_.insert(devices_.end(), devices.begin(), devices.end());
+  // The campaign adds shards in ascending id order, so the table usually
+  // stays strictly increasing and this check is all the work done.
+  const auto tail = devices_.begin() + static_cast<std::ptrdiff_t>(old_size ? old_size - 1 : 0);
+  const auto not_increasing = [](const DeviceMeta& a, const DeviceMeta& b) { return a.id >= b.id; };
+  if (std::adjacent_find(tail, devices_.end(), not_increasing) == devices_.end()) return;
+  // Stable, so unique keeps the first entry added for a duplicated id.
+  std::stable_sort(devices_.begin(), devices_.end(),
+                   [](const DeviceMeta& a, const DeviceMeta& b) { return a.id < b.id; });
+  devices_.erase(std::unique(devices_.begin(), devices_.end(),
+                             [](const DeviceMeta& a, const DeviceMeta& b) { return a.id == b.id; }),
+                 devices_.end());
+}
+
+const DeviceMeta* QueryExecutor::find_device(DeviceId id) const {
+  if (devices_.empty()) return nullptr;
+  // Dense ids (1..N in every campaign) sit at offset id - first.
+  const DeviceId first = devices_.front().id;
+  if (id >= first && id - first < devices_.size() && devices_[id - first].id == id) {
+    return &devices_[id - first];
+  }
+  const auto it = std::lower_bound(devices_.begin(), devices_.end(), id,
+                                   [](const DeviceMeta& m, DeviceId v) { return m.id < v; });
+  return it != devices_.end() && it->id == id ? &*it : nullptr;
 }
 
 void QueryExecutor::consume(const RecordBatch& batch) {
@@ -106,14 +147,17 @@ bool QueryExecutor::device_passes(const DeviceMeta& device) const {
   return true;
 }
 
-bool QueryExecutor::record_passes(const RecordBatch::RowView& row, double at_s) const {
+bool QueryExecutor::record_passes(const RecordBatch::RowView& row) const {
   const QueryFilter& f = spec_.filter;
   if (f.rat && row.rat != *f.rat) return false;
   if (f.level && row.level != *f.level) return false;
   if (f.bs && row.bs != *f.bs) return false;
   if (f.type && row.type != *f.type) return false;
-  if (f.since_s && at_s < *f.since_s) return false;
-  if (f.until_s && at_s >= *f.until_s) return false;
+  if (f.since_s || f.until_s) {
+    const double at_s = canonical_seconds(row.at_us);
+    if (f.since_s && at_s < *f.since_s) return false;
+    if (f.until_s && at_s >= *f.until_s) return false;
+  }
   return true;
 }
 
@@ -137,20 +181,30 @@ std::int64_t QueryExecutor::group_id(const DeviceMeta& device,
 void QueryExecutor::ingest(const RecordBatch::RowView& row) {
   // Transition specs are fed by the count tables only.
   if (row.filtered_false_positive || spec_.agg == AggKind::kTransition) return;
-  const double at_s = canonical_seconds(static_cast<double>(row.at_us) / 1e6);
-  const double duration_s = canonical_seconds(static_cast<double>(row.duration_us) / 1e6);
-  const auto it = devices_.find(row.device);
-  if (it == devices_.end()) {
+  const DeviceMeta* meta = find_device(row.device);
+  if (meta == nullptr) {
     throw std::runtime_error(std::string("query: record of device ") +
                              std::to_string(row.device) + " has no device metadata");
   }
-  const DeviceMeta& meta = it->second;
-  if (!device_passes(meta) || !record_passes(row, at_s)) return;
-  const std::int64_t gid = group_id(meta, row);
+  if (!device_passes(*meta) || !record_passes(row)) return;
+  const std::int64_t gid = group_id(*meta, row);
   switch (spec_.agg) {
-    case AggKind::kPrevalenceFrequency: ++pf_counts_[gid][row.device]; break;
+    case AggKind::kPrevalenceFrequency: {
+      PfGroup& group = pf_groups_[gid];
+      ++group.failures;
+      // Sorted and distinct; records of one device arrive together, so this
+      // is almost always an append or nothing.
+      std::vector<DeviceId>& ids = group.devices;
+      if (ids.empty() || ids.back() < row.device) {
+        ids.push_back(row.device);
+      } else {
+        const auto at = std::lower_bound(ids.begin(), ids.end(), row.device);
+        if (*at != row.device) ids.insert(at, row.device);
+      }
+      break;
+    }
     case AggKind::kTypeBreakdown: ++breakdown_[gid][index_of(row.type)]; break;
-    case AggKind::kCdf: cdf_[gid].add(duration_s); break;
+    case AggKind::kCdf: cdf_[gid].add(canonical_seconds(row.duration_us)); break;
     case AggKind::kTopK:
       ++top_counts_[gid];
       ++top_total_;
@@ -169,14 +223,14 @@ QueryResult QueryExecutor::result() const {
       // for bs/cause.
       std::vector<std::int64_t> domain = enum_domain(spec_.group);
       if (domain.empty()) {
-        for (const auto& [gid, per_device] : pf_counts_) domain.push_back(gid);
+        for (const auto& [gid, group] : pf_groups_) domain.push_back(gid);
       }
       // Prevalence denominators. Device-keyed groups count eligible devices
       // per group value; record-keyed groups share one denominator (every
       // eligible device could have produced a matching record).
       std::map<std::int64_t, std::uint64_t> device_counts;
       std::uint64_t eligible = 0;
-      for (const auto& [id, meta] : devices_) {
+      for (const DeviceMeta& meta : devices_) {
         if (!device_passes(meta)) continue;
         ++eligible;
         if (device_keyed(spec_.group)) ++device_counts[group_id(meta, {})];
@@ -191,10 +245,10 @@ QueryResult QueryExecutor::result() const {
         } else {
           row.devices = eligible;
         }
-        const auto git = pf_counts_.find(gid);
-        if (git != pf_counts_.end()) {
-          row.failing_devices = git->second.size();
-          for (const auto& [dev, n] : git->second) row.failures += n;
+        const auto git = pf_groups_.find(gid);
+        if (git != pf_groups_.end()) {
+          row.failing_devices = git->second.devices.size();
+          row.failures = git->second.failures;
         }
         // Same division, same operands as PrevalenceFrequency::prevalence()
         // / frequency() — query pf values exactly equal the legacy ones.

@@ -15,8 +15,9 @@
 // path (shard-index order == file order == dataset order), every
 // floating-point accumulation therefore runs over the same operands in the
 // same order, and every timestamp/duration is quantized through
-// canonical_seconds() — the %.3f grid records.csv already rounds to — so
-// the four sources produce byte-identical JSON/CSV for every thread count.
+// canonical_seconds() — integer rounding of microseconds to the millisecond
+// grid records.csv's %.3f text already holds — so the four sources produce
+// byte-identical JSON/CSV for every thread count.
 
 #ifndef CELLREL_QUERY_ENGINE_H
 #define CELLREL_QUERY_ENGINE_H
@@ -39,13 +40,17 @@
 
 namespace cellrel::query {
 
-/// Quantizes a timestamp/duration onto the %.3f-seconds grid used by
-/// records.csv (snprintf round-trip, so re-quantizing is idempotent and the
-/// <=1 microsecond truncation of SimDuration::seconds() is absorbed). Every
-/// ingestion path applies this to every time value, which is what makes CDF
-/// samples and time-window predicates agree across lossless (spill, batch,
-/// in-memory) and %.3f-rounded (records.csv) sources.
-double canonical_seconds(double s);
+/// Quantizes a timestamp/duration in microseconds onto the %.3f-seconds grid
+/// of records.csv: rounds to the nearest millisecond in integers and returns
+/// ms / 1000.0, bit-identical to strtod of the "%.3f" text of us / 1e6. An
+/// exact .500 ms tie, a negative value and a value from 2^52 us up take that
+/// text path instead (printf rounds an exactly representable tie half to
+/// even: 62,500 us gives 0.062). The 1 us shortfall a records.csv value can
+/// read back with lies inside the 500 us rounding boundary, so every ingestion
+/// path applying this to every time value is what makes CDF samples and
+/// time-window predicates agree across lossless (spill, batch, in-memory) and
+/// %.3f-rounded (records.csv) sources.
+double canonical_seconds(std::int64_t us);
 
 /// One executed query. Exactly one of the row vectors (or the matrix) is
 /// populated, per spec.agg. Rows are ordered by ascending group id (top-k:
@@ -114,17 +119,26 @@ class QueryExecutor {
   const QuerySpec& spec() const { return spec_; }
 
  private:
+  /// Kept failures of one pf group and the distinct devices that had them.
+  struct PfGroup {
+    std::uint64_t failures = 0;
+    std::vector<DeviceId> devices;  // sorted, distinct
+  };
+
+  /// The entry for `id`, or nullptr. O(1) when ids are dense, else a binary
+  /// search; nothing is sized by the largest id.
+  const DeviceMeta* find_device(DeviceId id) const;
   bool device_passes(const DeviceMeta& device) const;
-  bool record_passes(const RecordBatch::RowView& row, double at_s) const;
+  bool record_passes(const RecordBatch::RowView& row) const;
   std::int64_t group_id(const DeviceMeta& device, const RecordBatch::RowView& row) const;
 
   QuerySpec spec_;
-  /// Keyed device table: lookups during ingestion (model/isp are re-derived
-  /// from metadata on EVERY path — batch rows don't carry them), group
-  /// domains and prevalence denominators at finalize.
-  std::map<DeviceId, DeviceMeta> devices_;
-  /// Per-group per-device kept-failure counts (pf).
-  std::map<std::int64_t, std::map<DeviceId, std::uint64_t>> pf_counts_;
+  /// Device table sorted by id, first entry of a duplicated id kept: lookups
+  /// during ingestion (model/isp are re-derived from metadata on EVERY path —
+  /// batch rows don't carry them), group domains and prevalence denominators
+  /// at finalize.
+  std::vector<DeviceMeta> devices_;
+  std::map<std::int64_t, PfGroup> pf_groups_;
   std::map<std::int64_t, std::array<std::uint64_t, kFailureTypeCount>> breakdown_;
   std::map<std::int64_t, SampleSet> cdf_;
   std::map<std::int64_t, std::uint64_t> top_counts_;

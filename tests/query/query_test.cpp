@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -26,6 +28,7 @@
 #include "analysis/aggregate.h"
 #include "analysis/csv_io.h"
 #include "analysis/report.h"
+#include "common/rng.h"
 #include "device/phone_model.h"
 #include "query/engine.h"
 #include "query/export.h"
@@ -381,6 +384,219 @@ TEST_F(QueryContractTest, TopKOrdersByCountThenId) {
   }
 }
 
+/// The %.3f text round trip of records.csv, written out here so the test
+/// does not lean on the engine's own fallback.
+double printed_seconds_reference(std::int64_t us) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(us) / 1e6);
+  return std::strtod(buf, nullptr);
+}
+
+TEST(CanonicalSecondsTest, EqualsPrintedTextBitForBit) {
+  constexpr std::int64_t kMaxUs = 240LL * 86400 * 1000000;  // a 240-day campaign
+  std::size_t mismatches = 0;
+  std::size_t checked = 0;
+  const auto check = [&](std::int64_t us) {
+    ++checked;
+    if (std::bit_cast<std::uint64_t>(canonical_seconds(us)) !=
+        std::bit_cast<std::uint64_t>(printed_seconds_reference(us))) {
+      if (++mismatches <= 10) ADD_FAILURE() << "us=" << us;
+    }
+  };
+
+  check(0);
+  check(kMaxUs);
+  // The exactly representable .500 ties printf rounds half to even.
+  EXPECT_EQ(canonical_seconds(62500), 0.062);
+  EXPECT_EQ(canonical_seconds(187500), 0.188);
+  check(62500);
+  check(187500);
+  for (const std::int64_t us : {std::int64_t{-1}, std::int64_t{-500}, std::int64_t{-62500},
+                                std::int64_t{-1234567}, -kMaxUs}) {
+    check(us);
+  }
+  // Beyond the integer path's range the text path answers.
+  check(std::int64_t{1} << 52);
+  check((std::int64_t{1} << 52) + 1500);
+
+  // Every ...499/...500/...501 residue and the value 1 us short of the grid
+  // (what SimTime::from_seconds reads back from records.csv), at both ends
+  // of the campaign range.
+  for (const std::int64_t base_ms : {std::int64_t{0}, kMaxUs / 1000 - 100000}) {
+    for (std::int64_t ms = base_ms; ms < base_ms + 100000; ++ms) {
+      const std::int64_t us = ms * 1000;
+      check(us + 499);
+      check(us + 500);
+      check(us + 501);
+      if (us > 0) check(us - 1);
+    }
+  }
+
+  Rng rng(20200101);
+  for (int i = 0; i < 1000000; ++i) check(rng.uniform_int(0, kMaxUs));
+
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
+  EXPECT_GT(checked, 1600000u);
+}
+
+/// One device, one BS per record: a `topk group=bs` result names exactly
+/// which records a window kept.
+TraceDataset window_dataset(const std::vector<std::int64_t>& at_us) {
+  TraceDataset ds;
+  ds.devices.push_back(
+      DeviceMeta{1, phone_models()[0].model_id, IspId::kIspA, false, AndroidVersion::kAndroid10});
+  for (std::size_t i = 0; i < at_us.size(); ++i) {
+    const auto bs = static_cast<BsIndex>(i);
+    ds.base_stations.push_back(BsMeta{bs, IspId::kIspA, 1, LocationClass::kUrban, 0});
+    TraceRecord r;
+    r.device = 1;
+    r.model_id = phone_models()[0].model_id;
+    r.bs = bs;
+    r.apn = "cmnet";
+    r.at = SimTime::origin() + SimDuration::microseconds(at_us[i]);
+    r.duration = SimDuration::microseconds(1500000);
+    ds.records.push_back(r);
+  }
+  return ds;
+}
+
+TEST_F(QueryContractTest, TimeWindowKeepsSinceDropsUntilOnEverySource) {
+  constexpr std::int64_t kSinceUs = 3600250000;  // since=3600.25
+  constexpr std::int64_t kUntilUs = 7200500000;  // until=7200.5
+  // Quantized to the ms grid first: 1 us either side of a bound lands on it.
+  const std::vector<std::int64_t> at_us = {
+      kSinceUs - 1000,  // 0: out
+      kSinceUs - 501,   // 1: rounds to since - 1 ms, out
+      kSinceUs - 499,   // 2: rounds to since, in
+      kSinceUs - 1,     // 3: in
+      kSinceUs,         // 4: in (since is inclusive)
+      kSinceUs + 1,     // 5: in
+      kUntilUs - 1000,  // 6: in
+      kUntilUs - 1,     // 7: rounds to until, out
+      kUntilUs,         // 8: out (until is exclusive)
+      kUntilUs + 1,     // 9: out
+  };
+  const TraceDataset ds = window_dataset(at_us);
+  std::string error;
+  const auto spec = parse_query_spec("agg=topk group=bs k=20 since=3600.25 until=7200.5", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+
+  const QueryResult mem = execute_over_dataset(ds, *spec);
+  std::vector<std::int64_t> kept;
+  for (const auto& row : mem.top) kept.push_back(row.id);
+  EXPECT_EQ(kept, (std::vector<std::int64_t>{2, 3, 4, 5, 6}));
+  const std::string json = query_result_to_json(mem);
+
+  const std::filesystem::path base =
+      std::filesystem::temp_directory_path() / "cellrel_query_window_test";
+  std::filesystem::remove_all(base);
+  write_dataset_csv(ds, base / "ds");
+  EXPECT_EQ(query_result_to_json(execute_over_dataset(read_dataset_csv(base / "ds"), *spec)), json);
+
+  std::filesystem::create_directories(base / "spill");
+  {
+    StringPool apns;
+    RecordBatch batch(ds.records.size());
+    for (const TraceRecord& r : ds.records) batch.push(r, apns);
+    BatchSpillWriter writer(base / "spill" / spill_shard_file(0));
+    writer.write(batch, apns);
+    writer.close();
+  }
+  EXPECT_EQ(query_result_to_json(execute_over_spill(base / "spill", ds, *spec)), json);
+  std::filesystem::remove_all(base);
+}
+
+DeviceMeta device_of_model(DeviceId id, int model_id) {
+  return DeviceMeta{id, model_id, IspId::kIspA, false, AndroidVersion::kAndroid10};
+}
+
+TraceRecord record_of(DeviceId device) {
+  TraceRecord r;
+  r.device = device;
+  r.bs = 0;
+  r.apn = "cmnet";
+  return r;
+}
+
+/// (model id, kept failures) of a `breakdown group=model` result.
+std::vector<std::pair<std::int64_t, std::uint64_t>> failures_by_model(const QueryResult& qr) {
+  std::vector<std::pair<std::int64_t, std::uint64_t>> out;
+  for (const auto& row : qr.breakdown) out.emplace_back(row.id, row.total);
+  return out;
+}
+
+TEST_F(QueryContractTest, SparseDeviceIdsReadBackFromDevicesCsv) {
+  // A hand-written fleet: ids with gaps and one at 2^40. A table sized by
+  // the largest id would need ~26 TB.
+  constexpr DeviceId kHuge = DeviceId{1} << 40;
+  TraceDataset ds;
+  const int m0 = phone_models()[0].model_id;
+  const int m1 = phone_models()[1].model_id;
+  const int m2 = phone_models()[2].model_id;
+  ds.devices = {device_of_model(1, m0), device_of_model(3, m1), device_of_model(4, m0),
+                device_of_model(kHuge, m2)};
+  ds.base_stations.push_back(BsMeta{0, IspId::kIspA, 1, LocationClass::kUrban, 0});
+  for (const DeviceId id : {kHuge, DeviceId{3}, DeviceId{3}, DeviceId{1}, kHuge, kHuge}) {
+    ds.records.push_back(record_of(id));
+  }
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "cellrel_query_sparse_ids_test";
+  std::filesystem::remove_all(dir);
+  write_dataset_csv(ds, dir);
+  const TraceDataset reread = read_dataset_csv(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(reread.devices.size(), 4u);
+  EXPECT_EQ(reread.devices.back().id, kHuge);
+
+  std::string error;
+  const auto by_model = parse_query_spec("agg=breakdown group=model", &error);
+  ASSERT_TRUE(by_model.has_value()) << error;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> expected = {{m0, 1}, {m1, 2}, {m2, 3}};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(failures_by_model(execute_over_dataset(reread, *by_model)), expected);
+
+  const auto pf = parse_query_spec("agg=pf group=bs", &error);
+  ASSERT_TRUE(pf.has_value()) << error;
+  const QueryResult pf_result = execute_over_dataset(reread, *pf);
+  ASSERT_EQ(pf_result.pf.size(), 1u);
+  EXPECT_EQ(pf_result.pf[0].devices, 4u);
+  EXPECT_EQ(pf_result.pf[0].failing_devices, 3u);
+  EXPECT_EQ(pf_result.pf[0].failures, 6u);
+}
+
+TEST_F(QueryContractTest, DuplicateDeviceKeepsFirstEntry) {
+  const int m0 = phone_models()[0].model_id;
+  const int m1 = phone_models()[1].model_id;
+  std::string error;
+  const auto by_model = parse_query_spec("agg=breakdown group=model", &error);
+  ASSERT_TRUE(by_model.has_value()) << error;
+
+  QueryExecutor executor(*by_model);
+  const std::vector<DeviceMeta> first = {device_of_model(3, m0), device_of_model(5, m0)};
+  // A later span repeats 5 and 3 (out of order, so the table is re-sorted)
+  // and repeats 7 within itself: the entry added first wins every time.
+  const std::vector<DeviceMeta> second = {device_of_model(7, m0), device_of_model(5, m1),
+                                          device_of_model(7, m1), device_of_model(3, m1)};
+  executor.add_devices(first);
+  executor.add_devices(second);
+  for (const DeviceId id : {DeviceId{3}, DeviceId{5}, DeviceId{7}}) {
+    executor.ingest(RecordBatch::row_of(record_of(id)));
+  }
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> expected = {{m0, 3}};
+  EXPECT_EQ(failures_by_model(executor.result()), expected);
+
+  // The pf denominators count each device once.
+  const auto pf = parse_query_spec("agg=pf", &error);
+  ASSERT_TRUE(pf.has_value()) << error;
+  QueryExecutor pf_executor(*pf);
+  pf_executor.add_devices(first);
+  pf_executor.add_devices(second);
+  const QueryResult pf_result = pf_executor.result();
+  ASSERT_EQ(pf_result.pf.size(), 1u);
+  EXPECT_EQ(pf_result.pf[0].devices, 3u);
+}
+
 TEST_F(QueryContractTest, ForeignRecordsAreRejectedNotSkipped) {
   TraceDataset sidecars;
   sidecars.devices.push_back(DeviceMeta{4, 1, IspId::kIspA, false, AndroidVersion::kAndroid10});
@@ -396,7 +612,13 @@ TEST_F(QueryContractTest, ForeignRecordsAreRejectedNotSkipped) {
   QueryExecutor executor(spec);
   executor.add_devices(sidecars.devices);
   executor.ingest(RecordBatch::row_of(r));
-  EXPECT_THROW(executor.ingest(RecordBatch::row_of(foreign)), std::runtime_error);
+  std::string message;
+  try {
+    executor.ingest(RecordBatch::row_of(foreign));
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "query: record of device 77777 has no device metadata");
 
   // A spill row pointing outside the sidecars names its file, row and field.
   const std::filesystem::path spill_dir =
