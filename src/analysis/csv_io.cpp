@@ -184,6 +184,26 @@ void write_connected_time_csv(const ConnectedTimeTable& table,
   }
 }
 
+void write_transitions_csv(std::span<const TransitionRecord> transitions,
+                           const std::filesystem::path& dir) {
+  auto out = open_out(dir / DatasetFiles::kTransitions);
+  out << "device,from_rat,from_level,to_rat,to_level,failure\n";
+  for (const auto& t : transitions) {
+    out << t.device << ',' << to_string(t.from_rat) << ',' << index_of(t.from_level) << ','
+        << to_string(t.to_rat) << ',' << index_of(t.to_level) << ','
+        << (t.failure_within_window ? 1 : 0) << '\n';
+  }
+}
+
+void write_dwells_csv(std::span<const DwellRecord> dwells, const std::filesystem::path& dir) {
+  auto out = open_out(dir / DatasetFiles::kDwells);
+  out << "device,rat,level,failure\n";
+  for (const auto& d : dwells) {
+    out << d.device << ',' << to_string(d.rat) << ',' << index_of(d.level) << ','
+        << (d.failure_within_window ? 1 : 0) << '\n';
+  }
+}
+
 }  // namespace
 
 void write_dataset_csv(const TraceDataset& dataset, const std::filesystem::path& dir) {
@@ -197,23 +217,8 @@ void write_dataset_csv(const TraceDataset& dataset, const std::filesystem::path&
   write_devices_csv(dataset.devices, dir);
   write_base_stations_csv(dataset.base_stations, dir);
   write_connected_time_csv(dataset.connected_time, dir);
-  {
-    auto out = open_out(dir / DatasetFiles::kTransitions);
-    out << "device,from_rat,from_level,to_rat,to_level,failure\n";
-    for (const auto& t : dataset.transitions) {
-      out << t.device << ',' << to_string(t.from_rat) << ',' << index_of(t.from_level)
-          << ',' << to_string(t.to_rat) << ',' << index_of(t.to_level) << ','
-          << (t.failure_within_window ? 1 : 0) << '\n';
-    }
-  }
-  {
-    auto out = open_out(dir / DatasetFiles::kDwells);
-    out << "device,rat,level,failure\n";
-    for (const auto& d : dataset.dwells) {
-      out << d.device << ',' << to_string(d.rat) << ',' << index_of(d.level) << ','
-          << (d.failure_within_window ? 1 : 0) << '\n';
-    }
-  }
+  write_transitions_csv(dataset.transitions, dir);
+  write_dwells_csv(dataset.dwells, dir);
 }
 
 namespace {
@@ -516,22 +521,15 @@ void TraceCsvStreamWriter::close() {
 }
 
 void write_streaming_sidecars_csv(const Aggregator& agg,
+                                  std::span<const TransitionRecord> transitions,
+                                  std::span<const DwellRecord> dwells,
                                   const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
   write_devices_csv(agg.devices(), dir);
   write_base_stations_csv(agg.base_stations(), dir);
   write_connected_time_csv(agg.connected_time(), dir);
-  // Streaming shards fold transition/dwell samples into count tables at
-  // emission time; the per-sample rows intentionally no longer exist, so the
-  // export carries the headers only (read_dataset_csv accepts empty tables).
-  {
-    auto out = open_out(dir / DatasetFiles::kTransitions);
-    out << "device,from_rat,from_level,to_rat,to_level,failure\n";
-  }
-  {
-    auto out = open_out(dir / DatasetFiles::kDwells);
-    out << "device,rat,level,failure\n";
-  }
+  write_transitions_csv(transitions, dir);
+  write_dwells_csv(dwells, dir);
 }
 
 }  // namespace cellrel

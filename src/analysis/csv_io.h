@@ -18,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "analysis/aggregate.h"
@@ -169,10 +170,11 @@ class TraceCsvStreamWriter {
 
 /// Writes the non-record tables of a streaming campaign under `dir`:
 /// devices, base_stations and connected_time from the aggregator's retained
-/// copies (byte-identical to the materialized export), transitions and
-/// dwells header-only — streaming shards collapse those per-sample rows
-/// into order-independent count tables, so the samples no longer exist.
+/// copies, transitions and dwells from the shards' per-session samples in
+/// merge order — every file byte-identical to the materialized export.
 void write_streaming_sidecars_csv(const Aggregator& agg,
+                                  std::span<const TransitionRecord> transitions,
+                                  std::span<const DwellRecord> dwells,
                                   const std::filesystem::path& dir);
 
 }  // namespace cellrel

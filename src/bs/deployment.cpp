@@ -8,10 +8,26 @@ namespace cellrel {
 
 namespace {
 
-LocationClass sample_location(const DeploymentConfig& c, Rng& rng) {
-  const std::array<double, 6> weights = {c.frac_dense_urban, c.frac_urban, c.frac_suburban,
-                                         c.frac_rural, c.frac_transport_hub, c.frac_remote};
-  return kAllLocationClasses[rng.discrete(weights)];
+// RAT support marginals (§3.3; sum > 1 because of multi-RAT sites).
+constexpr double kFrac2g = 0.234;
+constexpr double kFrac3g = 0.102;
+constexpr double kFrac4g = 0.652;
+constexpr double kFrac5g = 0.073;
+
+/// Location-class mix (fractions of the BS population; sums to 1), in
+/// kAllLocationClasses order: dense urban, urban, suburban, rural, transport
+/// hub, remote.
+constexpr std::array<double, 6> kLocationMix = {0.12, 0.30, 0.28, 0.22, 0.03, 0.05};
+
+/// Shape of the per-BS hazard skew (lognormal sigma); larger values widen
+/// the gap between the median site and the worst sites (Fig. 11).
+constexpr double kHazardSigma = 1.6;
+
+/// Fraction of remote sites that are long-neglected (25.5-hour outages).
+constexpr double kRemoteDisrepairFrac = 0.30;
+
+LocationClass sample_location(Rng& rng) {
+  return kAllLocationClasses[rng.discrete(kLocationMix)];
 }
 
 IspId sample_isp(Rng& rng) {
@@ -34,8 +50,8 @@ struct MarginalScale {
   double f4 = 1.0;  // extra factor on the 4G draw compensating NSA anchoring
 };
 
-MarginalScale marginal_scale(const DeploymentConfig& c) {
-  const double p2 = c.frac_2g, p3 = c.frac_3g, p4 = c.frac_4g, p5 = c.frac_5g;
+MarginalScale marginal_scale() {
+  const double p2 = kFrac2g, p3 = kFrac3g, p4 = kFrac4g, p5 = kFrac5g;
   const double sum_p = p2 + p3 + p4 + p5;
   MarginalScale s;
   const auto empty_prob = [&](double k, double f4) {
@@ -66,14 +82,13 @@ MarginalScale marginal_scale(const DeploymentConfig& c) {
   return s;
 }
 
-std::uint8_t sample_rat_mask(const DeploymentConfig& c, LocationClass loc,
-                             const MarginalScale& scale, Rng& rng) {
+std::uint8_t sample_rat_mask(LocationClass loc, const MarginalScale& scale, Rng& rng) {
   std::uint8_t mask = 0;
   // Independent draws against the (scale-adjusted) marginals, with location
   // skew: 5G sites concentrate where NR was rolled out first (dense urban
   // cores and transport hubs); the 0.8 base factor keeps the nationwide 5G
-  // marginal at ~frac_5g despite the urban-heavy class weights.
-  double p5 = c.frac_5g * 0.8;
+  // marginal at ~kFrac5g despite the urban-heavy class weights.
+  double p5 = kFrac5g * 0.8;
   switch (loc) {
     case LocationClass::kDenseUrban: p5 *= 4.0; break;
     case LocationClass::kTransportHub: p5 *= 4.0; break;
@@ -94,13 +109,13 @@ std::uint8_t sample_rat_mask(const DeploymentConfig& c, LocationClass loc,
     case LocationClass::kTransportHub: m2 = 0.44; m3 = 0.31; m4 = 1.17; break;
     case LocationClass::kRemote: m2 = 2.29; m3 = 0.21; m4 = 0.51; break;
   }
-  if (rng.bernoulli(std::min(1.0, scale.k * c.frac_2g * m2))) {
+  if (rng.bernoulli(std::min(1.0, scale.k * kFrac2g * m2))) {
     mask |= 1u << index_of(Rat::k2G);
   }
-  if (rng.bernoulli(std::min(1.0, scale.k * c.frac_3g * m3))) {
+  if (rng.bernoulli(std::min(1.0, scale.k * kFrac3g * m3))) {
     mask |= 1u << index_of(Rat::k3G);
   }
-  if (rng.bernoulli(std::min(1.0, scale.k * c.frac_4g * scale.f4 * m4))) {
+  if (rng.bernoulli(std::min(1.0, scale.k * kFrac4g * scale.f4 * m4))) {
     mask |= 1u << index_of(Rat::k4G);
   }
   if (rng.bernoulli(std::min(1.0, scale.k * p5))) {
@@ -111,7 +126,7 @@ std::uint8_t sample_rat_mask(const DeploymentConfig& c, LocationClass loc,
   if (mask == 0) {
     // Every site serves something: assign one RAT drawn from the marginals
     // so the fallback does not distort any single RAT's share.
-    const std::array<double, 4> weights = {c.frac_2g, c.frac_3g, c.frac_4g, c.frac_5g};
+    const std::array<double, 4> weights = {kFrac2g, kFrac3g, kFrac4g, kFrac5g};
     const Rat rat = kAllRats[rng.discrete(weights)];
     mask = 1u << index_of(rat);
     if (rat == Rat::k5G) mask |= 1u << index_of(Rat::k4G);
@@ -171,24 +186,24 @@ CellIdentity mint_identity(IspId isp, bool cdma, std::uint32_t seq, Rng& rng) {
 std::vector<BaseStation::Spec> generate_deployment(const DeploymentConfig& config, Rng& rng) {
   std::vector<BaseStation::Spec> specs;
   specs.reserve(config.bs_count);
-  const MarginalScale scale = marginal_scale(config);
+  const MarginalScale scale = marginal_scale();
   // Lognormal hazard with unit median: exp(sigma * N(0,1)).
   for (std::uint32_t i = 0; i < config.bs_count; ++i) {
     BaseStation::Spec s;
     s.index = i;
     s.isp = sample_isp(rng);
-    s.location = sample_location(config, rng);
-    s.rat_mask = sample_rat_mask(config, s.location, scale, rng);
+    s.location = sample_location(rng);
+    s.rat_mask = sample_rat_mask(s.location, scale, rng);
     // ISP-B runs a legacy CDMA network for its 2G/3G footprint (footnote 3).
     const bool legacy_only =
         (s.rat_mask & ((1u << index_of(Rat::k4G)) | (1u << index_of(Rat::k5G)))) == 0;
     s.cdma = s.isp == IspId::kIspB && legacy_only;
     s.identity = mint_identity(s.isp, s.cdma, i, rng);
-    s.hazard_multiplier = rng.lognormal(0.0, config.hazard_sigma);
+    s.hazard_multiplier = rng.lognormal(0.0, kHazardSigma);
     s.load = sample_load(s.location, s.isp, rng);
     s.neighbor_count = sample_neighbor_count(s.location, rng);
     s.disrepair =
-        s.location == LocationClass::kRemote && rng.bernoulli(config.remote_disrepair_frac);
+        s.location == LocationClass::kRemote && rng.bernoulli(kRemoteDisrepairFrac);
     specs.push_back(std::move(s));
   }
   return specs;

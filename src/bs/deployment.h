@@ -16,30 +16,10 @@
 
 namespace cellrel {
 
-/// Tunable deployment parameters; defaults reproduce the paper's landscape.
+/// Deployment size. The landscape's shape (RAT and location marginals,
+/// hazard skew, disrepair tail) is the paper's and fixed in deployment.cpp.
 struct DeploymentConfig {
   std::uint32_t bs_count = 50'000;
-
-  // RAT support marginals (§3.3; sum > 1 because of multi-RAT sites).
-  double frac_2g = 0.234;
-  double frac_3g = 0.102;
-  double frac_4g = 0.652;
-  double frac_5g = 0.073;
-
-  // Location-class mix (fractions of the BS population; sums to 1).
-  double frac_dense_urban = 0.12;
-  double frac_urban = 0.30;
-  double frac_suburban = 0.28;
-  double frac_rural = 0.22;
-  double frac_transport_hub = 0.03;
-  double frac_remote = 0.05;
-
-  /// Shape of the per-BS hazard skew (lognormal sigma); larger values widen
-  /// the gap between the median site and the worst sites (Fig. 11).
-  double hazard_sigma = 1.6;
-
-  /// Fraction of remote sites that are long-neglected (25.5-hour outages).
-  double remote_disrepair_frac = 0.30;
 };
 
 /// Generates the specs for a full BS population.

@@ -30,20 +30,6 @@ void LinearHistogram::add(double x, std::uint64_t weight) {
 double LinearHistogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
 double LinearHistogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
 
-double LinearHistogram::cumulative_fraction(double x) const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t below = underflow_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (bin_hi(i) <= x) {
-      below += counts_[i];
-    } else {
-      break;
-    }
-  }
-  if (x >= hi_) below = total_ - 0;  // everything, including overflow
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
 void LinearHistogram::merge(const LinearHistogram& other) {
   CELLREL_CHECK(lo_ == other.lo_ && hi_ == other.hi_ && counts_.size() == other.counts_.size())
       << "merging differently-shaped linear histograms: [" << lo_ << ", " << hi_ << ")x"

@@ -24,9 +24,6 @@ class LinearHistogram {
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;
 
-  /// Fraction of total mass at or below x (bin-resolution approximation).
-  double cumulative_fraction(double x) const;
-
   /// Bin-wise accumulation of an identically-shaped histogram (same lo, hi
   /// and bin count — checked). The basis of the deterministic shard-merge in
   /// the observability layer: counts are integers, so merge order never

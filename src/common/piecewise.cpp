@@ -1,7 +1,6 @@
 #include "common/piecewise.h"
 
 #include <algorithm>
-#include "common/check.h"
 #include <cmath>
 #include <stdexcept>
 
@@ -71,17 +70,6 @@ double PiecewiseCdf::quantile(double u) const {
     }
   }
   return anchors_.back().value;
-}
-
-double PiecewiseCdf::approximate_mean(std::size_t steps) const {
-  CELLREL_CHECK_OP(steps, >=, std::size_t{2});
-  // E[X] = integral over u in [0,1] of quantile(u); midpoint rule.
-  double total = 0.0;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const double u = (static_cast<double>(i) + 0.5) / static_cast<double>(steps);
-    total += quantile(u);
-  }
-  return total / static_cast<double>(steps);
 }
 
 }  // namespace cellrel

@@ -43,9 +43,6 @@ class PiecewiseCdf {
   /// Draws one sample by inverse transform.
   double sample(Rng& rng) const { return quantile(rng.next_double()); }
 
-  /// Approximate mean via trapezoidal integration of the quantile function.
-  double approximate_mean(std::size_t steps = 4096) const;
-
   std::span<const Anchor> anchors() const { return anchors_; }
 
  private:

@@ -2,29 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/check.h"
+#include <functional>
+#include <vector>
 
 #include "common/stats.h"
 
 namespace cellrel {
-
-ZipfSampler::ZipfSampler(std::size_t n, double s) : n_(n), s_(s) {
-  CELLREL_CHECK_OP(n, >, std::size_t{0});
-  cdf_.resize(n);
-  double total = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    total += std::pow(static_cast<double>(k), -s);
-    cdf_[k - 1] = total;
-  }
-  for (double& c : cdf_) c /= total;
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin()) + 1;
-}
 
 ZipfFit fit_zipf(std::span<const std::uint64_t> counts) {
   std::vector<std::uint64_t> sorted(counts.begin(), counts.end());

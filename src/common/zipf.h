@@ -1,38 +1,17 @@
-// Zipf-law sampling and fitting.
+// Zipf-law fitting.
 //
 // The paper (Fig. 11) reports that ranking base stations by experienced
 // failure count yields a Zipf-like distribution, count(rank) ~ exp(b) *
-// rank^{-a}, with a = 0.82 and b = 17.12. We provide a bounded Zipf sampler
-// (for synthesizing per-BS hazards) and a log-log least-squares fit (for
-// recovering the exponent from measured per-BS failure counts).
+// rank^{-a}, with a = 0.82 and b = 17.12. A log-log least-squares fit
+// recovers the exponent from measured per-BS failure counts.
 
 #ifndef CELLREL_COMMON_ZIPF_H
 #define CELLREL_COMMON_ZIPF_H
 
 #include <cstdint>
 #include <span>
-#include <vector>
-
-#include "common/rng.h"
 
 namespace cellrel {
-
-/// Samples ranks 1..n with P(rank = k) proportional to k^{-s}.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double s);
-
-  /// Returns a rank in [1, n].
-  std::size_t sample(Rng& rng) const;
-
-  std::size_t n() const { return n_; }
-  double exponent() const { return s_; }
-
- private:
-  std::size_t n_;
-  double s_;
-  std::vector<double> cdf_;  // normalized cumulative weights
-};
 
 /// Result of fitting counts ~ exp(b) * rank^{-a} on a log-log scale.
 struct ZipfFit {

@@ -4,16 +4,15 @@ namespace cellrel {
 
 AndroidMod::AndroidMod(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config config,
                        TraceUploader::Sink sink)
-    : telephony_(sim, rng, metrics, config.telephony),
+    : telephony_(sim, rng, metrics, std::move(config.telephony)),
       recovery_bridge_(telephony_),
-      monitor_(telephony_, metrics, config.identity, std::move(sink), config.monitor) {
+      monitor_(telephony_, metrics, config.identity, std::move(sink),
+               std::move(config.monitor)) {
   // Framework-side recovery reacts to the same detector the monitor
   // instruments; register the bridge after the monitor so records open
   // before recovery mutates state.
   telephony_.register_failure_listener(&recovery_bridge_);
 }
-
-void AndroidMod::boot() { telephony_.stall_detector().start(); }
 
 void AndroidMod::shutdown() {
   telephony_.stall_detector().stop();

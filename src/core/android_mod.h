@@ -22,6 +22,10 @@ namespace cellrel {
 
 class AndroidMod {
  public:
+  /// Everything the owner supplies, including the callbacks into it (the
+  /// recovery stage operation and episode sink, the monitor's cell
+  /// resolver, observables and record observer); no component is rewired
+  /// after construction.
   struct Config {
     TelephonyManager::Config telephony;
     MonitorService::Config monitor;
@@ -40,8 +44,6 @@ class AndroidMod {
   TelephonyManager& telephony() { return telephony_; }
   MonitorService& monitor() { return monitor_; }
 
-  /// Starts the background machinery (stall detection polling).
-  void boot();
   void shutdown();
 
  private:

@@ -13,8 +13,8 @@ MonitorService::MonitorService(TelephonyManager& telephony, obs::MetricSink& met
                metrics.counter("monitor.records.filtered_fp"),
                metrics.counter("monitor.probe.rounds")},
       identity_(identity),
-      config_(config),
-      prober_(telephony.simulator(), telephony.network(), config.prober),
+      config_(std::move(config)),
+      prober_(telephony.simulator(), telephony.network()),
       uploader_(std::move(sink)) {
   telephony_.register_failure_listener(this);
   // Close setup-error episodes when the connection leaves the setup loop.
@@ -39,7 +39,7 @@ TraceRecord MonitorService::base_record(const FailureEvent& event) const {
   r.rat = event.rat;
   r.level = event.level;
   r.bs = event.bs;
-  if (resolve_cell_ && event.bs != kInvalidBs) r.cell = resolve_cell_(event.bs);
+  if (config_.resolve_cell && event.bs != kInvalidBs) r.cell = config_.resolve_cell(event.bs);
   r.apn = telephony_.dc_tracker().apn();
   r.cause = event.cause;
   r.ground_truth_fp = event.ground_truth_fp;
@@ -52,14 +52,15 @@ void MonitorService::write_record(TraceRecord record) {
   ++records_written_;
   metrics_.records.add();
   if (record.filtered_false_positive) metrics_.filtered_fp.add();
-  if (observe_record_) observe_record_(record);
+  if (config_.observe_record) config_.observe_record(record);
   uploader_.submit(std::move(record));
 }
 
 void MonitorService::on_failure_event(const FailureEvent& event) {
   overhead_.on_event_handled();
   metrics_.events.add();
-  const DeviceObservables obs = observables_ ? observables_() : DeviceObservables{};
+  const DeviceObservables obs =
+      config_.observables ? config_.observables() : DeviceObservables{};
   switch (event.type) {
     case FailureType::kDataSetupError: {
       TraceRecord r = base_record(event);

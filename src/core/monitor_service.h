@@ -27,25 +27,37 @@ namespace cellrel {
 
 class MonitorService final : public FailureEventListener {
  public:
+  using CellResolver = std::function<CellIdentity(BsIndex)>;
+  using ObservablesSource = std::function<DeviceObservables()>;
+  using RecordObserver = std::function<void(const TraceRecord&)>;
+
   struct Config {
     /// When false, Data_Stall durations fall back to vanilla Android's
     /// fixed-interval estimation (used by the probe-ladder ablation).
     bool use_probing = true;
-    NetworkStateProber::Config prober;
+    /// Maps a BsIndex to the cell identity to record (the registry lookup,
+    /// injected to keep this module decoupled from BS ownership). Empty:
+    /// records carry no cell identity.
+    CellResolver resolve_cell;
+    /// The device state the false-positive filter consults. Empty: default
+    /// observables (data enabled, no call, account in good standing).
+    ObservablesSource observables;
+    /// The monitor's record fan-out: called once per finalized record —
+    /// kept AND filtered, verdicts attached — right before it is handed to
+    /// the uploader. This is the tap network-side consumers (the
+    /// sleeping-cell detection service) attach to; it sees only what the
+    /// monitor uploads, never simulator ground truth, and must not mutate
+    /// device state. Not billed to the device's overhead accountant (the
+    /// consumer is backend-side). Empty when detection is off.
+    RecordObserver observe_record;
   };
 
-  /// `identity` stamps records; `resolve_cell` maps a BsIndex to the cell
-  /// identity to record (the registry lookup, injected to keep this module
-  /// decoupled from BS ownership).
+  /// `identity` stamps records.
   struct Identity {
     DeviceId device = 0;
     int model_id = 0;
     IspId isp = IspId::kIspA;
   };
-  using CellResolver = std::function<CellIdentity(BsIndex)>;
-  using ObservablesSource = std::function<DeviceObservables()>;
-  /// Observer for the monitor's record fan-out (see set_record_observer).
-  using RecordObserver = std::function<void(const TraceRecord&)>;
 
   /// Registers on `telephony`'s failure-event bus and resolves the
   /// "monitor.*" metric handles (events handled, records written / filtered
@@ -56,11 +68,6 @@ class MonitorService final : public FailureEventListener {
 
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
-
-  void set_cell_resolver(CellResolver resolver) { resolve_cell_ = std::move(resolver); }
-  void set_observables_source(ObservablesSource source) {
-    observables_ = std::move(source);
-  }
 
   /// WiFi state passthrough to the uploader (with overhead accounting).
   void set_wifi_available(bool available) {
@@ -78,17 +85,6 @@ class MonitorService final : public FailureEventListener {
 
   const OverheadAccountant& overhead() const { return overhead_; }
   std::uint64_t records_written() const { return records_written_; }
-
-  /// Subscribes an observer to the monitor's record fan-out: called once per
-  /// finalized record — kept AND filtered, verdicts attached — right before
-  /// it is handed to the uploader. This is the tap network-side consumers
-  /// (the sleeping-cell detection service) attach to; the callback sees only
-  /// what the monitor uploads, never simulator ground truth, and must not
-  /// mutate device state. Not billed to the device's overhead accountant
-  /// (the consumer is backend-side). Pass an empty function to detach.
-  void set_record_observer(RecordObserver observer) {
-    observe_record_ = std::move(observer);
-  }
 
  private:
   struct Metrics {
@@ -122,9 +118,6 @@ class MonitorService final : public FailureEventListener {
   NetworkStateProber prober_;
   TraceUploader uploader_;
   OverheadAccountant overhead_;
-  CellResolver resolve_cell_;
-  ObservablesSource observables_;
-  RecordObserver observe_record_;
 
   // Open setup-error episode: events buffered until the connection
   // activates; the episode duration is split across its events.

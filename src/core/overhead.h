@@ -15,30 +15,25 @@
 
 namespace cellrel {
 
-/// Cost constants of the monitoring implementation.
-struct OverheadModel {
-  /// CPU time consumed handling one failure event notification.
-  SimDuration cpu_per_event = SimDuration::milliseconds(2);
-  /// CPU time per probing round (build/send/receive/classify).
-  SimDuration cpu_per_probe_round = SimDuration::milliseconds(5);
-  /// CPU time to serialize + append one record.
-  SimDuration cpu_per_record = SimDuration::milliseconds(1);
-  /// Resident bytes per buffered record awaiting upload.
-  std::uint64_t memory_per_buffered_record = 96;
-  /// Baseline resident bytes while any failure is being monitored.
-  std::uint64_t memory_baseline = 24 * 1024;
-};
-
 /// Aggregated overhead of one device's monitor.
 class OverheadAccountant {
  public:
-  OverheadAccountant() : OverheadAccountant(OverheadModel{}) {}
-  explicit OverheadAccountant(OverheadModel model) : model_(model) {}
+  // Cost constants of the monitoring implementation.
+  /// CPU time consumed handling one failure event notification.
+  static constexpr SimDuration kCpuPerEvent = SimDuration::milliseconds(2);
+  /// CPU time per probing round (build/send/receive/classify).
+  static constexpr SimDuration kCpuPerProbeRound = SimDuration::milliseconds(5);
+  /// CPU time to serialize + append one record.
+  static constexpr SimDuration kCpuPerRecord = SimDuration::milliseconds(1);
+  /// Resident bytes per buffered record awaiting upload.
+  static constexpr std::uint64_t kMemoryPerBufferedRecord = 96;
+  /// Baseline resident bytes while any failure is being monitored.
+  static constexpr std::uint64_t kMemoryBaseline = 24 * 1024;
 
-  void on_event_handled() { cpu_busy_ += model_.cpu_per_event; }
-  void on_probe_round() { cpu_busy_ += model_.cpu_per_probe_round; }
+  void on_event_handled() { cpu_busy_ += kCpuPerEvent; }
+  void on_probe_round() { cpu_busy_ += kCpuPerProbeRound; }
   void on_record_written(std::uint64_t compressed_bytes) {
-    cpu_busy_ += model_.cpu_per_record;
+    cpu_busy_ += kCpuPerRecord;
     storage_bytes_ += compressed_bytes;
     ++buffered_records_;
     peak_buffered_records_ = std::max(peak_buffered_records_, buffered_records_);
@@ -56,8 +51,7 @@ class OverheadAccountant {
     return cpu_busy_ / failure_time_;
   }
   std::uint64_t peak_memory_bytes() const {
-    return model_.memory_baseline +
-           peak_buffered_records_ * model_.memory_per_buffered_record;
+    return kMemoryBaseline + peak_buffered_records_ * kMemoryPerBufferedRecord;
   }
   std::uint64_t storage_bytes() const { return storage_bytes_; }
   /// Cellular network bytes (probing); uploads ride WiFi.
@@ -67,7 +61,6 @@ class OverheadAccountant {
   SimDuration monitored_failure_time() const { return failure_time_; }
 
  private:
-  OverheadModel model_;
   SimDuration cpu_busy_;
   SimDuration failure_time_;
   std::uint64_t storage_bytes_ = 0;

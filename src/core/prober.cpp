@@ -5,6 +5,15 @@
 namespace cellrel {
 
 namespace {
+// The probe ladder of §2.2: per-round timeouts, the stall age past which
+// they double each round, the timeout past which probing reverts to
+// vanilla detection, and that detection's fixed cadence.
+constexpr SimDuration kIcmpTimeout = SimDuration::seconds(1.0);
+constexpr SimDuration kDnsTimeout = SimDuration::seconds(5.0);
+constexpr SimDuration kBackoffThreshold = SimDuration::seconds(1200.0);
+constexpr SimDuration kRevertThreshold = SimDuration::seconds(60.0);
+constexpr SimDuration kFallbackInterval = SimDuration::seconds(60.0);
+
 // Wire sizes for overhead accounting: ICMP echo with standard payload and a
 // typical single-question DNS query.
 constexpr std::uint64_t kIcmpBytes = 64;
@@ -22,10 +31,7 @@ std::string_view to_string(ProbeEpisodeResult r) {
 }
 
 NetworkStateProber::NetworkStateProber(Simulator& sim, NetworkStack& stack)
-    : NetworkStateProber(sim, stack, Config{}) {}
-
-NetworkStateProber::NetworkStateProber(Simulator& sim, NetworkStack& stack, Config config)
-    : sim_(sim), stack_(stack), config_(config) {}
+    : sim_(sim), stack_(stack) {}
 
 void NetworkStateProber::start(SimTime stall_started, CompletionCallback on_done) {
   CELLREL_CHECK(!active_) << "prober restarted while a probe round is in flight";
@@ -33,8 +39,8 @@ void NetworkStateProber::start(SimTime stall_started, CompletionCallback on_done
   fallback_mode_ = false;
   stall_started_ = stall_started;
   on_done_ = std::move(on_done);
-  icmp_timeout_ = config_.icmp_timeout;
-  dns_timeout_ = config_.dns_timeout;
+  icmp_timeout_ = kIcmpTimeout;
+  dns_timeout_ = kDnsTimeout;
   rounds_ = 0;
   run_round();
 }
@@ -65,11 +71,11 @@ void NetworkStateProber::finish(ProbeEpisodeResult result) {
 void NetworkStateProber::run_round() {
   if (!active_) return;
   // Multiplicative back-off once the stall outlives the threshold.
-  if (rounds_ > 0 && sim_.now() - stall_started_ > config_.backoff_threshold) {
+  if (rounds_ > 0 && sim_.now() - stall_started_ > kBackoffThreshold) {
     icmp_timeout_ = icmp_timeout_ * 2.0;
     dns_timeout_ = dns_timeout_ * 2.0;
   }
-  if (icmp_timeout_ > config_.revert_threshold || dns_timeout_ > config_.revert_threshold) {
+  if (icmp_timeout_ > kRevertThreshold || dns_timeout_ > kRevertThreshold) {
     // Give up on active probing; vanilla detection takes over.
     fallback_mode_ = true;
     fallback_check();
@@ -147,7 +153,7 @@ void NetworkStateProber::fallback_check() {
     return;
   }
   pending_fallback_ =
-      sim_.schedule_after(config_.fallback_interval, [this] { fallback_check(); });
+      sim_.schedule_after(kFallbackInterval, [this] { fallback_check(); });
 }
 
 }  // namespace cellrel

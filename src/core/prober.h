@@ -42,17 +42,6 @@ std::string_view to_string(ProbeEpisodeResult r);
 /// Runs the probing state machine for one stall episode.
 class NetworkStateProber {
  public:
-  struct Config {
-    SimDuration icmp_timeout = SimDuration::seconds(1.0);
-    SimDuration dns_timeout = SimDuration::seconds(5.0);
-    /// Stall age beyond which timeouts double each round.
-    SimDuration backoff_threshold = SimDuration::seconds(1200.0);
-    /// Timeout value beyond which we revert to vanilla detection.
-    SimDuration revert_threshold = SimDuration::seconds(60.0);
-    /// Cadence of the vanilla fallback checks.
-    SimDuration fallback_interval = SimDuration::seconds(60.0);
-  };
-
   struct Report {
     ProbeEpisodeResult result = ProbeEpisodeResult::kAborted;
     SimDuration measured_duration = SimDuration::zero();
@@ -62,7 +51,6 @@ class NetworkStateProber {
   using CompletionCallback = std::function<void(const Report&)>;
 
   NetworkStateProber(Simulator& sim, NetworkStack& stack);
-  NetworkStateProber(Simulator& sim, NetworkStack& stack, Config config);
 
   NetworkStateProber(const NetworkStateProber&) = delete;
   NetworkStateProber& operator=(const NetworkStateProber&) = delete;
@@ -97,7 +85,6 @@ class NetworkStateProber {
 
   Simulator& sim_;
   NetworkStack& stack_;
-  Config config_;
   CompletionCallback on_done_;
   RoundState round_;
   ScheduledEvent pending_fallback_;

@@ -74,8 +74,8 @@ HealthReport SleepingCellDetector::analyze(
     std::size_t first_active = kNoWindow;
     std::size_t last_active = 0;
     for (std::size_t w = 0; w < windows; ++w) {
-      ewma = config_.ewma_alpha * static_cast<double>(cell.window_kept[w]) +
-             (1.0 - config_.ewma_alpha) * ewma;
+      ewma = kEwmaAlpha * static_cast<double>(cell.window_kept[w]) +
+             (1.0 - kEwmaAlpha) * ewma;
       peak_ewma = std::max(peak_ewma, ewma);
       if (cell.window_events[w] > 0) {
         if (first_active == kNoWindow) first_active = w;
@@ -83,7 +83,7 @@ HealthReport SleepingCellDetector::analyze(
       }
       if (flagged_at_us < 0) {
         cumulative_kept += cell.window_kept[w];
-        if (cumulative_kept >= config_.sleeping_min_kept) {
+        if (cumulative_kept >= kSleepingMinKept) {
           flagged_at_us = static_cast<std::int64_t>(w + 1) * window_us;
         }
       }
@@ -101,8 +101,8 @@ HealthReport SleepingCellDetector::analyze(
       }
     }
 
-    const bool sleeping = cell.kept >= config_.sleeping_min_kept;
-    const bool degraded = !sleeping && peak_ewma >= config_.degraded_min_ewma;
+    const bool sleeping = cell.kept >= kSleepingMinKept;
+    const bool degraded = !sleeping && peak_ewma >= kDegradedMinEwma;
     if (!sleeping && !degraded) continue;
 
     CellFinding f;
@@ -142,7 +142,7 @@ HealthReport SleepingCellDetector::analyze(
   for (CellFinding& f : report.findings) {
     if (static_cast<std::size_t>(f.bs) < true_failures.size()) {
       f.true_failures = true_failures[f.bs];
-      f.truly_sleeping = f.true_failures >= config_.truth_min_failures;
+      f.truly_sleeping = f.true_failures >= kTruthMinFailures;
       if (f.verdict == CellVerdict::kSleeping) flagged_sleeping[f.bs] = 1;
     }
   }
@@ -165,7 +165,7 @@ HealthReport SleepingCellDetector::analyze(
   std::vector<std::uint64_t> detected_counts;
   const auto& cells = tracker.cells();
   for (std::size_t bs = 0; bs < true_failures.size(); ++bs) {
-    if (true_failures[bs] < config_.truth_min_failures) continue;
+    if (true_failures[bs] < kTruthMinFailures) continue;
     ++report.truth_sleeping;
     if (!flagged_sleeping[bs]) ++report.score.false_negatives;
     truth_bs.push_back(static_cast<BsIndex>(bs));
@@ -198,10 +198,10 @@ std::string health_report_to_json(const HealthReport& report) {
   std::string out = "{\n";
   out += "  \"config\": { \"window_s\": " + fmt_double(report.config.window_s) +
          ", \"windows\": " + fmt_u64(report.config.windows()) +
-         ", \"ewma_alpha\": " + fmt_double(report.config.ewma_alpha) +
-         ", \"sleeping_min_kept\": " + fmt_u64(report.config.sleeping_min_kept) +
-         ", \"degraded_min_ewma\": " + fmt_double(report.config.degraded_min_ewma) +
-         ", \"truth_min_failures\": " + fmt_u64(report.config.truth_min_failures) +
+         ", \"ewma_alpha\": " + fmt_double(kEwmaAlpha) +
+         ", \"sleeping_min_kept\": " + fmt_u64(kSleepingMinKept) +
+         ", \"degraded_min_ewma\": " + fmt_double(kDegradedMinEwma) +
+         ", \"truth_min_failures\": " + fmt_u64(kTruthMinFailures) +
          " },\n";
   out += "  \"summary\": { \"cells_tracked\": " + fmt_u64(report.cells_tracked) +
          ", \"records_seen\": " + fmt_u64(report.records_seen) +
@@ -277,13 +277,13 @@ std::string render_health_report(const HealthReport& report, std::size_t top) {
            static_cast<unsigned long long>(report.records_filtered));
   append_f(out, "- flagged: %llu sleeping (>= %llu kept failures), %llu degraded\n",
            static_cast<unsigned long long>(report.flagged_sleeping),
-           static_cast<unsigned long long>(report.config.sleeping_min_kept),
+           static_cast<unsigned long long>(kSleepingMinKept),
            static_cast<unsigned long long>(report.flagged_degraded));
   if (report.scored) {
     append_f(out,
              "- vs injected ground truth (>= %llu true failures): precision %.3f, "
              "recall %.3f, F1 %.3f (tp %llu, fp %llu, fn %llu of %llu truly sleeping)\n",
-             static_cast<unsigned long long>(report.config.truth_min_failures),
+             static_cast<unsigned long long>(kTruthMinFailures),
              report.score.precision(), report.score.recall(), report.score.f1(),
              static_cast<unsigned long long>(report.score.true_positives),
              static_cast<unsigned long long>(report.score.false_positives),

@@ -4,7 +4,7 @@
 // detection service: it replays the merged HealthTracker window series in
 // sim-time order, computes per-cell kept-rate EWMAs and silence gaps, and
 // issues verdicts — kSleeping for cells whose kept-failure evidence crosses
-// the configured threshold, kDegraded for cells with a sustained elevated
+// kSleepingMinKept, kDegraded for cells with a sustained elevated
 // kept rate below it. Because the merged tracker state is an
 // order-independent fold of per-shard integers, the verdict list, the
 // scores, and the serialized report are bit-identical for every
@@ -13,7 +13,7 @@
 // Scoring: when the caller supplies the registry's true per-BS failure
 // counts (injected ground truth the detector itself never sees), flagged
 // cells are scored as precision/recall/F1 against the truly-sleeping set
-// (true count >= truth_min_failures), a time-to-detect distribution is
+// (true count >= kTruthMinFailures), a time-to-detect distribution is
 // built over the true positives, and a Spearman rank correlation compares
 // the detector's kept-count ranking with the true Zipf failure ranking.
 // Without ground truth (offline replay over an exported dataset in
@@ -33,6 +33,21 @@
 #include "obs/metrics.h"
 
 namespace cellrel::detect {
+
+// Verdict thresholds, tuned on the golden scenario
+// (tests/workload/detection_campaign_test.cpp keeps them honest against
+// injected ground truth). The health JSON's "config" object prints them.
+
+/// EWMA smoothing factor over per-window kept-event counts.
+inline constexpr double kEwmaAlpha = 0.3;
+/// Kept-record evidence at which a cell is flagged sleeping.
+inline constexpr std::uint64_t kSleepingMinKept = 8;
+/// Peak kept-rate EWMA (events/window) at which a still-unflagged cell is
+/// reported degraded.
+inline constexpr double kDegradedMinEwma = 1.0;
+/// Ground-truth failure count at which a cell counts as truly sleeping when
+/// the report is scored against the registry.
+inline constexpr std::uint64_t kTruthMinFailures = 8;
 
 enum class CellVerdict : std::uint8_t {
   kDegraded = 0,

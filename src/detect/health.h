@@ -2,7 +2,7 @@
 //
 // A HealthTracker is the per-shard, online half of the sleeping-cell
 // detection service. It subscribes to the monitor's record fan-out
-// (MonitorService::set_record_observer) and folds every trace record the
+// (MonitorService::Config::observe_record) and folds every trace record the
 // Android-MOD fleet writes — kept and filtered alike — into per-BS
 // sliding-window health state keyed to SIMULATED time: per-window event
 // counts, kept-vs-filtered verdict mix, per-failure-type totals, and
@@ -30,26 +30,15 @@
 
 namespace cellrel::detect {
 
-/// Detection parameters. `window_s`/`horizon_s` come from the scenario
-/// (Scenario::detect_window_s and the campaign length); the thresholds have
-/// defaults tuned on the golden scenario (tests/workload/detection_
-/// campaign_test.cpp keeps them honest against injected ground truth).
+/// The window series' shape, from the scenario (Scenario::detect_window_s
+/// and the campaign length). The verdict thresholds are constants beside
+/// the detector (detect/detector.h).
 struct HealthConfig {
   /// Width of one health window, in simulated seconds.
   double window_s = 86'400.0;
   /// Campaign span covered by the window series, in simulated seconds.
   /// Records past the horizon (episode drain tails) land in the last window.
   double horizon_s = 240.0 * 86'400.0;
-  /// EWMA smoothing factor over per-window kept-event counts.
-  double ewma_alpha = 0.3;
-  /// Kept-record evidence at which a cell is flagged sleeping.
-  std::uint64_t sleeping_min_kept = 8;
-  /// Peak kept-rate EWMA (events/window) at which a still-unflagged cell is
-  /// reported degraded.
-  double degraded_min_ewma = 1.0;
-  /// Ground-truth failure count at which a cell counts as truly sleeping
-  /// when the report is scored against the registry.
-  std::uint64_t truth_min_failures = 8;
 
   /// Number of windows spanning the horizon (>= 1).
   std::size_t windows() const;

@@ -71,14 +71,4 @@ const PhoneModelSpec& PhoneModelSampler::sample(Rng& rng) const {
   return kModels[table_.sample(rng)];
 }
 
-double fleet_average_prevalence() {
-  double total_share = 0.0;
-  double weighted = 0.0;
-  for (const auto& m : kModels) {
-    total_share += m.user_share;
-    weighted += m.user_share * m.paper_prevalence;
-  }
-  return total_share > 0.0 ? weighted / total_share : 0.0;
-}
-
 }  // namespace cellrel

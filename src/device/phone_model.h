@@ -53,9 +53,6 @@ class PhoneModelSampler {
   AliasTable table_;
 };
 
-/// Fleet-wide aggregates derived from Table 1.
-double fleet_average_prevalence();
-
 }  // namespace cellrel
 
 #endif  // CELLREL_DEVICE_PHONE_MODEL_H

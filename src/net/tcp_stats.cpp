@@ -2,10 +2,8 @@
 
 namespace cellrel {
 
-TcpSegmentCounters::TcpSegmentCounters(SimDuration window) : window_(window) {}
-
 void TcpSegmentCounters::expire(SimTime now) const {
-  const SimTime cutoff = now - window_;
+  const SimTime cutoff = now - kWindow;
   while (!sent_.empty() && sent_.front() <= cutoff) sent_.pop_front();
   while (!received_.empty() && received_.front() <= cutoff) received_.pop_front();
 }
@@ -20,11 +18,6 @@ void TcpSegmentCounters::on_segment_received(SimTime now) {
   received_.push_back(now);
   ++total_received_;
   expire(now);
-}
-
-std::uint64_t TcpSegmentCounters::sent_in_window(SimTime now) const {
-  expire(now);
-  return sent_.size();
 }
 
 bool TcpSegmentCounters::stall_suspected(SimTime now, std::uint64_t sent_threshold) const {

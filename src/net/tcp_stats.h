@@ -19,28 +19,22 @@ namespace cellrel {
 /// Sliding-window counters of TCP segments seen by the network stack.
 class TcpSegmentCounters {
  public:
-  /// `window`: how far back queries look (Android uses one minute).
-  explicit TcpSegmentCounters(SimDuration window = SimDuration::minutes(1));
+  /// How far back queries look: Android's one minute.
+  static constexpr SimDuration kWindow = SimDuration::minutes(1);
 
   void on_segment_sent(SimTime now);
   void on_segment_received(SimTime now);
 
-  /// Counts within (now - window, now].
-  std::uint64_t sent_in_window(SimTime now) const;
-
   /// Android's stall predicate: > `sent_threshold` outbound and zero inbound
-  /// segments within the window.
+  /// segments within (now - kWindow, now].
   bool stall_suspected(SimTime now, std::uint64_t sent_threshold = 10) const;
 
   std::uint64_t total_sent() const { return total_sent_; }
   std::uint64_t total_received() const { return total_received_; }
 
-  SimDuration window() const { return window_; }
-
  private:
   void expire(SimTime now) const;
 
-  SimDuration window_;
   mutable std::deque<SimTime> sent_;
   mutable std::deque<SimTime> received_;
   std::uint64_t total_sent_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include "common/check.h"
 #include <cmath>
 #include <stdexcept>
 
@@ -205,12 +204,6 @@ std::optional<FailCause> FailCauseCatalog::by_name(std::string_view name) const 
   return it->cause;
 }
 
-std::size_t FailCauseCatalog::false_positive_code_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(infos_.begin(), infos_.end(),
-                    [](const FailCauseInfo& i) { return i.false_positive_correlated; }));
-}
-
 std::string_view to_string(FailCause cause) {
   return FailCauseCatalog::instance().info(cause).name;
 }
@@ -280,9 +273,6 @@ FailCauseSampler::FailCauseSampler() {
   }
   true_table_ = AliasTable{weights};
 
-  for (const auto& info : catalog.all()) {
-    if (info.false_positive_correlated) fp_codes_.push_back(info.cause);
-  }
   emm_codes_ = {FailCause::kEmmAccessBarred, FailCause::kInvalidEmmState,
                 FailCause::kEmmAccessBarredInfinite, FailCause::kTrackingAreaUpdateFail,
                 FailCause::kMmeRejection};
@@ -290,13 +280,6 @@ FailCauseSampler::FailCauseSampler() {
 
 FailCause FailCauseSampler::sample_true_failure(Rng& rng) const {
   return true_codes_[true_table_.sample(rng)];
-}
-
-FailCause FailCauseSampler::sample_false_positive(Rng& rng) const {
-  CELLREL_CHECK(!fp_codes_.empty()) << "sampler has no false-positive codes configured";
-  const auto i = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(fp_codes_.size()) - 1));
-  return fp_codes_[i];
 }
 
 FailCause FailCauseSampler::sample_emm_failure(Rng& rng) const {

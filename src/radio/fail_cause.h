@@ -135,9 +135,6 @@ class FailCauseCatalog {
   const FailCauseInfo& info(FailCause cause) const;
   std::optional<FailCause> by_name(std::string_view name) const;
 
-  /// Number of codes whose semantics mark a rational rejection.
-  std::size_t false_positive_code_count() const;
-
  private:
   FailCauseCatalog();
   std::vector<FailCauseInfo> infos_;
@@ -156,16 +153,12 @@ class FailCauseSampler {
   /// Draws a *true* failure code (never a false-positive-correlated one).
   FailCause sample_true_failure(Rng& rng) const;
 
-  /// Draws a rational-rejection code (for synthesizing false positives).
-  FailCause sample_false_positive(Rng& rng) const;
-
   /// Draws an EMM mobility-management failure (dense-deployment hubs).
   FailCause sample_emm_failure(Rng& rng) const;
 
  private:
   std::vector<FailCause> true_codes_;
   AliasTable true_table_;
-  std::vector<FailCause> fp_codes_;
   std::vector<FailCause> emm_codes_;
 };
 

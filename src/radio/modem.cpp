@@ -43,11 +43,6 @@ FailCause ModemSimulator::pick_failure_cause(const ChannelConditions& cond) {
 ModemResult ModemSimulator::setup_data_call(const ChannelConditions& cond) {
   ModemResult r;
   r.latency = SimDuration::seconds(rng_.exponential(kSetupLatencyMeanSec));
-  if (state_ == ModemState::kRadioOff) {
-    r.success = false;
-    r.cause = FailCause::kRadioPowerOff;
-    return r;
-  }
   if (state_ == ModemState::kRebooting || cond.driver_fault) {
     r.success = false;
     r.cause = FailCause::kRadioNotAvailable;
@@ -99,12 +94,8 @@ ModemResult ModemSimulator::reregister(const ChannelConditions& cond) {
 ModemResult ModemSimulator::restart_radio() {
   ModemResult r;
   r.latency = SimDuration::seconds(kRadioRestartLatencyMeanSec * rng_.uniform(0.8, 1.4));
-  state_ = ModemState::kOnline;  // a restart clears RadioOff/Rebooting
+  state_ = ModemState::kOnline;  // a restart clears Rebooting
   return r;
-}
-
-void ModemSimulator::set_radio_power(bool on) {
-  state_ = on ? ModemState::kOnline : ModemState::kRadioOff;
 }
 
 }  // namespace cellrel

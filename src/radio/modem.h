@@ -51,13 +51,12 @@ struct ModemResult {
 /// Health of the simulated baseband.
 enum class ModemState : std::uint8_t {
   kOnline,
-  kRadioOff,
   kRebooting,
 };
 
 /// Simulates a baseband modem's command execution.
 ///
-/// The modem is stateful only in its power/reboot status; per-command
+/// The modem is stateful only in its reboot status; per-command
 /// stochastic outcomes are pure functions of (conditions, rng), which keeps
 /// devices independent and campaigns reproducible.
 class ModemSimulator {
@@ -78,9 +77,6 @@ class ModemSimulator {
 
   /// Power-cycles the radio (recovery stage 3). Takes the longest.
   ModemResult restart_radio();
-
-  /// Airplane-mode style power toggle.
-  void set_radio_power(bool on);
 
  private:
   FailCause pick_failure_cause(const ChannelConditions& cond);

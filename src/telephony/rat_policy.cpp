@@ -97,12 +97,8 @@ std::optional<CellCandidate> Android10Policy::choose(
   });
 }
 
-StabilityCompatiblePolicy::StabilityCompatiblePolicy(const RatLevelRiskTable& table,
-                                                     double risk_weight)
-    : table_(table), risk_weight_(risk_weight) {}
-
 double StabilityCompatiblePolicy::score(const CellCandidate& c) const {
-  return nominal_data_rate_mbps(c.rat, c.level) - risk_weight_ * table_.at(c.rat, c.level);
+  return nominal_data_rate_mbps(c.rat, c.level) - kRiskWeight * table_.at(c.rat, c.level);
 }
 
 std::optional<CellCandidate> StabilityCompatiblePolicy::choose(

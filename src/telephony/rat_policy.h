@@ -73,12 +73,14 @@ class Android10Policy final : public RatSelectionPolicy {
 };
 
 /// The paper's Stability-Compatible RAT Transition (§4.2): candidates are
-/// scored by data-rate benefit minus failure-risk penalty; transitions into
-/// level-0 targets are refused when any non-level-0 alternative exists.
+/// scored by data-rate benefit minus failure-risk penalty (the default risk
+/// table, weighted by kRiskWeight); transitions into level-0 targets are
+/// refused when any non-level-0 alternative exists.
 class StabilityCompatiblePolicy final : public RatSelectionPolicy {
  public:
-  explicit StabilityCompatiblePolicy(const RatLevelRiskTable& table = default_risk_table(),
-                                     double risk_weight = 600.0);
+  /// Mbps of nominal data rate one unit of normalized risk costs.
+  static constexpr double kRiskWeight = 600.0;
+
   std::string_view name() const override { return "stability-compatible"; }
   std::optional<CellCandidate> choose(
       std::span<const CellCandidate> candidates,
@@ -86,8 +88,7 @@ class StabilityCompatiblePolicy final : public RatSelectionPolicy {
 
  private:
   double score(const CellCandidate& c) const;
-  RatLevelRiskTable table_;
-  double risk_weight_;
+  const RatLevelRiskTable& table_ = default_risk_table();
 };
 
 /// Factory helpers.

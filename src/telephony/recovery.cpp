@@ -59,11 +59,6 @@ void DataStallRecoverer::record_episode(const RecoveryEpisode& ep) {
   metrics_.episode_duration->record(ep.duration());
 }
 
-void DataStallRecoverer::set_hooks(Hooks hooks) {
-  CELLREL_CHECK(!active_) << "hooks swapped while a recovery episode is running";
-  hooks_ = std::move(hooks);
-}
-
 void DataStallRecoverer::on_stall_detected() {
   if (active_) return;
   active_ = true;
@@ -112,7 +107,7 @@ void DataStallRecoverer::probation_expired() {
     // Android repeats the progressive sequence while the stall persists;
     // wrap back to the first stage up to the safety cap.
     ++cycles_;
-    if (cycles_ >= max_cycles_) {
+    if (cycles_ >= kMaxRecoveryCycles) {
       finish(RecoveryOutcome::kExhausted);
       return;
     }

@@ -31,6 +31,11 @@ enum class RecoveryStage : std::uint8_t {
 };
 
 inline constexpr std::size_t kRecoveryStageCount = 3;
+
+/// Safety cap on recovery cycles per episode: an episode still stalled after
+/// this many three-stage cycles ends as kExhausted.
+inline constexpr std::uint32_t kMaxRecoveryCycles = 100;
+
 std::string_view to_string(RecoveryStage s);
 
 /// Probation schedule strategy: seconds to wait before executing each stage.
@@ -76,6 +81,9 @@ struct RecoveryEpisode {
 /// Drives one device's Data_Stall recovery state machine on the simulator.
 class DataStallRecoverer {
  public:
+  /// Supplied at construction and fixed for the recoverer's life. Any hook
+  /// may be empty: then no stage operation fixes the stall, every probation
+  /// check finds it persisting, and no sink is told.
   struct Hooks {
     /// Executes the stage's operation; returns true if the network-side
     /// problem is now fixed (environment decides; ~75% for stage 1, §3.2).
@@ -97,13 +105,6 @@ class DataStallRecoverer {
   DataStallRecoverer& operator=(const DataStallRecoverer&) = delete;
 
   const ProbationSchedule& schedule() const { return schedule_; }
-
-  /// Replaces the hooks (campaigns override the defaults). Must not be
-  /// called while an episode is active.
-  void set_hooks(Hooks hooks);
-
-  /// Safety cap on recovery cycles per episode.
-  void set_max_cycles(std::uint32_t n) { max_cycles_ = n; }
 
   /// Begins an episode at stall-detection time. No-op if one is running.
   void on_stall_detected();
@@ -138,7 +139,6 @@ class DataStallRecoverer {
   std::uint8_t next_stage_ = 0;
   std::uint32_t cycles_ = 0;
   std::uint32_t stages_executed_ = 0;
-  std::uint32_t max_cycles_ = 100;
   SimTime started_at_;
   std::uint64_t episodes_started_ = 0;
   Metrics metrics_;

@@ -16,16 +16,8 @@ void ServiceStateTracker::set_state(ServiceState next, SimTime at) {
   if (next == state_) return;
   const ServiceState from = state_;
   state_ = next;
-  if (next == ServiceState::kOutOfService) {
-    oos_since_ = at;
-    ++oos_episodes_;
-  }
+  if (next == ServiceState::kOutOfService) ++oos_episodes_;
   for (const auto& obs : observers_) obs(from, next, at);
-}
-
-SimDuration ServiceStateTracker::current_oos_duration(SimTime now) const {
-  if (state_ != ServiceState::kOutOfService) return SimDuration::zero();
-  return now - oos_since_;
 }
 
 }  // namespace cellrel

@@ -33,14 +33,10 @@ class ServiceStateTracker {
   void set_state(ServiceState next, SimTime at);
   void observe(Observer obs) { observers_.push_back(std::move(obs)); }
 
-  /// Duration of the current OOS episode (zero if in service).
-  SimDuration current_oos_duration(SimTime now) const;
-
   std::uint64_t oos_episode_count() const { return oos_episodes_; }
 
  private:
   ServiceState state_ = ServiceState::kInService;
-  SimTime oos_since_;
   std::uint64_t oos_episodes_ = 0;
   std::vector<Observer> observers_;
 };

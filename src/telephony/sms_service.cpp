@@ -9,7 +9,6 @@ std::string_view to_string(SmsResult r) {
     case SmsResult::kOk: return "OK";
     case SmsResult::kRetry: return "RIL_SMS_SEND_FAIL_RETRY";
     case SmsResult::kNetworkReject: return "NETWORK_REJECT";
-    case SmsResult::kRadioOff: return "RADIO_OFF";
   }
   return "?";
 }
@@ -27,7 +26,6 @@ SmsService::SmsService(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus
     : sim_(sim), ril_(ril), events_(events), rng_(rng) {}
 
 SmsResult SmsService::submit_once() {
-  if (ril_.modem().state() == ModemState::kRadioOff) return SmsResult::kRadioOff;
   const auto& channel = ril_.channel();
   if (channel.driver_fault) return SmsResult::kRetry;
   // SMS rides the signalling channel: level-0 signal usually loses the

@@ -27,7 +27,6 @@ enum class SmsResult : std::uint8_t {
   kOk = 0,
   kRetry,          // RIL_SMS_SEND_FAIL_RETRY: transient, resubmit
   kNetworkReject,  // permanent network rejection
-  kRadioOff,
 };
 
 std::string_view to_string(SmsResult r);

@@ -2,22 +2,19 @@
 
 namespace cellrel {
 
-TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& metrics)
-    : TelephonyManager(sim, rng, metrics, Config{}) {}
-
 TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& metrics,
                                    Config config)
     : sim_(sim),
       ril_(sim, rng.fork(0x7261646921ULL), metrics),
       dc_tracker_(sim, ril_, events_, metrics,
                   ApnManager::for_isp(config.isp).select(ApnType::kDefault).value().name),
-      tcp_(SimDuration::minutes(1)),
       network_(sim, rng.fork(0x6e657421ULL)),
       stall_detector_(sim, tcp_, network_, events_, metrics),
       recoverer_(sim, metrics, config.recovery_schedule,
                  DataStallRecoverer::Hooks{
-                     nullptr, [this] { return network_.fault() != NetworkFault::kNone; },
-                     nullptr}),
+                     std::move(config.execute_recovery_stage),
+                     [this] { return network_.fault() != NetworkFault::kNone; },
+                     std::move(config.on_recovery_episode)}),
       sms_(sim, ril_, events_, rng.fork(0x736d73ULL)),
       voice_(sim, events_, rng.fork(0x766f6963ULL)) {
   // An offhook voice call on a non-DSDA device disrupts the data connection

@@ -8,8 +8,10 @@
 // dual connectivity are not modelled here: the campaign's session planner
 // picks cells and applies EN-DC (§4.2). Out_of_Service transitions are
 // converted into failure events here, the way Android's ServiceState
-// notifications reach registered listeners. The recoverer starts with no
-// stage operation: its owner installs one (the campaign's `stage_fix`).
+// notifications reach registered listeners. The recoverer's stage
+// operation and episode sink come from the owner through Config (the
+// campaign's `stage_fix`); the stall-persists check is the network stack's
+// fault state.
 
 #ifndef CELLREL_TELEPHONY_TELEPHONY_MANAGER_H
 #define CELLREL_TELEPHONY_TELEPHONY_MANAGER_H
@@ -34,11 +36,15 @@ class TelephonyManager {
     ProbationSchedule recovery_schedule = vanilla_probation_schedule();
     /// Carrier subscription: selects the APN list (cmnet / ctnet / 3gnet).
     IspId isp = IspId::kIspA;
+    /// The recoverer's stage operation (DataStallRecoverer::Hooks::
+    /// execute_stage). Empty: no operation fixes a stall.
+    std::function<bool(RecoveryStage)> execute_recovery_stage;
+    /// Receives every finished recovery episode. May be empty.
+    std::function<void(const RecoveryEpisode&)> on_recovery_episode;
   };
 
   /// The instrumented components resolve their metric handles in `metrics`
   /// while they are constructed here.
-  TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& metrics);
   TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config config);
 
   TelephonyManager(const TelephonyManager&) = delete;

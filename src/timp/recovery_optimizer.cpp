@@ -5,20 +5,20 @@
 
 namespace cellrel {
 
-RecoveryOptimizer::RecoveryOptimizer(TimpModel model)
-    : RecoveryOptimizer(std::move(model), Config{}) {}
+namespace {
+/// Probation bounds the Android recovery config accepts, in seconds.
+constexpr double kMinProbationS = 1.0;
+constexpr double kMaxProbationS = 120.0;
+/// Deterministic annealing stream.
+constexpr std::uint64_t kAnnealingSeed = 0x7469'6d70ULL;
+}  // namespace
 
-RecoveryOptimizer::RecoveryOptimizer(TimpModel model, Config config)
-    : model_(std::move(model)), config_(config) {
-  CELLREL_CHECK(config_.min_probation_s > 0.0)
-      << "min_probation_s=" << config_.min_probation_s;
-  CELLREL_CHECK_OP(config_.min_probation_s, <=, config_.max_probation_s);
-}
+RecoveryOptimizer::RecoveryOptimizer(TimpModel model) : model_(std::move(model)) {}
 
 OptimizedRecovery RecoveryOptimizer::optimize() const {
   AnnealingConfig<3> cfg;
-  cfg.lower = {config_.min_probation_s, config_.min_probation_s, config_.min_probation_s};
-  cfg.upper = {config_.max_probation_s, config_.max_probation_s, config_.max_probation_s};
+  cfg.lower = {kMinProbationS, kMinProbationS, kMinProbationS};
+  cfg.upper = {kMaxProbationS, kMaxProbationS, kMaxProbationS};
   cfg.initial = {60.0, 60.0, 60.0};  // start from the vanilla schedule
   cfg.initial_temperature = 2.0;
 
@@ -26,14 +26,14 @@ OptimizedRecovery RecoveryOptimizer::optimize() const {
     return model_.expected_recovery_time(p);
   };
   const AnnealingResult<3> r =
-      anneal<3>(cfg, objective, Rng{config_.seed});
+      anneal<3>(cfg, objective, Rng{kAnnealingSeed});
 
   // The annealer must respect the probation box constraints: a schedule
   // outside [min, max] would be rejected by the Android recovery config.
   for (double p : r.best) {
-    CELLREL_CHECK(p >= config_.min_probation_s && p <= config_.max_probation_s)
-        << "annealer escaped the probation bounds: " << p << " not in ["
-        << config_.min_probation_s << ", " << config_.max_probation_s << "]";
+    CELLREL_CHECK(p >= kMinProbationS && p <= kMaxProbationS)
+        << "annealer escaped the probation bounds: " << p << " not in [" << kMinProbationS
+        << ", " << kMaxProbationS << "]";
   }
 
   OptimizedRecovery out;
@@ -42,11 +42,6 @@ OptimizedRecovery RecoveryOptimizer::optimize() const {
   out.vanilla_expected_recovery_s = model_.expected_recovery_time({60.0, 60.0, 60.0});
   out.evaluations = r.evaluations;
   return out;
-}
-
-ProbationSchedule RecoveryOptimizer::to_schedule(const OptimizedRecovery& opt) {
-  return make_probation_schedule(opt.probations_s[0], opt.probations_s[1],
-                                 opt.probations_s[2], "timp-optimized");
 }
 
 }  // namespace cellrel

@@ -12,7 +12,6 @@
 #include <array>
 #include <cstdint>
 
-#include "telephony/recovery.h"
 #include "timp/timp_model.h"
 
 namespace cellrel {
@@ -26,26 +25,16 @@ struct OptimizedRecovery {
 
 class RecoveryOptimizer {
  public:
-  struct Config {
-    double min_probation_s = 1.0;
-    double max_probation_s = 120.0;
-    std::uint64_t seed = 0x7469'6d70ULL;  // deterministic annealing stream
-  };
-
   explicit RecoveryOptimizer(TimpModel model);
-  RecoveryOptimizer(TimpModel model, Config config);
 
-  /// Runs the optimization.
+  /// Runs the optimization over probations in [1, 120] s, from a fixed
+  /// annealing seed.
   OptimizedRecovery optimize() const;
-
-  /// Converts an optimization result into a recoverer schedule.
-  static ProbationSchedule to_schedule(const OptimizedRecovery& opt);
 
   const TimpModel& model() const { return model_; }
 
  private:
   TimpModel model_;
-  Config config_;
 };
 
 }  // namespace cellrel

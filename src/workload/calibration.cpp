@@ -9,8 +9,9 @@ const Calibration& default_calibration() {
   return calibration;
 }
 
-double expected_device_records(const Calibration& cal, const DeviceProfile& profile) {
+double expected_device_records(const DeviceProfile& profile) {
   if (profile.model == nullptr) return 0.0;
+  const Calibration& cal = default_calibration();
   const double prevalence =
       std::clamp(profile.model->paper_prevalence *
                      cal.isp_prevalence_factor[index_of(profile.isp)],
@@ -28,15 +29,6 @@ double expected_device_records(const Calibration& cal, const DeviceProfile& prof
                                     cal.fp_manual_disconnect_rate + cal.fp_balance_rate +
                                     0.015);
   return prevalence * (target_events + extras);
-}
-
-double expected_fleet_records(const Calibration& cal,
-                              std::span<const DeviceProfile> fleet) {
-  double total = 0.0;
-  for (const DeviceProfile& profile : fleet) {
-    total += expected_device_records(cal, profile);
-  }
-  return total;
 }
 
 }  // namespace cellrel

@@ -5,27 +5,22 @@
 // Table 2, Figs. 2-17) and the campaign re-measures every quantity through
 // the real telephony + Android-MOD + analysis pipeline. Everything below is
 // a ground-truth *input*; the benches compare the re-measured outputs
-// against the same paper numbers.
+// against the same paper numbers. They are constants: the campaign reads
+// default_calibration(), and no scenario overrides them.
 
 #ifndef CELLREL_WORKLOAD_CALIBRATION_H
 #define CELLREL_WORKLOAD_CALIBRATION_H
 
 #include <array>
-#include <span>
 
 #include "bs/isp.h"
 #include "common/piecewise.h"
 #include "device/device.h"
-#include "telephony/rat_policy.h"
+#include "radio/rat.h"
 
 namespace cellrel {
 
 struct Calibration {
-  // --- Failure-type event mix (§3.1: "an average of 16 Data_Setup_Error,
-  // 14 Data_Stall, and 3 Out_of_Service events occur to a single phone"),
-  // with a <1% legacy tail (SMS / voice). Order: FailureType enum.
-  std::array<double, 5> type_event_weights = {16.0, 3.0, 14.0, 0.2, 0.1};
-
   /// Fraction of failing devices that ever see Out_of_Service (§3.1: 95% of
   /// ALL phones see none; with ~23% prevalence that leaves ~20% of failing
   /// devices OOS-prone).
@@ -137,23 +132,16 @@ struct Calibration {
   /// Mean susceptibility of the lognormal(0, sigma) draw used when scaling
   /// per-device failure counts (E[lognormal(0,1.1)] = e^{0.605}).
   double susceptibility_mean = 1.832;
-
-  /// The (RAT, level) risk table (shared with the stability policy).
-  const RatLevelRiskTable* risk_table = &default_risk_table();
 };
 
-/// The default calibration (paper values).
+/// The calibration every campaign runs (paper values).
 const Calibration& default_calibration();
 
-/// Expected number of trace records `profile` will upload over a campaign
-/// under `cal`: the calibrated per-device event target (prevalence-weighted)
-/// plus the false-positive and legacy extras that ride along. Used to size
-/// dataset reservations; an estimate, not a bound.
-double expected_device_records(const Calibration& cal, const DeviceProfile& profile);
-
-/// Sum of expected_device_records over `fleet` — the campaign's reservation
-/// size for TraceDataset::records (replaces the old device_count/2 guess).
-double expected_fleet_records(const Calibration& cal, std::span<const DeviceProfile> fleet);
+/// Expected number of trace records `profile` will upload over a campaign:
+/// the calibrated per-device event target (prevalence-weighted) plus the
+/// false-positive and legacy extras that ride along. Sizes the shards'
+/// record batches; an estimate, not a bound.
+double expected_device_records(const DeviceProfile& profile);
 
 }  // namespace cellrel
 

@@ -11,6 +11,8 @@
 #include "analysis/csv_io.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "telephony/rat_policy.h"
+#include "workload/calibration.h"
 #include "workload/mobility.h"
 
 namespace cellrel {
@@ -104,8 +106,9 @@ std::size_t batch_capacity_for(double expected_shard_records) {
 /// modes) or written to the shard's spill file and their buffer recycled
 /// through `arena` (streaming + spill: O(1) resident batches per shard).
 /// Transitions/dwells always fold into order-independent count tables; the
-/// per-sample rows are kept too only when the dataset is materialized
-/// (write_dataset_csv exports them).
+/// per-sample rows are kept too only when a dataset export or the
+/// materialized dataset needs them (write_dataset_csv and the streaming
+/// export write them).
 struct ShardResult {
   // --- Record data plane ---
   StringPool apns;
@@ -259,19 +262,28 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   result.stream = std::make_unique<Aggregator>();
   Aggregator& agg = *result.stream;
 
-  std::size_t episodes = 0;
-  for (const ShardResult& s : shards) episodes += s.recovery_episodes.size();
+  // The shards keep per-session transition/dwell samples only for the
+  // materialized dataset or the streaming export; they land in the dataset
+  // or in these export buffers.
+  std::vector<TransitionRecord> export_transitions;
+  std::vector<DwellRecord> export_dwells;
+  std::vector<TransitionRecord>& transitions =
+      materialize ? result.dataset.transitions : export_transitions;
+  std::vector<DwellRecord>& dwells = materialize ? result.dataset.dwells : export_dwells;
+
+  std::size_t episodes = 0, transition_count = 0, dwell_count = 0;
+  for (const ShardResult& s : shards) {
+    episodes += s.recovery_episodes.size();
+    transition_count += s.transitions.size();
+    dwell_count += s.dwells.size();
+  }
   result.recovery_episodes.reserve(episodes);
+  transitions.reserve(transition_count);
+  dwells.reserve(dwell_count);
   if (materialize) {
-    std::size_t records = 0, transitions = 0, dwells = 0;
-    for (const ShardResult& s : shards) {
-      records += s.batched_records();
-      transitions += s.transitions.size();
-      dwells += s.dwells.size();
-    }
+    std::size_t records = 0;
+    for (const ShardResult& s : shards) records += s.batched_records();
     result.dataset.records.reserve(records);
-    result.dataset.transitions.reserve(transitions);
-    result.dataset.dwells.reserve(dwells);
   }
 
   std::vector<query::QueryExecutor> executors;
@@ -281,7 +293,7 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   // Streaming dataset export (--stream --out): each batch is expanded
   // row-by-row through the shard's MaterializeContext and appended to
   // records.csv as it is consumed — the record order equals the
-  // materialized dataset's, so the file is byte-identical to
+  // materialized dataset's, so every file is byte-identical to
   // write_dataset_csv()'s.
   std::unique_ptr<TraceCsvStreamWriter> export_csv;
   if (!stream_out_dir.empty()) {
@@ -321,10 +333,8 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
     agg.add_connected_time(s.connected_time);
     agg.add_counts(s.td_counts);
     for (query::QueryExecutor& ex : executors) ex.add_counts(s.td_counts);
-    if (materialize) {
-      move_append(result.dataset.transitions, std::move(s.transitions));
-      move_append(result.dataset.dwells, std::move(s.dwells));
-    }
+    move_append(transitions, std::move(s.transitions));
+    move_append(dwells, std::move(s.dwells));
 
     move_append(result.recovery_episodes, std::move(s.recovery_episodes));
     overhead.merge(s.overhead);
@@ -360,7 +370,7 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   }
   if (export_csv) {
     export_csv->close();
-    write_streaming_sidecars_csv(agg, stream_out_dir);
+    write_streaming_sidecars_csv(agg, transitions, dwells, stream_out_dir);
   }
   publish_process_gauges(result, shards);
   return result;
@@ -404,7 +414,7 @@ constexpr double kDisruptionFactor = 0.45;
 
 double context_hazard(const Calibration& cal, const BaseStation& bs, const CellCandidate& cell,
                       bool transitioned, const CellCandidate& prev, double dualconn_mult) {
-  const RatLevelRiskTable& risk = *cal.risk_table;
+  const RatLevelRiskTable& risk = default_risk_table();
   double h = cal.hazard_level_weight * risk.at(cell.rat, cell.level);
   h += cal.hazard_bs_weight * std::clamp(bs.hazard_multiplier() - 1.0, 0.0, 5.0);
   h += cal.hazard_emm_weight * bs.emm_barring_prob();
@@ -431,7 +441,7 @@ class Campaign::DeviceRun final : public FailureEventListener {
   DeviceRun(const Scenario& scenario, const BsRegistry& registry,
             const DeviceProfile& profile, Rng rng, ShardResult& out)
       : scenario_(scenario),
-        cal_(scenario.calibration),
+        cal_(default_calibration()),
         registry_(registry),
         profile_(profile),
         rng_(rng),
@@ -691,7 +701,24 @@ void Campaign::DeviceRun::build_stack() {
                                            ? scenario_.timp_schedule
                                            : vanilla_probation_schedule();
   config.telephony.isp = profile_.isp;
+  config.telephony.execute_recovery_stage = [this](RecoveryStage stage) {
+    return stage_fix(stage);
+  };
+  config.telephony.on_recovery_episode = [this](const RecoveryEpisode& ep) {
+    out_.recovery_episodes.push_back(ep);
+  };
   config.monitor.use_probing = scenario_.monitor_probing;
+  config.monitor.resolve_cell = [this](BsIndex bs) { return registry_.at(bs).identity(); };
+  config.monitor.observables = [this] { return observables_; };
+  if (out_.health) {
+    // BS-health fan-out: the tracker sees exactly what the monitor writes
+    // (kept and filtered records, post-verdict) — never ground truth. Not
+    // billed to the device's overhead accountant: the observer models the
+    // backend's ingest, not on-device work.
+    config.monitor.observe_record = [this](const TraceRecord& r) {
+      out_.health->on_record(r);
+    };
+  }
   config.identity = {profile_.id, profile_.model->model_id, profile_.isp};
 
   mod_ = std::make_unique<AndroidMod>(
@@ -699,23 +726,7 @@ void Campaign::DeviceRun::build_stack() {
       [this](std::span<TraceRecord> batch) {
         for (const auto& r : batch) out_.emit(r);
       });
-  if (out_.health) {
-    // BS-health fan-out: the tracker sees exactly what the monitor writes
-    // (kept and filtered records, post-verdict) — never ground truth. Not
-    // billed to the device's overhead accountant: the observer models the
-    // backend's ingest, not on-device work.
-    mod_->monitor().set_record_observer(
-        [this](const TraceRecord& r) { out_.health->on_record(r); });
-  }
-  auto& tm = mod_->telephony();
-  tm.register_failure_listener(this);
-  mod_->monitor().set_observables_source([this] { return observables_; });
-  mod_->monitor().set_cell_resolver(
-      [this](BsIndex bs) { return registry_.at(bs).identity(); });
-  tm.recoverer().set_hooks(DataStallRecoverer::Hooks{
-      [this](RecoveryStage stage) { return stage_fix(stage); },
-      [this] { return mod_->telephony().network().fault() != NetworkFault::kNone; },
-      [this](const RecoveryEpisode& ep) { out_.recovery_episodes.push_back(ep); }});
+  mod_->telephony().register_failure_listener(this);
 }
 
 EpisodeKind Campaign::DeviceRun::pick_kind(const Session& s) {
@@ -1222,7 +1233,7 @@ CampaignResult Campaign::run() {
   auto run_shard = [&](std::size_t s) {
     const ShardRange range = shard_range(fleet.size(), shard_count, s);
     ShardResult& out = shards[s];
-    out.keep_samples = !scenario_.stream;
+    out.keep_samples = !scenario_.stream || !scenario_.stream_out_dir.empty();
     out.devices.reserve(range.size());
     // Batch capacity from the calibration's expected record count — a pure
     // function of the fleet and scenario. This replaces the old merged-
@@ -1231,7 +1242,7 @@ CampaignResult Campaign::run() {
     // the sealed-batch manifest.
     double expected_records = 0.0;
     for (std::size_t i = range.begin; i < range.end; ++i) {
-      expected_records += expected_device_records(scenario_.calibration, fleet[i]);
+      expected_records += expected_device_records(fleet[i]);
     }
     out.batch_capacity = batch_capacity_for(expected_records);
     if (scenario_.detect) {

@@ -11,7 +11,6 @@
 #include "common/names.h"
 #include "query/spec.h"
 #include "telephony/recovery.h"
-#include "workload/calibration.h"
 #include "workload/mobility.h"
 
 namespace cellrel {
@@ -53,10 +52,10 @@ struct Scenario {
   /// When non-empty (streaming mode only), the merge streams every record
   /// through the dataset CSV writer into this directory while it folds
   /// batches into the aggregator, so `--stream --out` exports a trace-level
-  /// dataset without ever materializing it. records/devices/base_stations/
-  /// connected_time are byte-identical to a materialized export of the same
-  /// scenario; transitions/dwells are written header-only (streaming shards
-  /// collapse those samples into count tables).
+  /// dataset without ever materializing it. Every file is byte-identical to
+  /// a materialized export of the same scenario: the shards keep their
+  /// transition/dwell samples for the export (a streaming run without one
+  /// keeps only the count tables).
   std::string stream_out_dir;
 
   /// Inline queries (src/query, DESIGN.md §12): each spec is evaluated
@@ -105,8 +104,6 @@ struct Scenario {
   /// Android-MOD active probing for stall durations (false = vanilla
   /// fixed-interval estimation; the probe-ladder ablation).
   bool monitor_probing = true;
-
-  Calibration calibration = default_calibration();
 
   /// Structural sanity of the scenario: non-zero fleet/BS counts, a positive
   /// campaign window, a sane thread request, and (when the TIMP recovery

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "analysis/aggregate.h"
@@ -16,7 +17,8 @@ namespace fs = std::filesystem;
 
 class ScopedTempDir {
  public:
-  ScopedTempDir() : path_(fs::temp_directory_path() / "cellrel_csv_test") {
+  explicit ScopedTempDir(const char* name = "cellrel_csv_test")
+      : path_(fs::temp_directory_path() / name) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }
@@ -137,6 +139,38 @@ TEST(CsvIo, DatasetRoundTripPreservesAnalysis) {
   for (std::size_t i = 0; i < codes_a.size(); ++i) {
     EXPECT_EQ(codes_a[i].cause, codes_b[i].cause);
     EXPECT_EQ(codes_a[i].count, codes_b[i].count);
+  }
+}
+
+TEST(CsvIo, StreamingSidecarsMatchTheDatasetWriter) {
+  // The streaming export writes its non-record tables from the aggregator
+  // and the shards' samples; every file equals write_dataset_csv's.
+  Scenario sc;
+  sc.device_count = 200;
+  sc.deployment.bs_count = 800;
+  sc.campaign_days = 20.0;
+  sc.seed = 45;
+  const CampaignResult result = Campaign(sc).run();
+  ASSERT_FALSE(result.dataset.transitions.empty());
+  ASSERT_FALSE(result.dataset.dwells.empty());
+
+  const ScopedTempDir dir("cellrel_csv_sidecars_test");
+  const fs::path full = dir.path() / "full";
+  const fs::path sidecars = dir.path() / "sidecars";
+  write_dataset_csv(result.dataset, full);
+  write_streaming_sidecars_csv(*result.stream, result.dataset.transitions,
+                               result.dataset.dwells, sidecars);
+  EXPECT_FALSE(fs::exists(sidecars / DatasetFiles::kRecords));
+  for (const char* file : {DatasetFiles::kDevices, DatasetFiles::kBaseStations,
+                           DatasetFiles::kConnectedTime, DatasetFiles::kTransitions,
+                           DatasetFiles::kDwells}) {
+    SCOPED_TRACE(file);
+    std::ifstream a(full / file, std::ios::binary);
+    std::ifstream b(sidecars / file, std::ios::binary);
+    std::ostringstream ta, tb;
+    ta << a.rdbuf();
+    tb << b.rdbuf();
+    EXPECT_EQ(ta.str(), tb.str());
   }
 }
 

@@ -29,13 +29,5 @@ TEST(LinearHistogram, WeightedAdds) {
   EXPECT_EQ(h.total(), 10u);
 }
 
-TEST(LinearHistogram, CumulativeFraction) {
-  LinearHistogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(0.0), 0.0);
-}
-
 }  // namespace
 }  // namespace cellrel

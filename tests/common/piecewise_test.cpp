@@ -54,16 +54,6 @@ TEST(PiecewiseCdf, SamplesMatchAnchors) {
   EXPECT_NEAR(below30 / static_cast<double>(n), 0.70, 0.01);
 }
 
-TEST(PiecewiseCdf, ApproximateMeanMatchesSampling) {
-  const auto cdf = paper_stall_cdf();
-  Rng rng(18);
-  double sum = 0.0;
-  const int n = 400'000;
-  for (int i = 0; i < n; ++i) sum += cdf.sample(rng);
-  const double sampled_mean = sum / n;
-  EXPECT_NEAR(cdf.approximate_mean() / sampled_mean, 1.0, 0.05);
-}
-
 TEST(PiecewiseCdf, RejectsBadAnchors) {
   using A = PiecewiseCdf::Anchor;
   EXPECT_THROW(PiecewiseCdf({A{1.0, 1.0}}), std::invalid_argument);  // too few

@@ -20,11 +20,10 @@ struct DeviceHarness {
   DeviceObservables observables;
 
   explicit DeviceHarness(AndroidMod::Config config = make_config())
-      : mod(sim, Rng{11}, metrics, std::move(config),
+      : mod(sim, Rng{11}, metrics, with_observables(std::move(config)),
             [this](std::span<TraceRecord> batch) {
               for (auto& r : batch) uploaded.push_back(std::move(r));
             }) {
-    mod.monitor().set_observables_source([this] { return observables_copy(); });
     set_healthy_channel();
     mod.telephony().set_cell_context({4, Rat::k4G, SignalLevel::kLevel3});
   }
@@ -35,7 +34,11 @@ struct DeviceHarness {
     return c;
   }
 
-  DeviceObservables observables_copy() const { return observables; }
+  /// The monitor reads the harness's observables (set by each test).
+  AndroidMod::Config with_observables(AndroidMod::Config config) {
+    config.monitor.observables = [this] { return observables; };
+    return config;
+  }
 
   void set_healthy_channel() {
     ChannelConditions cond;
@@ -104,7 +107,7 @@ TEST(MonitorService, StallMeasuredByProbing) {
   h.sim.run_until(SimTime::origin() + SimDuration::seconds(5.0));
   ASSERT_TRUE(tm.dc_tracker().connection().is_active());
 
-  h.mod.boot();
+  tm.stall_detector().start();
   h.drive_traffic(400.0);
   // Outage starts at t=20 s and heals 90 s later.
   h.sim.schedule_at(SimTime::origin() + SimDuration::seconds(20.0), [&] {
@@ -135,7 +138,7 @@ TEST(MonitorService, SystemSideStallFilteredByProber) {
   auto& tm = h.mod.telephony();
   tm.dc_tracker().request_data();
   h.sim.run_until(SimTime::origin() + SimDuration::seconds(5.0));
-  h.mod.boot();
+  tm.stall_detector().start();
   h.drive_traffic(300.0);
   h.sim.schedule_at(SimTime::origin() + SimDuration::seconds(20.0), [&] {
     tm.network().inject_fault(NetworkFault::kProxyBroken);
@@ -162,7 +165,7 @@ TEST(MonitorService, VanillaFallbackRoundsToMinutes) {
   auto& tm = h.mod.telephony();
   tm.dc_tracker().request_data();
   h.sim.run_until(SimTime::origin() + SimDuration::seconds(5.0));
-  h.mod.boot();
+  tm.stall_detector().start();
   h.drive_traffic(500.0);
   h.sim.schedule_at(SimTime::origin() + SimDuration::seconds(20.0), [&] {
     tm.network().inject_fault(NetworkFault::kNetworkStall);
@@ -209,10 +212,11 @@ TEST(MonitorService, LegacyFailureRecordedInstantly) {
 }
 
 TEST(MonitorService, CellIdentityResolved) {
-  DeviceHarness h;
-  h.mod.monitor().set_cell_resolver([](BsIndex bs) {
+  AndroidMod::Config config = DeviceHarness::make_config();
+  config.monitor.resolve_cell = [](BsIndex bs) {
     return CellIdentity{CellGlobalId{460, 0, 100, bs}};
-  });
+  };
+  DeviceHarness h(std::move(config));
   h.set_failing_channel();
   h.mod.telephony().dc_tracker().request_data();
   h.sim.run_until(SimTime::origin() + SimDuration::seconds(3.0));
@@ -238,22 +242,70 @@ TEST(MonitorService, OverheadAccumulates) {
   EXPECT_EQ(h.mod.monitor().records_written(), h.uploaded.size());
 }
 
-TEST(AndroidMod, RecoveryBridgeDrivesRecoverer) {
+TEST(MonitorService, ObservablesFromConfigReachTheFilter) {
+  // Setup errors during a voice call are the call's disruption, not a
+  // network failure: the monitor reads the call state through the
+  // observables source it was built with.
   DeviceHarness h;
-  auto& tm = h.mod.telephony();
-  // Swap in a deterministic recovery hook: stage 1 always fixes.
+  h.observables.in_voice_call = true;
+  h.set_failing_channel();
+  h.mod.telephony().dc_tracker().request_data();
+  h.sim.run_until(SimTime::origin() + SimDuration::seconds(8.0));
+  h.set_healthy_channel();
+  h.sim.run_until(SimTime::origin() + SimDuration::minutes(2.0));
+  h.finish();
+  ASSERT_FALSE(h.uploaded.empty());
+  for (const auto& r : h.uploaded) {
+    EXPECT_EQ(r.type, FailureType::kDataSetupError);
+    EXPECT_TRUE(r.filtered_false_positive);
+  }
+}
+
+TEST(MonitorService, RecordObserverSeesEveryWrittenRecord) {
+  std::vector<TraceRecord> observed;
+  AndroidMod::Config config = DeviceHarness::make_config();
+  config.monitor.observe_record = [&observed](const TraceRecord& r) {
+    observed.push_back(r);
+  };
+  DeviceHarness h(std::move(config));
+  h.set_failing_channel();
+  h.mod.telephony().dc_tracker().request_data();
+  h.sim.run_until(SimTime::origin() + SimDuration::seconds(8.0));
+  h.set_healthy_channel();
+  h.sim.run_until(SimTime::origin() + SimDuration::minutes(2.0));
+  h.mod.telephony().report_legacy_failure(FailureType::kSmsSendFail);
+  h.finish();
+  // The fan-out sees what the uploader receives, in the same order.
+  ASSERT_EQ(observed.size(), h.uploaded.size());
+  ASSERT_GE(observed.size(), 2u);
+  EXPECT_EQ(observed.size(), h.mod.monitor().records_written());
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    EXPECT_EQ(observed[i].type, h.uploaded[i].type);
+    EXPECT_EQ(observed[i].at, h.uploaded[i].at);
+    EXPECT_EQ(observed[i].duration, h.uploaded[i].duration);
+  }
+  EXPECT_EQ(observed.back().type, FailureType::kSmsSendFail);
+}
+
+TEST(AndroidMod, RecoveryBridgeDrivesRecoverer) {
+  // A deterministic recovery stage operation: stage 1 always fixes.
+  NetworkStack* network = nullptr;
   std::vector<RecoveryEpisode> episodes;
-  tm.recoverer().set_hooks(DataStallRecoverer::Hooks{
-      [&tm](RecoveryStage) {
-        tm.network().inject_fault(NetworkFault::kNone);
-        return true;
-      },
-      [&tm] { return tm.network().fault() != NetworkFault::kNone; },
-      [&](const RecoveryEpisode& ep) { episodes.push_back(ep); }});
+  AndroidMod::Config config = DeviceHarness::make_config();
+  config.telephony.execute_recovery_stage = [&network](RecoveryStage) {
+    network->inject_fault(NetworkFault::kNone);
+    return true;
+  };
+  config.telephony.on_recovery_episode = [&](const RecoveryEpisode& ep) {
+    episodes.push_back(ep);
+  };
+  DeviceHarness h(std::move(config));
+  auto& tm = h.mod.telephony();
+  network = &tm.network();
 
   tm.dc_tracker().request_data();
   h.sim.run_until(SimTime::origin() + SimDuration::seconds(5.0));
-  h.mod.boot();
+  tm.stall_detector().start();
   h.drive_traffic(400.0);
   h.sim.schedule_at(SimTime::origin() + SimDuration::seconds(20.0), [&] {
     tm.network().inject_fault(NetworkFault::kNetworkStall);

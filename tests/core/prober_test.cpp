@@ -98,26 +98,43 @@ TEST(Prober, AbortSuppressesClassification) {
 }
 
 TEST(Prober, TimeoutBackoffAndFallbackOnMarathonStalls) {
-  // A stall past 1200 s doubles the timeouts each round; once a timeout
-  // exceeds 60 s the prober reverts to the vanilla fixed-interval detection.
-  NetworkStateProber::Config config;
-  config.backoff_threshold = SimDuration::seconds(100.0);  // accelerate the test
+  // A stall past 1200 s doubles the timeouts each round (DNS 5 -> 10 -> 20
+  // -> 40 -> 80 s); once a timeout exceeds 60 s the prober reverts to the
+  // vanilla fixed-interval detection, one check per 60 s.
   Fixture f;
-  NetworkStateProber prober{f.sim, f.stack, config};
-  std::optional<NetworkStateProber::Report> report;
   f.stack.inject_fault(NetworkFault::kNetworkStall);
-  f.sim.schedule_after(SimDuration::seconds(900.0), [&] {
+  f.sim.schedule_after(SimDuration::seconds(1500.0), [&] {
     f.stack.inject_fault(NetworkFault::kNone);
   });
-  prober.start(SimTime::origin(),
-               [&](const NetworkStateProber::Report& r) { report = r; });
+  f.start();
   f.sim.run();
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->result, ProbeEpisodeResult::kNetworkStallResolved);
-  EXPECT_TRUE(report->reverted_to_fallback);
+  ASSERT_TRUE(f.report.has_value());
+  EXPECT_EQ(f.report->result, ProbeEpisodeResult::kNetworkStallResolved);
+  EXPECT_TRUE(f.report->reverted_to_fallback);
+  // 5 s rounds up to the 1200 s threshold, then three doubled rounds
+  // (10 + 20 + 40 s) before the 80 s timeout trips the fallback.
+  EXPECT_EQ(f.report->rounds, 1200u / 5u + 1u + 3u);
   // Fallback granularity: measured within one fallback interval (60 s).
-  EXPECT_GE(report->measured_duration.to_seconds(), 900.0);
-  EXPECT_LE(report->measured_duration.to_seconds(), 965.0);
+  EXPECT_GE(f.report->measured_duration.to_seconds(), 1500.0);
+  EXPECT_LE(f.report->measured_duration.to_seconds(), 1560.0);
+}
+
+TEST(Prober, FiveSecondRoundsBeforeTheBackoffThreshold) {
+  // Below 1200 s of stall age every round keeps the 5 s DNS timeout, so a
+  // 600 s stall is measured round by round, never by the fallback.
+  Fixture f;
+  f.stack.inject_fault(NetworkFault::kNetworkStall);
+  f.sim.schedule_after(SimDuration::seconds(600.0), [&] {
+    f.stack.inject_fault(NetworkFault::kNone);
+  });
+  f.start();
+  f.sim.run();
+  ASSERT_TRUE(f.report.has_value());
+  EXPECT_EQ(f.report->result, ProbeEpisodeResult::kNetworkStallResolved);
+  EXPECT_FALSE(f.report->reverted_to_fallback);
+  EXPECT_EQ(f.report->rounds, 600u / 5u + 1u);
+  EXPECT_GE(f.report->measured_duration.to_seconds(), 600.0);
+  EXPECT_LE(f.report->measured_duration.to_seconds(), 605.0);
 }
 
 TEST(Prober, AccountsProbeTraffic) {

@@ -58,12 +58,15 @@ TEST(Overhead, DormantWithoutFailures) {
 }
 
 TEST(Overhead, CpuUtilizationIsBusyOverFailureTime) {
-  OverheadModel model;
-  model.cpu_per_event = SimDuration::milliseconds(2);
-  OverheadAccountant oh(model);
+  ASSERT_EQ(OverheadAccountant::kCpuPerEvent, SimDuration::milliseconds(2));
+  OverheadAccountant oh;
   for (int i = 0; i < 10; ++i) oh.on_event_handled();  // 20 ms busy
   oh.add_failure_duration(SimDuration::seconds(1.0));
   EXPECT_NEAR(oh.cpu_utilization_during_failures(), 0.02, 1e-9);
+  // One probing round (5 ms) and one record (1 ms) add to the busy time.
+  oh.on_probe_round();
+  oh.on_record_written(40);
+  EXPECT_EQ(oh.cpu_busy_time(), SimDuration::milliseconds(26));
 }
 
 TEST(Overhead, PaperBudgetRespectedForTypicalDevice) {
@@ -85,17 +88,18 @@ TEST(Overhead, PaperBudgetRespectedForTypicalDevice) {
 }
 
 TEST(Overhead, MemoryPeakTracksBufferedRecords) {
-  OverheadModel model;
-  model.memory_baseline = 1000;
-  model.memory_per_buffered_record = 100;
-  OverheadAccountant oh(model);
+  // 24 KiB baseline plus 96 bytes per buffered record.
+  ASSERT_EQ(OverheadAccountant::kMemoryBaseline, 24u * 1024);
+  ASSERT_EQ(OverheadAccountant::kMemoryPerBufferedRecord, 96u);
+  OverheadAccountant oh;
+  EXPECT_EQ(oh.peak_memory_bytes(), 24'576u);
   oh.on_record_written(40);
   oh.on_record_written(40);
   oh.on_record_written(40);
-  EXPECT_EQ(oh.peak_memory_bytes(), 1300u);
+  EXPECT_EQ(oh.peak_memory_bytes(), 24'576u + 3 * 96);
   oh.on_records_uploaded(3, 90);
   // Peak is sticky even after upload.
-  EXPECT_EQ(oh.peak_memory_bytes(), 1300u);
+  EXPECT_EQ(oh.peak_memory_bytes(), 24'576u + 3 * 96);
   EXPECT_EQ(oh.wifi_upload_bytes(), 90u);
 }
 

@@ -208,5 +208,17 @@ TEST(SleepingCellDetector, JsonSerializationIsDeterministic) {
   EXPECT_EQ(build(), build());
 }
 
+TEST(SleepingCellDetector, JsonConfigPrintsThresholdConstants) {
+  const HealthConfig config = small_config();
+  const HealthTracker tracker(config);
+  const std::string json =
+      health_report_to_json(SleepingCellDetector(config).analyze(tracker, {}));
+  EXPECT_NE(json.find("\"config\": { \"window_s\": 100, \"windows\": 10, "
+                      "\"ewma_alpha\": 0.29999999999999999, \"sleeping_min_kept\": 8, "
+                      "\"degraded_min_ewma\": 1, \"truth_min_failures\": 8 }"),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace cellrel::detect

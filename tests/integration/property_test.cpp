@@ -179,10 +179,17 @@ TEST_P(RecoveryScheduleTest, StageTimesEqualCumulativeProbations) {
           },
           [] { return true; },  // never auto-recovers
           nullptr});
-  recoverer.set_max_cycles(1);
   recoverer.on_stall_detected();
   sim.run();
-  ASSERT_EQ(stage_times.size(), 3u);
+  // Every cycle repeats the three probations until the cycle cap.
+  ASSERT_EQ(stage_times.size(), 3u * kMaxRecoveryCycles);
+  const double cycle = pro[0] + pro[1] + pro[2];
+  for (std::size_t c = 0; c < kMaxRecoveryCycles; c += 33) {
+    const double start = static_cast<double>(c) * cycle;
+    EXPECT_NEAR(stage_times[3 * c], start + pro[0], 1e-6) << "cycle " << c;
+    EXPECT_NEAR(stage_times[3 * c + 1], start + pro[0] + pro[1], 1e-6) << "cycle " << c;
+    EXPECT_NEAR(stage_times[3 * c + 2], start + cycle, 1e-6) << "cycle " << c;
+  }
   EXPECT_DOUBLE_EQ(stage_times[0], pro[0]);
   EXPECT_DOUBLE_EQ(stage_times[1], pro[0] + pro[1]);
   EXPECT_DOUBLE_EQ(stage_times[2], pro[0] + pro[1] + pro[2]);
@@ -210,18 +217,16 @@ TEST_P(MonitorAccuracyTest, MeasuredWithinProbeError) {
   AndroidMod mod(sim, Rng{77}, metrics, std::move(config), [&](std::span<TraceRecord> batch) {
     for (auto& r : batch) uploaded.push_back(std::move(r));
   });
+  // No recovery stage operation is supplied, so no stage fixes the stall and
+  // only the outage length determines the duration.
   auto& tm = mod.telephony();
-  // Neutralize recovery so only the outage length determines the duration.
-  tm.recoverer().set_hooks(DataStallRecoverer::Hooks{
-      [](RecoveryStage) { return false; },
-      [&tm] { return tm.network().fault() != NetworkFault::kNone; }, nullptr});
   ChannelConditions healthy;
   healthy.level = SignalLevel::kLevel4;
   tm.ril().update_channel(healthy);
   tm.set_cell_context({1, Rat::k4G, SignalLevel::kLevel4});
   tm.dc_tracker().request_data();
   sim.run_until(SimTime::origin() + SimDuration::seconds(5.0));
-  mod.boot();
+  tm.stall_detector().start();
 
   const double horizon = 120.0 + outage_s * 2.0;
   for (double t = 5.0; t < horizon; t += 2.0) {

@@ -10,15 +10,19 @@ namespace {
 // --- TCP segment accounting ---
 
 TEST(TcpStats, WindowCountsAndExpiry) {
-  TcpSegmentCounters tcp{SimDuration::minutes(1)};
+  EXPECT_EQ(TcpSegmentCounters::kWindow, SimDuration::minutes(1));
+  TcpSegmentCounters tcp;
   SimTime t = SimTime::origin();
   for (int i = 0; i < 5; ++i) {
     tcp.on_segment_sent(t);
     t += SimDuration::seconds(10);
   }
-  EXPECT_EQ(tcp.sent_in_window(t), 5u);
-  // 61 s after the first send it falls out of the window.
-  EXPECT_EQ(tcp.sent_in_window(SimTime::origin() + SimDuration::seconds(61)), 4u);
+  // All five sends are inside the window: "over 4" holds.
+  EXPECT_TRUE(tcp.stall_suspected(t, 4));
+  // 61 s after the first send it falls out of the window: four remain.
+  const SimTime later = SimTime::origin() + SimDuration::seconds(61);
+  EXPECT_FALSE(tcp.stall_suspected(later, 4));
+  EXPECT_TRUE(tcp.stall_suspected(later, 3));
   EXPECT_EQ(tcp.total_sent(), 5u);
 }
 

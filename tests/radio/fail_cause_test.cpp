@@ -43,7 +43,6 @@ TEST(FailCauseCatalog, RationalRejectionsAreFpCorrelated) {
         FailCause::kRadioPowerOff, FailCause::kCdmaIncomingCall}) {
     EXPECT_TRUE(catalog.info(c).false_positive_correlated) << to_string(c);
   }
-  EXPECT_GE(catalog.false_positive_code_count(), 10u);
 }
 
 TEST(FailCauseCatalog, LayersMatchPaperExamples) {
@@ -106,16 +105,6 @@ TEST(FailCauseSampler, TrueFailuresNeverFpCorrelated) {
   for (int i = 0; i < 20'000; ++i) {
     const FailCause c = sampler.sample_true_failure(rng);
     EXPECT_FALSE(catalog.info(c).false_positive_correlated) << to_string(c);
-  }
-}
-
-TEST(FailCauseSampler, FalsePositivesAlwaysFpCorrelated) {
-  FailCauseSampler sampler;
-  const auto& catalog = FailCauseCatalog::instance();
-  Rng rng(7);
-  for (int i = 0; i < 10'000; ++i) {
-    const FailCause c = sampler.sample_false_positive(rng);
-    EXPECT_TRUE(catalog.info(c).false_positive_correlated) << to_string(c);
   }
 }
 

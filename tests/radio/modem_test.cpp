@@ -22,17 +22,6 @@ TEST(Modem, HealthyChannelSetupSucceeds) {
   }
 }
 
-TEST(Modem, RadioOffFailsWithPowerCause) {
-  ModemSimulator modem{Rng{2}};
-  modem.set_radio_power(false);
-  EXPECT_EQ(modem.state(), ModemState::kRadioOff);
-  const ModemResult r = modem.setup_data_call(healthy());
-  EXPECT_FALSE(r.success);
-  EXPECT_EQ(r.cause, FailCause::kRadioPowerOff);
-  modem.set_radio_power(true);
-  EXPECT_TRUE(modem.setup_data_call(healthy()).success);
-}
-
 TEST(Modem, DriverFaultReportsRadioNotAvailable) {
   ModemSimulator modem{Rng{3}};
   ChannelConditions c = healthy();
@@ -123,7 +112,6 @@ TEST(Modem, ReregisterFailsOnDeadSignalSometimes) {
 
 TEST(Modem, RestartRadioAlwaysRecoversState) {
   ModemSimulator modem{Rng{10}};
-  modem.set_radio_power(false);
   const ModemResult r = modem.restart_radio();
   EXPECT_TRUE(r.success);
   EXPECT_EQ(modem.state(), ModemState::kOnline);

@@ -206,7 +206,7 @@ TEST(Voice, BusyLineIgnoresSecondCall) {
 TEST(Voice, OffhookDisruptsDataViaTelephonyManager) {
   Simulator sim;
   obs::MetricSink metrics;
-  TelephonyManager tm(sim, Rng{9}, metrics);
+  TelephonyManager tm(sim, Rng{9}, metrics, {});
   ChannelConditions healthy;
   healthy.level = SignalLevel::kLevel4;
   tm.ril().update_channel(healthy);

@@ -122,6 +122,31 @@ TEST(StabilityPolicy, AcceptsStrong5G) {
   EXPECT_EQ(chosen->rat, Rat::k5G);  // no data-rate sacrifice (§4.2)
 }
 
+TEST(StabilityPolicy, RiskWeightPricesRiskAgainstRate) {
+  // Each candidate scores its nominal rate minus kRiskWeight times the
+  // default table's risk; with no level-0 target in play the policy takes
+  // the higher score.
+  ASSERT_EQ(StabilityCompatiblePolicy::kRiskWeight, 600.0);
+  const RatLevelRiskTable& risk = default_risk_table();
+  const auto score = [&risk](Rat rat, SignalLevel level) {
+    return nominal_data_rate_mbps(rat, level) -
+           StabilityCompatiblePolicy::kRiskWeight * risk.at(rat, level);
+  };
+  StabilityCompatiblePolicy policy;
+  for (const SignalLevel nr : {SignalLevel::kLevel1, SignalLevel::kLevel2,
+                               SignalLevel::kLevel3, SignalLevel::kLevel5}) {
+    const std::vector<CellCandidate> candidates = {
+        cell(1, Rat::k5G, nr),
+        cell(2, Rat::k4G, SignalLevel::kLevel3),
+    };
+    const auto chosen = policy.choose(candidates, std::nullopt);
+    ASSERT_TRUE(chosen.has_value());
+    const Rat best = score(Rat::k5G, nr) > score(Rat::k4G, SignalLevel::kLevel3) ? Rat::k5G
+                                                                                 : Rat::k4G;
+    EXPECT_EQ(chosen->rat, best) << "5G level " << index_of(nr);
+  }
+}
+
 TEST(StabilityPolicy, Level0OnlyCandidatesStillServe) {
   StabilityCompatiblePolicy policy;
   const std::vector<CellCandidate> candidates = {

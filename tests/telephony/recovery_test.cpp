@@ -102,12 +102,29 @@ TEST(Recovery, LoopsThroughCyclesUntilFixed) {
 TEST(Recovery, CycleCapExhausts) {
   Harness h;
   auto recoverer = h.make(make_probation_schedule(1, 1, 1, "test"));
-  recoverer.set_max_cycles(3);
   recoverer.on_stall_detected();
   h.sim.run();
-  EXPECT_EQ(h.executed.size(), 9u);  // 3 cycles x 3 stages
+  ASSERT_EQ(kMaxRecoveryCycles, 100u);
+  EXPECT_EQ(h.executed.size(), 300u);  // 100 cycles x 3 stages
   ASSERT_EQ(h.episodes.size(), 1u);
   EXPECT_EQ(h.episodes[0].outcome, RecoveryOutcome::kExhausted);
+  EXPECT_EQ(h.episodes[0].cycles, 100u);
+  EXPECT_EQ(h.episodes[0].stages_executed, 300u);
+  EXPECT_DOUBLE_EQ(h.episodes[0].duration().to_seconds(), 300.0);
+}
+
+TEST(Recovery, EmptyHooksRunEveryStageUntilExhausted) {
+  // No stage operation and no stall check: every probation expiry assumes
+  // the stall persists, no stage fixes it, and the cap ends the episode.
+  Simulator sim;
+  obs::MetricSink metrics;
+  DataStallRecoverer recoverer(sim, metrics, make_probation_schedule(7, 7, 7, "test"), {});
+  recoverer.on_stall_detected();
+  sim.run();
+  EXPECT_FALSE(recoverer.episode_active());
+  EXPECT_EQ(metrics.counter("recovery.outcome.exhausted").value, 1u);
+  EXPECT_EQ(metrics.counter("recovery.stage.cleanup-connection").value, kMaxRecoveryCycles);
+  EXPECT_EQ(metrics.counter("recovery.stage.restart-radio").value, kMaxRecoveryCycles);
 }
 
 TEST(Recovery, UserResetEndsEpisode) {

@@ -18,10 +18,10 @@ TEST(ServiceState, OosEpisodeTiming) {
   sst.set_state(ServiceState::kOutOfService, start);
   EXPECT_TRUE(sst.out_of_service());
   EXPECT_EQ(sst.oos_episode_count(), 1u);
-  const SimTime later = start + SimDuration::seconds(30);
-  EXPECT_EQ(sst.current_oos_duration(later), SimDuration::seconds(30));
-  sst.set_state(ServiceState::kInService, later);
-  EXPECT_EQ(sst.current_oos_duration(later), SimDuration::zero());
+  sst.set_state(ServiceState::kInService, start + SimDuration::seconds(30));
+  EXPECT_FALSE(sst.out_of_service());
+  sst.set_state(ServiceState::kOutOfService, start + SimDuration::seconds(60));
+  EXPECT_EQ(sst.oos_episode_count(), 2u);
 }
 
 TEST(ServiceState, RepeatedSetIsIdempotent) {

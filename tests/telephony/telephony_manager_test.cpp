@@ -16,7 +16,7 @@ class Recorder final : public FailureEventListener {
 TEST(TelephonyManager, OosEpisodeEmitsEventAndClear) {
   Simulator sim;
   obs::MetricSink metrics;
-  TelephonyManager tm(sim, Rng{1}, metrics);
+  TelephonyManager tm(sim, Rng{1}, metrics, {});
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.set_cell_context({5, Rat::k3G, SignalLevel::kLevel2});
@@ -39,7 +39,7 @@ TEST(TelephonyManager, OosEpisodeEmitsEventAndClear) {
 TEST(TelephonyManager, OosGroundTruthPropagates) {
   Simulator sim;
   obs::MetricSink metrics;
-  TelephonyManager tm(sim, Rng{2}, metrics);
+  TelephonyManager tm(sim, Rng{2}, metrics, {});
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.enter_out_of_service(FalsePositiveKind::kInsufficientBalance);
@@ -50,7 +50,7 @@ TEST(TelephonyManager, OosGroundTruthPropagates) {
 TEST(TelephonyManager, LegacyFailureReachesListeners) {
   Simulator sim;
   obs::MetricSink metrics;
-  TelephonyManager tm(sim, Rng{3}, metrics);
+  TelephonyManager tm(sim, Rng{3}, metrics, {});
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.report_legacy_failure(FailureType::kVoiceCallDrop);
@@ -61,7 +61,7 @@ TEST(TelephonyManager, LegacyFailureReachesListeners) {
 TEST(TelephonyManager, UnregisterStopsDelivery) {
   Simulator sim;
   obs::MetricSink metrics;
-  TelephonyManager tm(sim, Rng{4}, metrics);
+  TelephonyManager tm(sim, Rng{4}, metrics, {});
   Recorder recorder;
   tm.register_failure_listener(&recorder);
   tm.register_failure_listener(&recorder);  // duplicate ignored
@@ -137,7 +137,7 @@ std::vector<Heard> drive_every_source(Simulator& sim, TelephonyManager& tm,
 TEST(TelephonyManager, OneChannelStampsAndOrdersEverySource) {
   Simulator sim;
   obs::MetricSink metrics;
-  TelephonyManager tm(sim, Rng{21}, metrics);
+  TelephonyManager tm(sim, Rng{21}, metrics, {});
   std::vector<Heard> log;
   OrderedRecorder first(1, log);
   OrderedRecorder second(2, log);
@@ -177,6 +177,54 @@ TEST(TelephonyManager, OneChannelStampsAndOrdersEverySource) {
 
   tm.unregister_failure_listener(&second);
   EXPECT_TRUE(drive_every_source(sim, tm, log).empty());
+}
+
+TEST(TelephonyManager, RecoveryStageAndEpisodeSinkComeFromConfig) {
+  Simulator sim;
+  obs::MetricSink metrics;
+  std::vector<RecoveryStage> executed;
+  std::vector<RecoveryEpisode> episodes;
+  TelephonyManager* owner = nullptr;
+  TelephonyManager::Config config;
+  config.recovery_schedule = make_probation_schedule(10, 20, 30, "test");
+  config.execute_recovery_stage = [&](RecoveryStage stage) {
+    executed.push_back(stage);
+    if (stage != RecoveryStage::kReregister) return false;
+    owner->network().inject_fault(NetworkFault::kNone);
+    return true;
+  };
+  config.on_recovery_episode = [&](const RecoveryEpisode& ep) { episodes.push_back(ep); };
+  TelephonyManager tm(sim, Rng{31}, metrics, std::move(config));
+  owner = &tm;
+
+  tm.network().inject_fault(NetworkFault::kNetworkStall);
+  tm.recoverer().on_stall_detected();
+  sim.run();
+  ASSERT_EQ(executed.size(), 2u);
+  ASSERT_EQ(episodes.size(), 1u);
+  EXPECT_EQ(episodes[0].outcome, RecoveryOutcome::kFixedByStage);
+  EXPECT_EQ(episodes[0].fixed_by, RecoveryStage::kReregister);
+  EXPECT_DOUBLE_EQ(episodes[0].duration().to_seconds(), 30.0);
+}
+
+TEST(TelephonyManager, RecoveryProbationChecksTheNetworkFault) {
+  // Without a stage operation the recoverer still sees the network stack:
+  // a fault cleared during the first probation ends the episode there.
+  Simulator sim;
+  obs::MetricSink metrics;
+  std::vector<RecoveryEpisode> episodes;
+  TelephonyManager::Config config;
+  config.on_recovery_episode = [&](const RecoveryEpisode& ep) { episodes.push_back(ep); };
+  TelephonyManager tm(sim, Rng{32}, metrics, std::move(config));
+  tm.network().inject_fault(NetworkFault::kNetworkStall);
+  tm.recoverer().on_stall_detected();
+  sim.schedule_after(SimDuration::seconds(25.0),
+                     [&tm] { tm.network().inject_fault(NetworkFault::kNone); });
+  sim.run();
+  ASSERT_EQ(episodes.size(), 1u);
+  EXPECT_EQ(episodes[0].outcome, RecoveryOutcome::kAutoRecovered);
+  EXPECT_EQ(episodes[0].stages_executed, 0u);
+  EXPECT_DOUBLE_EQ(episodes[0].duration().to_seconds(), 60.0);  // vanilla probation
 }
 
 }  // namespace

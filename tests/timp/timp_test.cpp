@@ -171,16 +171,6 @@ TEST(RecoveryOptimizer, ReproducesPaperShape) {
   }
 }
 
-TEST(RecoveryOptimizer, ScheduleConversion) {
-  OptimizedRecovery opt;
-  opt.probations_s = {21.0, 6.0, 16.0};
-  const ProbationSchedule schedule = RecoveryOptimizer::to_schedule(opt);
-  EXPECT_EQ(schedule.probation[0], SimDuration::seconds(21.0));
-  EXPECT_EQ(schedule.probation[1], SimDuration::seconds(6.0));
-  EXPECT_EQ(schedule.probation[2], SimDuration::seconds(16.0));
-  EXPECT_EQ(schedule.name, "timp-optimized");
-}
-
 TEST(RecoveryOptimizer, EmpiricalCurveFromCampaignDurations) {
   // The optimizer also accepts an empirical curve built from measured stall
   // durations, the route the paper actually used.

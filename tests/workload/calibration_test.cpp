@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "bs/deployment.h"
 #include "device/phone_model.h"
-#include "telephony/events.h"
 #include "workload/scenario.h"
 
 namespace cellrel {
@@ -15,17 +17,6 @@ TEST(Calibration, StallCdfHonorsPaperAnchors) {
   EXPECT_NEAR(cal.stall_auto_recovery_cdf.cdf(10.0), 0.60, 1e-9);
   EXPECT_DOUBLE_EQ(cal.stall_auto_recovery_cdf.cdf(91'770.0), 1.0);
   EXPECT_DOUBLE_EQ(cal.max_failure_duration_s, 91'770.0);
-}
-
-TEST(Calibration, TypeWeightsMatchPaperMix) {
-  const auto& w = default_calibration().type_event_weights;
-  // §3.1: 16 setup / 14 stall / 3 OOS, <1% legacy tail.
-  EXPECT_DOUBLE_EQ(w[index_of(FailureType::kDataSetupError)], 16.0);
-  EXPECT_DOUBLE_EQ(w[index_of(FailureType::kDataStall)], 14.0);
-  EXPECT_DOUBLE_EQ(w[index_of(FailureType::kOutOfService)], 3.0);
-  const double legacy = w[index_of(FailureType::kSmsSendFail)] +
-                        w[index_of(FailureType::kVoiceCallDrop)];
-  EXPECT_LT(legacy / (16.0 + 14.0 + 3.0 + legacy), 0.01);
 }
 
 TEST(Calibration, IspFactorsAreSubscriberNeutral) {
@@ -59,10 +50,6 @@ TEST(Calibration, StallClassesPartitionProbability) {
   EXPECT_LT(cal.stall_hard_factor_hi, 1.0);
 }
 
-TEST(Calibration, RiskTableIsTheSharedDefault) {
-  EXPECT_EQ(default_calibration().risk_table, &default_risk_table());
-}
-
 TEST(Scenario, DefaultsMatchStudySetup) {
   const Scenario sc;
   EXPECT_DOUBLE_EQ(sc.campaign_days, 240.0);  // Jan-Aug 2020
@@ -83,15 +70,20 @@ TEST(Scenario, VariantNames) {
 }
 
 TEST(DeploymentDefaults, MatchPaperSection33) {
-  const DeploymentConfig config;
-  EXPECT_DOUBLE_EQ(config.frac_2g, 0.234);
-  EXPECT_DOUBLE_EQ(config.frac_3g, 0.102);
-  EXPECT_DOUBLE_EQ(config.frac_4g, 0.652);
-  EXPECT_DOUBLE_EQ(config.frac_5g, 0.073);
-  const double location_total = config.frac_dense_urban + config.frac_urban +
-                                config.frac_suburban + config.frac_rural +
-                                config.frac_transport_hub + config.frac_remote;
-  EXPECT_NEAR(location_total, 1.0, 1e-9);
+  // The generated landscape's location-class mix (the RAT and ISP
+  // marginals are checked in tests/bs/bs_test.cpp).
+  DeploymentConfig config;
+  config.bs_count = 40'000;
+  Rng rng(12);
+  std::array<double, kAllLocationClasses.size()> share{};
+  for (const auto& s : generate_deployment(config, rng)) {
+    share[static_cast<std::size_t>(s.location)] += 1.0 / config.bs_count;
+  }
+  const std::array<double, kAllLocationClasses.size()> paper = {0.12, 0.30, 0.28,
+                                                                0.22, 0.03, 0.05};
+  for (std::size_t i = 0; i < share.size(); ++i) {
+    EXPECT_NEAR(share[i], paper[i], 0.01) << "location class " << i;
+  }
 }
 
 }  // namespace

@@ -5,14 +5,15 @@
 //    with positive Zipf-rank agreement;
 //  - bit-identity: the serialized health report is byte-identical across
 //    {1, 2, 4} worker threads for several seeds;
-//  - degenerate fleet: a zero-prevalence calibration produces an empty
-//    verdict list and finite (0, not NaN) scores.
+//  - degenerate fleet: a fleet without failures produces an empty verdict
+//    list and finite (0, not NaN) scores.
 
 #include "workload/campaign.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "detect/detector.h"
 
@@ -93,13 +94,15 @@ TEST(DetectionCampaign, StreamingPathProducesTheSameReport) {
 }
 
 TEST(DetectionCampaign, ZeroFailureFleetYieldsEmptyVerdicts) {
-  Scenario sc = detect_scenario(20200101, 2);
-  // No device ever fails: prevalence collapses to zero for every ISP.
-  sc.calibration.isp_prevalence_factor = {0.0, 0.0, 0.0};
-  Campaign campaign(sc);
-  const CampaignResult result = campaign.run();
-  ASSERT_NE(result.health, nullptr);
-  const detect::HealthReport& report = *result.health;
+  // A fleet in which no device fails: the detection scenario's window
+  // series stays empty and every BS's ground truth is zero.
+  const Scenario sc = detect_scenario(20200101, 2);
+  detect::HealthConfig config;
+  config.window_s = sc.detect_window_s;
+  config.horizon_s = sc.campaign_days * 86'400.0;
+  const detect::HealthTracker tracker(config);
+  const std::vector<std::uint64_t> truth(sc.deployment.bs_count, 0);
+  const detect::HealthReport report = detect::SleepingCellDetector(config).analyze(tracker, truth);
 
   ASSERT_TRUE(report.scored);
   EXPECT_TRUE(report.findings.empty());

@@ -15,9 +15,8 @@
 // path.
 // --spill-dir DIR additionally spills sealed batches to per-shard CSV files
 // under DIR, bounding batch residency to O(shards x batch capacity).
-// --stream --out DIR streams the CSV export through the merge (records/
-// devices/base_stations/connected_time byte-identical to the materialized
-// export; transitions/dwells header-only).
+// --stream --out DIR streams the CSV export through the merge (every file
+// byte-identical to the materialized export).
 //
 // --detect runs the online sleeping-cell detector (src/detect): per-shard
 // BS-health trackers ride the monitors' record fan-out, merge in shard
