@@ -47,12 +47,11 @@ TraceRecord MonitorService::base_record(const FailureEvent& event) const {
 }
 
 void MonitorService::write_record(TraceRecord record) {
-  overhead_.on_record_written(compressed_record_bytes(record));
+  overhead_.on_trace_written(compressed_record_bytes(record));
   overhead_.add_failure_duration(record.duration);
   ++records_written_;
   metrics_.records.add();
   if (record.filtered_false_positive) metrics_.filtered_fp.add();
-  if (config_.observe_record) config_.observe_record(record);
   uploader_.submit(std::move(record));
 }
 

@@ -29,7 +29,6 @@ class MonitorService final : public FailureEventListener {
  public:
   using CellResolver = std::function<CellIdentity(BsIndex)>;
   using ObservablesSource = std::function<DeviceObservables()>;
-  using RecordObserver = std::function<void(const TraceRecord&)>;
 
   struct Config {
     /// When false, Data_Stall durations fall back to vanilla Android's
@@ -42,14 +41,6 @@ class MonitorService final : public FailureEventListener {
     /// The device state the false-positive filter consults. Empty: default
     /// observables (data enabled, no call, account in good standing).
     ObservablesSource observables;
-    /// The monitor's record fan-out: called once per finalized record —
-    /// kept AND filtered, verdicts attached — right before it is handed to
-    /// the uploader. This is the tap network-side consumers (the
-    /// sleeping-cell detection service) attach to; it sees only what the
-    /// monitor uploads, never simulator ground truth, and must not mutate
-    /// device state. Not billed to the device's overhead accountant (the
-    /// consumer is backend-side). Empty when detection is off.
-    RecordObserver observe_record;
   };
 
   /// `identity` stamps records.
@@ -98,7 +89,7 @@ class MonitorService final : public FailureEventListener {
     const std::uint64_t bytes = uploader_.uploaded_bytes();
     const std::uint64_t records = uploader_.uploaded_records();
     if (bytes > uploaded_bytes_seen_) {
-      overhead_.on_records_uploaded(records - uploaded_records_seen_,
+      overhead_.on_traces_uploaded(records - uploaded_records_seen_,
                                     bytes - uploaded_bytes_seen_);
       uploaded_bytes_seen_ = bytes;
       uploaded_records_seen_ = records;

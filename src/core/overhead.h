@@ -32,13 +32,13 @@ class OverheadAccountant {
 
   void on_event_handled() { cpu_busy_ += kCpuPerEvent; }
   void on_probe_round() { cpu_busy_ += kCpuPerProbeRound; }
-  void on_record_written(std::uint64_t compressed_bytes) {
+  void on_trace_written(std::uint64_t compressed_bytes) {
     cpu_busy_ += kCpuPerRecord;
     storage_bytes_ += compressed_bytes;
     ++buffered_records_;
     peak_buffered_records_ = std::max(peak_buffered_records_, buffered_records_);
   }
-  void on_records_uploaded(std::uint64_t count, std::uint64_t bytes) {
+  void on_traces_uploaded(std::uint64_t count, std::uint64_t bytes) {
     buffered_records_ = count >= buffered_records_ ? 0 : buffered_records_ - count;
     upload_bytes_ += bytes;
   }

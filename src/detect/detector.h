@@ -1,13 +1,13 @@
 // cellrel-detect: sleeping-cell verdicts and ground-truth scoring.
 //
 // The SleepingCellDetector is the single-threaded, post-merge half of the
-// detection service: it replays the merged HealthTracker window series in
-// sim-time order, computes per-cell kept-rate EWMAs and silence gaps, and
-// issues verdicts — kSleeping for cells whose kept-failure evidence crosses
-// kSleepingMinKept, kDegraded for cells with a sustained elevated
-// kept rate below it. Because the merged tracker state is an
-// order-independent fold of per-shard integers, the verdict list, the
-// scores, and the serialized report are bit-identical for every
+// detection service: it replays the HealthTracker's window series (the
+// campaign merge's fold of the uploaded records) in sim-time order,
+// computes per-cell kept-rate EWMAs and silence gaps, and issues verdicts —
+// kSleeping for cells whose kept-failure evidence crosses kSleepingMinKept,
+// kDegraded for cells with a sustained elevated kept rate below it. Because
+// the tracker state is an order-independent fold of integers, the verdict
+// list, the scores, and the serialized report are bit-identical for every
 // `--threads` value.
 //
 // Scoring: when the caller supplies the registry's true per-BS failure
@@ -135,7 +135,7 @@ class SleepingCellDetector {
  public:
   explicit SleepingCellDetector(HealthConfig config) : config_(config) {}
 
-  /// Builds the report from merged tracker state. `true_failures` is the
+  /// Builds the report from the tracker's state. `true_failures` is the
   /// registry's per-BS ground truth (index-aligned; pass an empty span for
   /// unscored offline replay).
   HealthReport analyze(const HealthTracker& tracker,

@@ -17,65 +17,40 @@ std::size_t HealthConfig::windows() const {
 HealthTracker::HealthTracker(const HealthConfig& config)
     : config_(config), windows_(config.windows()) {}
 
-std::size_t HealthTracker::window_of(SimTime at) const {
-  const std::int64_t us = at.since_origin().count_us();
-  if (us <= 0) return 0;
+std::size_t HealthTracker::window_of(std::int64_t at_us) const {
+  if (at_us <= 0) return 0;
   const std::int64_t window_us =
       static_cast<std::int64_t>(config_.window_s * 1e6);
-  const std::size_t w = static_cast<std::size_t>(us / window_us);
+  const std::size_t w = static_cast<std::size_t>(at_us / window_us);
   return std::min(w, windows_ - 1);
 }
 
-void HealthTracker::on_record(const TraceRecord& record) {
+void HealthTracker::consume(const RecordBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) ingest(batch.row(i));
+}
+
+void HealthTracker::ingest(const RecordBatch::RowView& row) {
   ++records_seen_;
-  if (record.bs == kInvalidBs) {
+  if (row.bs == kInvalidBs) {
     ++records_unattributed_;
     return;
   }
-  CellHealth& cell = cells_[record.bs];
+  CellHealth& cell = cells_[row.bs];
   if (cell.window_events.empty()) {
     cell.window_events.assign(windows_, 0);
     cell.window_kept.assign(windows_, 0);
   }
-  const std::size_t w = window_of(record.at);
+  const std::size_t w = window_of(row.at_us);
   ++cell.window_events[w];
   ++cell.events;
-  const std::int64_t us = record.at.since_origin().count_us();
-  cell.first_event_us = std::min(cell.first_event_us, us);
-  cell.last_event_us = std::max(cell.last_event_us, us);
-  if (record.filtered_false_positive) {
+  cell.first_event_us = std::min(cell.first_event_us, row.at_us);
+  cell.last_event_us = std::max(cell.last_event_us, row.at_us);
+  if (row.filtered_false_positive) {
     ++cell.filtered;
   } else {
     ++cell.window_kept[w];
     ++cell.kept;
-    ++cell.type_counts[index_of(record.type)];
-  }
-}
-
-void HealthTracker::merge(const HealthTracker& other) {
-  CELLREL_CHECK(windows_ == other.windows_ &&
-                config_.window_s == other.config_.window_s)
-      << "merging health trackers with different window shapes";
-  records_seen_ += other.records_seen_;
-  records_unattributed_ += other.records_unattributed_;
-  for (const auto& [bs, theirs] : other.cells_) {
-    CellHealth& mine = cells_[bs];
-    if (mine.window_events.empty()) {
-      mine.window_events.assign(windows_, 0);
-      mine.window_kept.assign(windows_, 0);
-    }
-    for (std::size_t w = 0; w < windows_; ++w) {
-      mine.window_events[w] += theirs.window_events[w];
-      mine.window_kept[w] += theirs.window_kept[w];
-    }
-    for (std::size_t t = 0; t < kFailureTypeCount; ++t) {
-      mine.type_counts[t] += theirs.type_counts[t];
-    }
-    mine.events += theirs.events;
-    mine.kept += theirs.kept;
-    mine.filtered += theirs.filtered;
-    mine.first_event_us = std::min(mine.first_event_us, theirs.first_event_us);
-    mine.last_event_us = std::max(mine.last_event_us, theirs.last_event_us);
+    ++cell.type_counts[index_of(row.type)];
   }
 }
 

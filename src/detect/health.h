@@ -1,21 +1,21 @@
-// cellrel-detect: online BS-health tracking (ROADMAP item 4).
+// cellrel-detect: BS-health tracking.
 //
-// A HealthTracker is the per-shard, online half of the sleeping-cell
-// detection service. It subscribes to the monitor's record fan-out
-// (MonitorService::Config::observe_record) and folds every trace record the
-// Android-MOD fleet writes — kept and filtered alike — into per-BS
-// sliding-window health state keyed to SIMULATED time: per-window event
-// counts, kept-vs-filtered verdict mix, per-failure-type totals, and
-// first/last activity stamps. It observes exactly what a network-side
-// health service could observe (the uploaded stream); ground truth never
-// flows through it.
+// A HealthTracker is the fold half of the sleeping-cell detection service.
+// It ingests the backend's record stream — the rows the Android-MOD fleet
+// uploaded, kept and filtered alike — through the same surface as the
+// Aggregator and the QueryExecutor (consume(RecordBatch) / ingest(RowView)),
+// and folds every row into per-BS sliding-window health state keyed to
+// SIMULATED time: per-window event counts, kept-vs-filtered verdict mix,
+// per-failure-type totals, and first/last activity stamps. It observes
+// exactly what a network-side health service could observe (the uploaded
+// stream); ground truth never flows through it.
 //
-// Determinism contract (DESIGN.md §6/§11): every field a tracker holds is
-// an integer count, an integer min, or an integer max, so merging shard
-// trackers is order-independent and the merged state — and every verdict
-// the SleepingCellDetector derives from it — is bit-identical for every
-// `--threads` value. The campaign merges trackers in shard-index order
-// anyway, like every other ShardResult field.
+// Determinism contract (DESIGN.md §6/§11): the campaign builds one tracker
+// and feeds it during the shard merge, in sequential record order, from
+// in-memory and spill-reloaded batches alike. Every field a tracker holds is
+// an integer count, an integer min, or an integer max, so the state — and
+// every verdict the SleepingCellDetector derives from it — is bit-identical
+// for every `--threads` value and either record source.
 
 #ifndef CELLREL_DETECT_HEALTH_H
 #define CELLREL_DETECT_HEALTH_H
@@ -26,6 +26,7 @@
 #include <map>
 #include <vector>
 
+#include "analysis/batch.h"
 #include "core/trace.h"
 
 namespace cellrel::detect {
@@ -44,10 +45,10 @@ struct HealthConfig {
   std::size_t windows() const;
 };
 
-/// Windowed health state for one base station. All integers: shard merge is
-/// elementwise addition (plus min/max for the activity stamps).
+/// Windowed health state for one base station. All integers, so the state
+/// does not depend on ingestion order.
 struct CellHealth {
-  /// Per-window record counts (every record the monitor wrote).
+  /// Per-window record counts (every uploaded record).
   std::vector<std::uint32_t> window_events;
   /// Per-window records that survived false-positive filtering.
   std::vector<std::uint32_t> window_kept;
@@ -60,20 +61,18 @@ struct CellHealth {
   std::int64_t last_event_us = std::numeric_limits<std::int64_t>::min();
 };
 
-/// Per-shard streaming consumer of the monitor's record stream.
+/// Streaming consumer of the uploaded record stream.
 class HealthTracker {
  public:
   explicit HealthTracker(const HealthConfig& config);
 
-  /// Observer entry point: folds one trace record into the owning BS's
-  /// window state. Records without a BS identity (legacy voice drops
-  /// reported off-cell) are counted but not attributed.
-  void on_record(const TraceRecord& record);
+  /// One columnar batch, in emission order: ingest() on every row.
+  void consume(const RecordBatch& batch);
 
-  /// Accumulates another shard's tracker (same config shape — checked).
-  /// Pure integer sums and min/max folds: the merged state is independent
-  /// of merge order.
-  void merge(const HealthTracker& other);
+  /// Folds one record row into the owning BS's window state. Rows without
+  /// a BS identity (legacy voice drops reported off-cell) are counted but
+  /// not attributed.
+  void ingest(const RecordBatch::RowView& row);
 
   const HealthConfig& config() const { return config_; }
   /// Per-BS state, ordered by BS index (std::map: the detector's export
@@ -82,8 +81,9 @@ class HealthTracker {
   std::uint64_t records_seen() const { return records_seen_; }
   std::uint64_t records_unattributed() const { return records_unattributed_; }
 
-  /// Window index for a simulated timestamp (clamped to the horizon).
-  std::size_t window_of(SimTime at) const;
+  /// Window index for a simulated timestamp in microseconds since the
+  /// origin (clamped to the horizon).
+  std::size_t window_of(std::int64_t at_us) const;
 
  private:
   HealthConfig config_;

@@ -16,12 +16,16 @@ namespace cellrel::query {
 struct PresetInfo {
   std::string_view name;
   std::string_view description;
+  /// The preset's question in canonical spec text (parse_query_spec input
+  /// and to_string output alike).
+  std::string_view spec;
 };
 
 /// All presets, in listing order.
 std::span<const PresetInfo> preset_table();
 
-/// The spec behind a preset name, or nullopt for an unknown name.
+/// The spec behind a preset name (its row's spec text, parsed, named after
+/// the preset), or nullopt for an unknown name.
 std::optional<QuerySpec> find_preset(std::string_view name);
 
 /// Human-readable listing: one "name  description  (spec)" line per preset.

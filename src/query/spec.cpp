@@ -1,6 +1,7 @@
 #include "query/spec.h"
 
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -264,6 +265,24 @@ std::optional<QuerySpec> parse_query_spec(std::string_view text, std::string* er
     } else {
       fail(error, "unknown key: " + std::string(key));
       return std::nullopt;
+    }
+  }
+  if (spec.agg == AggKind::kTransition) {
+    // The Fig. 17 matrix is computed from the fleet-wide transition counts:
+    // a filter or group would be silently ignored, so it is an error.
+    const QueryFilter& f = spec.filter;
+    const std::pair<bool, const char*> ignored[] = {
+        {f.model_id.has_value(), "model"}, {f.isp.has_value(), "isp"},
+        {f.rat.has_value(), "rat"},        {f.level.has_value(), "level"},
+        {f.bs.has_value(), "bs"},          {f.type.has_value(), "type"},
+        {f.since_s.has_value(), "since"},  {f.until_s.has_value(), "until"},
+        {spec.group != GroupBy::kNone, "group"},
+    };
+    for (const auto& [set, key] : ignored) {
+      if (set) {
+        fail(error, std::string("agg=transition takes no ") + key + " (the matrix is fleet-wide)");
+        return std::nullopt;
+      }
     }
   }
   return spec;

@@ -47,7 +47,7 @@ enum class AggKind : std::uint8_t {
   kTypeBreakdown,            // "breakdown"
   kCdf,                      // "cdf" (kept-failure durations, seconds)
   kTopK,                     // "topk" (record counts per group, ranked)
-  kTransition,               // "transition" (Fig. 17 matrix; ignores group)
+  kTransition,               // "transition" (Fig. 17 matrix; no filter or group)
 };
 
 /// Which prevalence-frequency column a pf query renders as its text series.
@@ -106,7 +106,8 @@ std::string to_string(const QuerySpec& spec);
 
 /// Parses whitespace-separated "key=value" tokens (the canonical form plus
 /// "name=..."). Returns nullopt and sets *error (if non-null) on unknown
-/// keys or unparsable values.
+/// keys, unparsable values, and — for agg=transition — any filter key or a
+/// group other than none, naming the key.
 std::optional<QuerySpec> parse_query_spec(std::string_view text, std::string* error);
 
 }  // namespace cellrel::query

@@ -43,7 +43,7 @@ FailCause ModemSimulator::pick_failure_cause(const ChannelConditions& cond) {
 ModemResult ModemSimulator::setup_data_call(const ChannelConditions& cond) {
   ModemResult r;
   r.latency = SimDuration::seconds(rng_.exponential(kSetupLatencyMeanSec));
-  if (state_ == ModemState::kRebooting || cond.driver_fault) {
+  if (cond.driver_fault) {
     r.success = false;
     r.cause = FailCause::kRadioNotAvailable;
     return r;
@@ -69,21 +69,12 @@ ModemResult ModemSimulator::setup_data_call(const ChannelConditions& cond) {
 ModemResult ModemSimulator::deactivate_data_call() {
   ModemResult r;
   r.latency = SimDuration::seconds(rng_.exponential(kDeactivateLatencyMeanSec));
-  if (state_ != ModemState::kOnline) {
-    r.success = false;
-    r.cause = FailCause::kRadioNotAvailable;
-  }
   return r;
 }
 
 ModemResult ModemSimulator::reregister(const ChannelConditions& cond) {
   ModemResult r;
   r.latency = SimDuration::seconds(kReregisterLatencyMeanSec * rng_.uniform(0.7, 1.5));
-  if (state_ != ModemState::kOnline) {
-    r.success = false;
-    r.cause = FailCause::kRadioNotAvailable;
-    return r;
-  }
   if (cond.level == SignalLevel::kLevel0 && rng_.bernoulli(0.35)) {
     r.success = false;
     r.cause = FailCause::kGprsRegistrationFail;
@@ -94,7 +85,6 @@ ModemResult ModemSimulator::reregister(const ChannelConditions& cond) {
 ModemResult ModemSimulator::restart_radio() {
   ModemResult r;
   r.latency = SimDuration::seconds(kRadioRestartLatencyMeanSec * rng_.uniform(0.8, 1.4));
-  state_ = ModemState::kOnline;  // a restart clears Rebooting
   return r;
 }
 

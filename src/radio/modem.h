@@ -10,7 +10,6 @@
 #ifndef CELLREL_RADIO_MODEM_H
 #define CELLREL_RADIO_MODEM_H
 
-#include <cstdint>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -48,22 +47,14 @@ struct ModemResult {
   bool rational_rejection = false;
 };
 
-/// Health of the simulated baseband.
-enum class ModemState : std::uint8_t {
-  kOnline,
-  kRebooting,
-};
-
 /// Simulates a baseband modem's command execution.
 ///
-/// The modem is stateful only in its reboot status; per-command
+/// The modem holds no state beyond its random stream: per-command
 /// stochastic outcomes are pure functions of (conditions, rng), which keeps
 /// devices independent and campaigns reproducible.
 class ModemSimulator {
  public:
   explicit ModemSimulator(Rng rng);
-
-  ModemState state() const { return state_; }
 
   /// SETUP_DATA_CALL: attempts to activate a PDP context / EPS bearer.
   ModemResult setup_data_call(const ChannelConditions& cond);
@@ -83,7 +74,6 @@ class ModemSimulator {
 
   Rng rng_;
   FailCauseSampler sampler_;
-  ModemState state_ = ModemState::kOnline;
 };
 
 }  // namespace cellrel

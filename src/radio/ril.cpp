@@ -16,29 +16,27 @@ RadioInterfaceLayer::RadioInterfaceLayer(Simulator& sim, Rng rng, obs::MetricSin
       reregister_metrics_(resolve(metrics, "reregister")),
       restart_metrics_(resolve(metrics, "restart_radio")) {}
 
-std::uint64_t RadioInterfaceLayer::dispatch(ModemResult result, ResponseCallback cb,
-                                            const CommandMetrics& metrics) {
-  const std::uint64_t serial = next_serial_++;
+void RadioInterfaceLayer::dispatch(ModemResult result, ResponseCallback cb,
+                                   const CommandMetrics& metrics) {
   metrics.latency.record(result.latency);
   if (!result.success) metrics.failures.add();
   sim_.schedule_after(result.latency, [result, cb = std::move(cb)] { cb(result); });
-  return serial;
 }
 
-std::uint64_t RadioInterfaceLayer::setup_data_call(ResponseCallback cb) {
-  return dispatch(modem_.setup_data_call(channel_), std::move(cb), setup_metrics_);
+void RadioInterfaceLayer::setup_data_call(ResponseCallback cb) {
+  dispatch(modem_.setup_data_call(channel_), std::move(cb), setup_metrics_);
 }
 
-std::uint64_t RadioInterfaceLayer::deactivate_data_call(ResponseCallback cb) {
-  return dispatch(modem_.deactivate_data_call(), std::move(cb), deactivate_metrics_);
+void RadioInterfaceLayer::deactivate_data_call(ResponseCallback cb) {
+  dispatch(modem_.deactivate_data_call(), std::move(cb), deactivate_metrics_);
 }
 
-std::uint64_t RadioInterfaceLayer::reregister(ResponseCallback cb) {
-  return dispatch(modem_.reregister(channel_), std::move(cb), reregister_metrics_);
+void RadioInterfaceLayer::reregister(ResponseCallback cb) {
+  dispatch(modem_.reregister(channel_), std::move(cb), reregister_metrics_);
 }
 
-std::uint64_t RadioInterfaceLayer::restart_radio(ResponseCallback cb) {
-  return dispatch(modem_.restart_radio(), std::move(cb), restart_metrics_);
+void RadioInterfaceLayer::restart_radio(ResponseCallback cb) {
+  dispatch(modem_.restart_radio(), std::move(cb), restart_metrics_);
 }
 
 }  // namespace cellrel

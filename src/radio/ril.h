@@ -10,7 +10,6 @@
 #ifndef CELLREL_RADIO_RIL_H
 #define CELLREL_RADIO_RIL_H
 
-#include <cstdint>
 #include <functional>
 #include <utility>
 
@@ -38,18 +37,11 @@ class RadioInterfaceLayer {
   void update_channel(const ChannelConditions& cond) { channel_ = cond; }
   const ChannelConditions& channel() const { return channel_; }
 
-  /// Issues SETUP_DATA_CALL; `cb` runs when the modem responds. Returns the
-  /// command serial.
-  std::uint64_t setup_data_call(ResponseCallback cb);
-  std::uint64_t deactivate_data_call(ResponseCallback cb);
-  std::uint64_t reregister(ResponseCallback cb);
-  std::uint64_t restart_radio(ResponseCallback cb);
-
-  /// Direct modem access for power control and state queries.
-  ModemSimulator& modem() { return modem_; }
-  const ModemSimulator& modem() const { return modem_; }
-
-  std::uint64_t commands_issued() const { return next_serial_; }
+  /// Issues SETUP_DATA_CALL; `cb` runs when the modem responds.
+  void setup_data_call(ResponseCallback cb);
+  void deactivate_data_call(ResponseCallback cb);
+  void reregister(ResponseCallback cb);
+  void restart_radio(ResponseCallback cb);
 
  private:
   /// Per-command metric handles, resolved at construction.
@@ -59,13 +51,11 @@ class RadioInterfaceLayer {
   };
   static CommandMetrics resolve(obs::MetricSink& sink, const char* command);
 
-  std::uint64_t dispatch(ModemResult result, ResponseCallback cb,
-                         const CommandMetrics& metrics);
+  void dispatch(ModemResult result, ResponseCallback cb, const CommandMetrics& metrics);
 
   Simulator& sim_;
   ModemSimulator modem_;
   ChannelConditions channel_;
-  std::uint64_t next_serial_ = 0;
   CommandMetrics setup_metrics_;
   CommandMetrics deactivate_metrics_;
   CommandMetrics reregister_metrics_;

@@ -128,11 +128,6 @@ struct ShardResult {
 
   std::vector<RecoveryEpisode> recovery_episodes;
   OverheadAccum overhead;
-  /// Online BS-health state (Scenario::detect): fed from every device
-  /// monitor's record fan-out, merged in shard-index order after the join.
-  /// Null when detection is off — the observer hook stays unset and the
-  /// record path pays nothing.
-  std::unique_ptr<detect::HealthTracker> health;
   /// Every device of the shard writes its metrics here; merged in
   /// shard-index order after the join.
   obs::MetricSink metrics;
@@ -251,16 +246,24 @@ void publish_process_gauges(CampaignResult& result, const std::vector<ShardResul
 ///
 /// One pass folds every batch — in memory, or re-read from the shard's spill
 /// file one buffer at a time — into the Aggregator (`result.stream`), the
-/// inline query executors and the optional streaming CSV export. When
-/// `materialize` is set, the same pass also expands the batches into
-/// `result.dataset`, with an EXACT reserve taken from the batch manifest.
+/// inline query executors, the BS-health tracker (Scenario::detect) and the
+/// optional streaming CSV export. In materialized mode (no --stream) the
+/// same pass also expands the batches into `result.dataset`, with an EXACT
+/// reserve taken from the batch manifest.
 CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult>&& shards,
-                                   bool materialize, const std::filesystem::path& spill_dir,
-                                   const std::filesystem::path& stream_out_dir,
-                                   std::span<const query::QuerySpec> queries) {
+                                   const Scenario& scenario) {
+  const bool materialize = !scenario.stream;
+  const std::filesystem::path spill_dir = scenario.spill_dir;
+  const std::filesystem::path stream_out_dir = scenario.stream_out_dir;
   CampaignResult result;
   result.stream = std::make_unique<Aggregator>();
   Aggregator& agg = *result.stream;
+  if (scenario.detect) {
+    detect::HealthConfig hc;
+    hc.window_s = scenario.detect_window_s;
+    hc.horizon_s = scenario.campaign_days * 86'400.0;
+    result.health_state = std::make_unique<detect::HealthTracker>(hc);
+  }
 
   // The shards keep per-session transition/dwell samples only for the
   // materialized dataset or the streaming export; they land in the dataset
@@ -287,8 +290,8 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   }
 
   std::vector<query::QueryExecutor> executors;
-  executors.reserve(queries.size());
-  for (const query::QuerySpec& spec : queries) executors.emplace_back(spec);
+  executors.reserve(scenario.inline_queries.size());
+  for (const query::QuerySpec& spec : scenario.inline_queries) executors.emplace_back(spec);
 
   // Streaming dataset export (--stream --out): each batch is expanded
   // row-by-row through the shard's MaterializeContext and appended to
@@ -314,6 +317,7 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
     const auto fold = [&](const RecordBatch& b) {
       agg.consume(b);
       for (query::QueryExecutor& ex : executors) ex.consume(b);
+      if (result.health_state) result.health_state->consume(b);
       if (export_csv) export_csv->append(b, ctx);
       if (materialize) b.materialize_into(result.dataset.records, ctx);
     };
@@ -342,12 +346,6 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
     result.simulated_events += s.simulated_events;
     result.episodes_run += s.episodes_run;
     registry.apply_failure_delta(s.bs_failures);
-    if (s.health) {
-      if (!result.health_state) {
-        result.health_state = std::make_unique<detect::HealthTracker>(s.health->config());
-      }
-      result.health_state->merge(*s.health);
-    }
     ++shard_index;
   }
   result.overhead = overhead.finalize();
@@ -710,15 +708,6 @@ void Campaign::DeviceRun::build_stack() {
   config.monitor.use_probing = scenario_.monitor_probing;
   config.monitor.resolve_cell = [this](BsIndex bs) { return registry_.at(bs).identity(); };
   config.monitor.observables = [this] { return observables_; };
-  if (out_.health) {
-    // BS-health fan-out: the tracker sees exactly what the monitor writes
-    // (kept and filtered records, post-verdict) — never ground truth. Not
-    // billed to the device's overhead accountant: the observer models the
-    // backend's ingest, not on-device work.
-    config.monitor.observe_record = [this](const TraceRecord& r) {
-      out_.health->on_record(r);
-    };
-  }
   config.identity = {profile_.id, profile_.model->model_id, profile_.isp};
 
   mod_ = std::make_unique<AndroidMod>(
@@ -1245,12 +1234,6 @@ CampaignResult Campaign::run() {
       expected_records += expected_device_records(fleet[i]);
     }
     out.batch_capacity = batch_capacity_for(expected_records);
-    if (scenario_.detect) {
-      detect::HealthConfig hc;
-      hc.window_s = scenario_.detect_window_s;
-      hc.horizon_s = scenario_.campaign_days * 86'400.0;
-      out.health = std::make_unique<detect::HealthTracker>(hc);
-    }
     if (!spill_dir.empty()) {
       out.spill = std::make_unique<BatchSpillWriter>(spill_dir / spill_shard_file(s));
     }
@@ -1290,12 +1273,11 @@ CampaignResult Campaign::run() {
   CampaignResult result;
   {
     obs::PhaseSpan span(campaign_metrics, "merge");
-    result = merge_shard_results(*registry_, std::move(shards), !scenario_.stream, spill_dir,
-                                 scenario_.stream_out_dir, scenario_.inline_queries);
+    result = merge_shard_results(*registry_, std::move(shards), scenario_);
   }
-  // Online detection verdict: score the merged tracker state against the
-  // registry's ground truth (failure deltas were applied during the merge,
-  // so the counts are final here). Runs single-threaded over merged state —
+  // Detection verdict: score the tracker state folded during the merge
+  // against the registry's ground truth (failure deltas were applied during
+  // the merge, so the counts are final here). Runs single-threaded —
   // bit-identical output for every thread count.
   if (result.health_state) {
     obs::PhaseSpan span(campaign_metrics, "detect");

@@ -88,13 +88,12 @@ struct CampaignResult {
   /// "process." (resident batch bytes, spill volume) are host-process
   /// accounting and are excluded from the default export.
   obs::MetricRegistry metrics;
-  /// Online BS-health detection (Scenario::detect): the per-shard
-  /// HealthTracker states merged in shard-index order, and the detector's
-  /// scored report over that merged state (precision/recall vs the
-  /// registry's injected ground truth, time-to-detect samples, Zipf-rank
-  /// agreement). Null when detection is off. Bit-identical for every
-  /// `threads` value — tracker state is pure integer counts and min/max
-  /// folds, so the merge is order-independent.
+  /// BS-health detection (Scenario::detect): the HealthTracker the merge
+  /// fed with every uploaded record (the rows of the dataset), and the
+  /// detector's scored report over it (precision/recall vs the registry's
+  /// injected ground truth, time-to-detect samples, Zipf-rank agreement).
+  /// Null when detection is off. Bit-identical for every `threads` value
+  /// and both modes: tracker state is pure integer counts and min/max folds.
   std::unique_ptr<detect::HealthTracker> health_state;
   std::unique_ptr<detect::HealthReport> health;
   /// Inline query results (Scenario::inline_queries, same order). The

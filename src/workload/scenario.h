@@ -65,13 +65,13 @@ struct Scenario {
   /// modes and for every `threads` value.
   std::vector<query::QuerySpec> inline_queries;
 
-  /// Online sleeping-cell detection (src/detect, DESIGN.md §11): every shard
-  /// runs a HealthTracker subscribed to its monitors' record fan-out;
-  /// trackers merge in shard-index order and the SleepingCellDetector scores
-  /// the merged state against the registry's injected ground truth. Results
-  /// land in CampaignResult::health / ::health_state and the "health.*"
-  /// metric namespace — bit-identical for every `threads` value. Off by
-  /// default (the fan-out hook stays unset: zero per-record overhead).
+  /// Sleeping-cell detection (src/detect, DESIGN.md §11): the shard merge
+  /// feeds one HealthTracker with every uploaded record, next to the
+  /// Aggregator and the inline queries, and the SleepingCellDetector scores
+  /// its state against the registry's injected ground truth. Results land
+  /// in CampaignResult::health / ::health_state and the "health.*" metric
+  /// namespace — bit-identical for every `threads` value. Off by default
+  /// (the merge then builds no tracker).
   bool detect = false;
   /// Width of one detection window in simulated seconds (>= 1 when detect
   /// is set). Default: one simulated day.

@@ -261,32 +261,6 @@ TEST(MonitorService, ObservablesFromConfigReachTheFilter) {
   }
 }
 
-TEST(MonitorService, RecordObserverSeesEveryWrittenRecord) {
-  std::vector<TraceRecord> observed;
-  AndroidMod::Config config = DeviceHarness::make_config();
-  config.monitor.observe_record = [&observed](const TraceRecord& r) {
-    observed.push_back(r);
-  };
-  DeviceHarness h(std::move(config));
-  h.set_failing_channel();
-  h.mod.telephony().dc_tracker().request_data();
-  h.sim.run_until(SimTime::origin() + SimDuration::seconds(8.0));
-  h.set_healthy_channel();
-  h.sim.run_until(SimTime::origin() + SimDuration::minutes(2.0));
-  h.mod.telephony().report_legacy_failure(FailureType::kSmsSendFail);
-  h.finish();
-  // The fan-out sees what the uploader receives, in the same order.
-  ASSERT_EQ(observed.size(), h.uploaded.size());
-  ASSERT_GE(observed.size(), 2u);
-  EXPECT_EQ(observed.size(), h.mod.monitor().records_written());
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    EXPECT_EQ(observed[i].type, h.uploaded[i].type);
-    EXPECT_EQ(observed[i].at, h.uploaded[i].at);
-    EXPECT_EQ(observed[i].duration, h.uploaded[i].duration);
-  }
-  EXPECT_EQ(observed.back().type, FailureType::kSmsSendFail);
-}
-
 TEST(AndroidMod, RecoveryBridgeDrivesRecoverer) {
   // A deterministic recovery stage operation: stage 1 always fixes.
   NetworkStack* network = nullptr;

@@ -65,7 +65,7 @@ TEST(Overhead, CpuUtilizationIsBusyOverFailureTime) {
   EXPECT_NEAR(oh.cpu_utilization_during_failures(), 0.02, 1e-9);
   // One probing round (5 ms) and one record (1 ms) add to the busy time.
   oh.on_probe_round();
-  oh.on_record_written(40);
+  oh.on_trace_written(40);
   EXPECT_EQ(oh.cpu_busy_time(), SimDuration::milliseconds(26));
 }
 
@@ -77,7 +77,7 @@ TEST(Overhead, PaperBudgetRespectedForTypicalDevice) {
   for (int i = 0; i < 33; ++i) {
     oh.on_event_handled();
     for (int round = 0; round < 4; ++round) oh.on_probe_round();
-    oh.on_record_written(40);
+    oh.on_trace_written(40);
     oh.on_probe_traffic(4 * (64 * 3 + 80 * 2));
     oh.add_failure_duration(SimDuration::seconds(188.0));
   }
@@ -93,11 +93,11 @@ TEST(Overhead, MemoryPeakTracksBufferedRecords) {
   ASSERT_EQ(OverheadAccountant::kMemoryPerBufferedRecord, 96u);
   OverheadAccountant oh;
   EXPECT_EQ(oh.peak_memory_bytes(), 24'576u);
-  oh.on_record_written(40);
-  oh.on_record_written(40);
-  oh.on_record_written(40);
+  oh.on_trace_written(40);
+  oh.on_trace_written(40);
+  oh.on_trace_written(40);
   EXPECT_EQ(oh.peak_memory_bytes(), 24'576u + 3 * 96);
-  oh.on_records_uploaded(3, 90);
+  oh.on_traces_uploaded(3, 90);
   // Peak is sticky even after upload.
   EXPECT_EQ(oh.peak_memory_bytes(), 24'576u + 3 * 96);
   EXPECT_EQ(oh.wifi_upload_bytes(), 90u);

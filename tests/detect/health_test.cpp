@@ -1,7 +1,7 @@
-// Unit tests for the online BS-health tracker and the sleeping-cell
-// detector (src/detect): window math, order-independent shard merging,
-// verdict thresholds, ground-truth scoring, and the degenerate zero-failure
-// fleet (empty verdicts, no NaN scores).
+// Unit tests for the BS-health tracker and the sleeping-cell detector
+// (src/detect): window math, row ingestion, verdict thresholds,
+// ground-truth scoring, and the degenerate zero-failure fleet (empty
+// verdicts, no NaN scores).
 
 #include "detect/detector.h"
 #include "detect/health.h"
@@ -11,12 +11,12 @@
 namespace cellrel::detect {
 namespace {
 
-TraceRecord rec(BsIndex bs, double at_s, bool filtered,
-                FailureType type = FailureType::kDataSetupError) {
-  TraceRecord r;
+RecordBatch::RowView rec(BsIndex bs, double at_s, bool filtered,
+                         FailureType type = FailureType::kDataSetupError) {
+  RecordBatch::RowView r;
   r.device = 1;
   r.type = type;
-  r.at = SimTime::origin() + SimDuration::seconds(at_s);
+  r.at_us = SimDuration::seconds(at_s).count_us();
   r.bs = bs;
   r.filtered_false_positive = filtered;
   return r;
@@ -40,19 +40,19 @@ TEST(HealthConfig, WindowCountCoversHorizon) {
 
 TEST(HealthTracker, WindowOfClampsToHorizon) {
   const HealthTracker tracker(small_config());
-  EXPECT_EQ(tracker.window_of(SimTime::origin()), 0u);
-  EXPECT_EQ(tracker.window_of(SimTime::origin() + SimDuration::seconds(99.0)), 0u);
-  EXPECT_EQ(tracker.window_of(SimTime::origin() + SimDuration::seconds(100.0)), 1u);
-  EXPECT_EQ(tracker.window_of(SimTime::origin() + SimDuration::seconds(950.0)), 9u);
+  EXPECT_EQ(tracker.window_of(0), 0u);
+  EXPECT_EQ(tracker.window_of(99'000'000), 0u);
+  EXPECT_EQ(tracker.window_of(100'000'000), 1u);
+  EXPECT_EQ(tracker.window_of(950'000'000), 9u);
   // Episode drain tails past the campaign end land in the last window.
-  EXPECT_EQ(tracker.window_of(SimTime::origin() + SimDuration::seconds(5000.0)), 9u);
+  EXPECT_EQ(tracker.window_of(5'000'000'000), 9u);
 }
 
 TEST(HealthTracker, AttributesKeptFilteredAndUnattributed) {
   HealthTracker tracker(small_config());
-  tracker.on_record(rec(3, 10.0, /*filtered=*/false, FailureType::kDataStall));
-  tracker.on_record(rec(3, 110.0, /*filtered=*/true, FailureType::kDataSetupError));
-  tracker.on_record(rec(kInvalidBs, 20.0, /*filtered=*/false, FailureType::kVoiceCallDrop));
+  tracker.ingest(rec(3, 10.0, /*filtered=*/false, FailureType::kDataStall));
+  tracker.ingest(rec(3, 110.0, /*filtered=*/true, FailureType::kDataSetupError));
+  tracker.ingest(rec(kInvalidBs, 20.0, /*filtered=*/false, FailureType::kVoiceCallDrop));
 
   EXPECT_EQ(tracker.records_seen(), 3u);
   EXPECT_EQ(tracker.records_unattributed(), 1u);
@@ -71,33 +71,12 @@ TEST(HealthTracker, AttributesKeptFilteredAndUnattributed) {
   EXPECT_EQ(cell.last_event_us, 110'000'000);
 }
 
-TEST(HealthTracker, MergeIsOrderIndependent) {
-  const HealthConfig config = small_config();
-  HealthTracker a(config), b(config);
-  for (int i = 0; i < 5; ++i) a.on_record(rec(2, 50.0 + i, false));
-  for (int i = 0; i < 4; ++i) b.on_record(rec(2, 450.0 + i, i % 2 == 0));
-  b.on_record(rec(7, 300.0, false, FailureType::kOutOfService));
-
-  HealthTracker ab(config), ba(config);
-  ab.merge(a);
-  ab.merge(b);
-  ba.merge(b);
-  ba.merge(a);
-
-  const SleepingCellDetector detector(config);
-  EXPECT_EQ(health_report_to_json(detector.analyze(ab, {})),
-            health_report_to_json(detector.analyze(ba, {})));
-  EXPECT_EQ(ab.records_seen(), 10u);
-  EXPECT_EQ(ab.cells().at(2).kept, 7u);
-  EXPECT_EQ(ab.cells().at(2).first_event_us, 50'000'000);
-}
-
 TEST(SleepingCellDetector, FlagsSleepingWithOnlineFlagTime) {
   const HealthConfig config = small_config();
   HealthTracker tracker(config);
   // 8 kept records in window 1: crosses sleeping_min_kept at the end of
   // that window.
-  for (int i = 0; i < 8; ++i) tracker.on_record(rec(5, 110.0 + i, false));
+  for (int i = 0; i < 8; ++i) tracker.ingest(rec(5, 110.0 + i, false));
 
   const SleepingCellDetector detector(config);
   const HealthReport report = detector.analyze(tracker, {});
@@ -116,9 +95,9 @@ TEST(SleepingCellDetector, DegradedBelowSleepingThreshold) {
   const HealthConfig config = small_config();
   HealthTracker tracker(config);
   // 4 kept in one window: EWMA peak 0.3 * 4 = 1.2 >= 1.0, kept < 8.
-  for (int i = 0; i < 4; ++i) tracker.on_record(rec(6, 10.0 + i, false));
+  for (int i = 0; i < 4; ++i) tracker.ingest(rec(6, 10.0 + i, false));
   // A single kept record elsewhere: EWMA peak 0.3 — healthy, unlisted.
-  tracker.on_record(rec(9, 10.0, false));
+  tracker.ingest(rec(9, 10.0, false));
 
   const SleepingCellDetector detector(config);
   const HealthReport report = detector.analyze(tracker, {});
@@ -132,8 +111,8 @@ TEST(SleepingCellDetector, DegradedBelowSleepingThreshold) {
 TEST(SleepingCellDetector, SilenceGapBetweenActiveWindows) {
   const HealthConfig config = small_config();
   HealthTracker tracker(config);
-  for (int i = 0; i < 8; ++i) tracker.on_record(rec(4, 10.0 + i, false));
-  tracker.on_record(rec(4, 550.0, false));  // window 5: 4 silent windows between
+  for (int i = 0; i < 8; ++i) tracker.ingest(rec(4, 10.0 + i, false));
+  tracker.ingest(rec(4, 550.0, false));  // window 5: 4 silent windows between
 
   const SleepingCellDetector detector(config);
   const HealthReport report = detector.analyze(tracker, {});
@@ -144,8 +123,8 @@ TEST(SleepingCellDetector, SilenceGapBetweenActiveWindows) {
 TEST(SleepingCellDetector, ScoresAgainstGroundTruth) {
   const HealthConfig config = small_config();
   HealthTracker tracker(config);
-  for (int i = 0; i < 10; ++i) tracker.on_record(rec(1, 10.0 + i, false));  // tp
-  for (int i = 0; i < 9; ++i) tracker.on_record(rec(2, 10.0 + i, false));   // fp
+  for (int i = 0; i < 10; ++i) tracker.ingest(rec(1, 10.0 + i, false));  // tp
+  for (int i = 0; i < 9; ++i) tracker.ingest(rec(2, 10.0 + i, false));   // fp
   // BS 3 is truly sleeping but invisible to the monitor stream: fn.
   std::vector<std::uint64_t> truth(8, 0);
   truth[1] = 10;
@@ -199,7 +178,7 @@ TEST(SleepingCellDetector, JsonSerializationIsDeterministic) {
   const HealthConfig config = small_config();
   auto build = [&config] {
     HealthTracker tracker(config);
-    for (int i = 0; i < 12; ++i) tracker.on_record(rec(8, 20.0 + 40.0 * i, i % 3 == 0));
+    for (int i = 0; i < 12; ++i) tracker.ingest(rec(8, 20.0 + 40.0 * i, i % 3 == 0));
     std::vector<std::uint64_t> truth(10, 0);
     truth[8] = 8;
     const SleepingCellDetector detector(config);

@@ -104,12 +104,20 @@ TEST_F(QueryContractTest, SpecParseRejectsBadInput) {
       "agg=nope",         "group=martians agg=pf",   "agg=pf k=zero",
       "agg=pf since=abc", "agg=pf type=Not_A_Type",  "agg=pf isp=ISP-Z",
       "agg=pf level=9",   "nonsense",
+      // Transition matrices are fleet-wide: filters and groups are rejected.
+      "agg=transition from=4G to=5G model=5",
+      "agg=transition from=4G to=5G isp=ISP-B type=Data_Stall",
+      "agg=transition group=model",
   };
   for (const char* text : bad) {
     std::string error;
     EXPECT_FALSE(parse_query_spec(text, &error).has_value()) << text;
     EXPECT_FALSE(error.empty()) << text;
   }
+  // The transition rejection names the key it cannot honour.
+  std::string error;
+  EXPECT_FALSE(parse_query_spec("agg=transition isp=ISP-B type=Data_Stall", &error).has_value());
+  EXPECT_NE(error.find("no isp"), std::string::npos) << error;
 }
 
 TEST_F(QueryContractTest, EveryPresetResolvesAndLists) {
@@ -117,6 +125,8 @@ TEST_F(QueryContractTest, EveryPresetResolvesAndLists) {
     const auto spec = find_preset(info.name);
     ASSERT_TRUE(spec.has_value()) << info.name;
     EXPECT_EQ(spec->name, info.name);
+    // The row's spec text is canonical: it round-trips through to_string.
+    EXPECT_EQ(to_string(*spec), info.spec);
     EXPECT_NE(render_preset_list().find(info.name), std::string::npos);
   }
   EXPECT_FALSE(find_preset("fig99").has_value());

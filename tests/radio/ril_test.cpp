@@ -26,17 +26,20 @@ TEST(Ril, AsyncResponseArrivesAfterLatency) {
   EXPECT_GT(response_time, 0.0);
 }
 
-TEST(Ril, CommandsAreSerialized) {
+TEST(Ril, EachCommandRecordsItsLatency) {
   Simulator sim;
   obs::MetricSink metrics;
   RadioInterfaceLayer ril(sim, Rng{2}, metrics);
-  const auto s0 = ril.setup_data_call([](const ModemResult&) {});
-  const auto s1 = ril.deactivate_data_call([](const ModemResult&) {});
-  const auto s2 = ril.reregister([](const ModemResult&) {});
-  EXPECT_LT(s0, s1);
-  EXPECT_LT(s1, s2);
-  EXPECT_EQ(ril.commands_issued(), 3u);
+  ril.setup_data_call([](const ModemResult&) {});
+  ril.deactivate_data_call([](const ModemResult&) {});
+  ril.reregister([](const ModemResult&) {});
+  ril.reregister([](const ModemResult&) {});
   sim.run();
+  const auto& timers = metrics.sim_timers();
+  EXPECT_EQ(timers.at("ril.setup_data_call.latency").count, 1u);
+  EXPECT_EQ(timers.at("ril.deactivate_data_call.latency").count, 1u);
+  EXPECT_EQ(timers.at("ril.reregister.latency").count, 2u);
+  EXPECT_EQ(timers.at("ril.restart_radio.latency").count, 0u);
 }
 
 TEST(Ril, ChannelConditionsDriveOutcomes) {

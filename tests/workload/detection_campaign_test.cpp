@@ -5,6 +5,8 @@
 //    with positive Zipf-rank agreement;
 //  - bit-identity: the serialized health report is byte-identical across
 //    {1, 2, 4} worker threads for several seeds;
+//  - uploaded stream: the tracker sees exactly the dataset's records (what
+//    the backend received), so an offline replay reproduces the report;
 //  - degenerate fleet: a fleet without failures produces an empty verdict
 //    list and finite (0, not NaN) scores.
 
@@ -91,6 +93,25 @@ TEST(DetectionCampaign, StreamingPathProducesTheSameReport) {
   ASSERT_NE(rb.health, nullptr);
   EXPECT_EQ(detect::health_report_to_json(*ra.health),
             detect::health_report_to_json(*rb.health));
+}
+
+TEST(DetectionCampaign, HealthSeesExactlyTheUploadedRecords) {
+  // Records written after a device's final upload flush never reach the
+  // backend; the tracker must not count them either.
+  Campaign campaign(detect_scenario(7, 2));
+  const CampaignResult result = campaign.run();
+  ASSERT_NE(result.health, nullptr);
+  ASSERT_NE(result.health_state, nullptr);
+  ASSERT_FALSE(result.dataset.records.empty());
+  EXPECT_EQ(result.health_state->records_seen(), result.dataset.records.size());
+
+  const detect::HealthConfig config = result.health_state->config();
+  detect::HealthTracker replay(config);
+  for (const TraceRecord& r : result.dataset.records) replay.ingest(RecordBatch::row_of(r));
+  const std::vector<std::uint64_t> truth = campaign.registry().failure_counts();
+  EXPECT_EQ(detect::health_report_to_json(*result.health),
+            detect::health_report_to_json(
+                detect::SleepingCellDetector(config).analyze(replay, truth)));
 }
 
 TEST(DetectionCampaign, ZeroFailureFleetYieldsEmptyVerdicts) {

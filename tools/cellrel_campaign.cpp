@@ -18,9 +18,9 @@
 // --stream --out DIR streams the CSV export through the merge (every file
 // byte-identical to the materialized export).
 //
-// --detect runs the online sleeping-cell detector (src/detect): per-shard
-// BS-health trackers ride the monitors' record fan-out, merge in shard
-// order, and are scored against the injected ground truth. The verdict
+// --detect runs the sleeping-cell detector (src/detect): the shard merge
+// feeds every uploaded record to one BS-health tracker, whose verdicts are
+// scored against the injected ground truth. The verdict
 // prints as a "BS health" section, exports under the health.* metric
 // namespace, and --health-out FILE writes the full report as JSON
 // (byte-identical for every --threads value).
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   parser.add_option("--spill-dir", "DIR",
                     "spill sealed record batches to DIR (requires --stream)",
                     cli::string_value(&sc.spill_dir));
-  parser.add_flag("--detect", "online sleeping-cell detection (BS-health trackers)",
+  parser.add_flag("--detect", "sleeping-cell detection (BS-health tracker)",
                   [&sc] { sc.detect = true; });
   parser.add_option("--detect-window", "S", "detection window in simulated seconds",
                     cli::double_value(&sc.detect_window_s));
