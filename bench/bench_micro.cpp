@@ -5,12 +5,14 @@
 
 #include "analysis/aggregate.h"
 #include "analysis/string_pool.h"
+#include "bs/registry.h"
 #include "common/rng.h"
 #include "core/prober.h"
 #include "net/tcp_stats.h"
 #include "query/engine.h"
 #include "query/presets.h"
 #include "sim/event_queue.h"
+#include "telephony/rat_policy.h"
 #include "workload/campaign.h"
 
 namespace cellrel {
@@ -128,6 +130,33 @@ void BM_Aggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aggregation)->Unit(benchmark::kMillisecond);
+
+// One session-planning slot of a 5G-capable device under the stability
+// policy: pick the serving BS, enumerate its candidates, run the stock and
+// the stability-compatible policy. Time per iteration is ns per slot.
+void BM_SessionPlanning(benchmark::State& state) {
+  DeploymentConfig config;
+  config.bs_count = 8'000;
+  Rng rng(11);
+  const BsRegistry registry(config, rng);
+  const Android10Policy stock;
+  const StabilityCompatiblePolicy stability;
+  std::optional<CellCandidate> prev_stock;
+  std::optional<CellCandidate> prev_active;
+  std::size_t slot = 0;
+  for (auto _ : state) {
+    const LocationClass loc = kAllLocationClasses[slot % kAllLocationClasses.size()];
+    const IspId isp = kAllIsps[slot % kIspCount];
+    ++slot;
+    const BsIndex bs = registry.pick_bs(isp, loc, rng);
+    const auto candidates = registry.enumerate_candidates(bs, /*device_5g_capable=*/true, rng);
+    prev_stock = stock.choose(candidates, prev_stock);
+    prev_active = stability.choose(candidates, prev_active);
+    benchmark::DoNotOptimize(prev_stock);
+    benchmark::DoNotOptimize(prev_active);
+  }
+}
+BENCHMARK(BM_SessionPlanning);
 
 // The campaign merge's query hot loop: every preset ingesting one small
 // campaign's records, batch by batch. per_row is the time per record per

@@ -64,7 +64,7 @@ class BaseStation {
     bool disrepair = false;
   };
 
-  explicit BaseStation(Spec spec) : spec_(std::move(spec)) {}
+  explicit BaseStation(Spec spec);
 
   BsIndex index() const { return spec_.index; }
   IspId isp() const { return spec_.isp; }
@@ -80,11 +80,11 @@ class BaseStation {
   std::uint8_t rat_mask() const { return spec_.rat_mask; }
 
   /// Probability a setup request is rationally rejected due to overload.
-  double overload_rejection_prob() const;
+  double overload_rejection_prob() const { return overload_rejection_prob_; }
 
   /// Probability a setup fails with an EMM mobility-management code; grows
   /// with deployment density and adjacent-channel interference (§3.3).
-  double emm_barring_prob() const;
+  double emm_barring_prob() const { return emm_barring_prob_; }
 
   /// Channel conditions offered to a device camping on this BS with the
   /// given RAT/level, including the per-connection genuine failure hazard
@@ -103,6 +103,9 @@ class BaseStation {
 
  private:
   Spec spec_;
+  // Functions of the immutable spec, computed once at construction.
+  double overload_rejection_prob_ = 0.0;
+  double emm_barring_prob_ = 0.0;
   std::uint64_t failure_count_ = 0;
 };
 

@@ -35,7 +35,48 @@ double rat_coverage_factor(Rat rat) {
   return 1.0;
 }
 
+double coverage_quality(IspId isp, LocationClass loc, Rat rat) {
+  const auto& profile = isp_profile(isp);
+  double q = location_quality(loc) * rat_coverage_factor(rat) *
+             (0.55 + 0.45 * profile.coverage_radius_factor);
+  // 3G grids are sparse outside cities: "its signal coverage is worse than
+  // that of 2G when 4G access is unavailable" (§3.3), so rural/remote 3G is
+  // mostly unusable and devices fall back to 2G.
+  if (rat == Rat::k3G) {
+    if (loc == LocationClass::kRural || loc == LocationClass::kRemote) {
+      q *= 0.25;
+    } else if (loc == LocationClass::kSuburban) {
+      q *= 0.45;
+    }
+  }
+  return std::clamp(q, 0.02, 0.97);
+}
+
+// q depends only on (ISP, location class, RAT), so it is computed once per
+// process rather than once per sampled level.
+using CoverageTable =
+    std::array<std::array<std::array<double, kRatCount>, kAllLocationClasses.size()>, kIspCount>;
+
+const CoverageTable& coverage_table() {
+  static const CoverageTable table = [] {
+    CoverageTable t{};
+    for (const IspId isp : kAllIsps) {
+      for (const LocationClass loc : kAllLocationClasses) {
+        for (const Rat rat : kAllRats) {
+          t[index_of(isp)][index_of(loc)][index_of(rat)] = coverage_quality(isp, loc, rat);
+        }
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
+
+void CandidateSet::fail_overflow() const {
+  CELLREL_CHECK_OP(size_, <, kCapacity) << "candidate set overflow";
+}
 
 BsRegistry::BsRegistry(const DeploymentConfig& config, Rng& rng) {
   auto specs = generate_deployment(config, rng);
@@ -66,20 +107,8 @@ BsIndex BsRegistry::pick_bs(IspId isp, LocationClass location, Rng& rng) const {
 }
 
 SignalLevel BsRegistry::sample_level(const BaseStation& bs, Rat rat, Rng& rng) const {
-  const auto& profile = isp_profile(bs.isp());
-  double q = location_quality(bs.location()) * rat_coverage_factor(rat) *
-             (0.55 + 0.45 * profile.coverage_radius_factor);
-  // 3G grids are sparse outside cities: "its signal coverage is worse than
-  // that of 2G when 4G access is unavailable" (§3.3), so rural/remote 3G is
-  // mostly unusable and devices fall back to 2G.
-  if (rat == Rat::k3G) {
-    if (bs.location() == LocationClass::kRural || bs.location() == LocationClass::kRemote) {
-      q *= 0.25;
-    } else if (bs.location() == LocationClass::kSuburban) {
-      q *= 0.45;
-    }
-  }
-  q = std::clamp(q, 0.02, 0.97);
+  const double q =
+      coverage_table()[index_of(bs.isp())][index_of(bs.location())][index_of(rat)];
   // Binomial(5, q) via five Bernoulli draws: cheap and deterministic.
   std::size_t level = 0;
   for (int i = 0; i < 5; ++i) level += rng.bernoulli(q) ? 1 : 0;
@@ -94,10 +123,9 @@ SignalLevel BsRegistry::sample_level(const BaseStation& bs, Rat rat, Rng& rng) c
   return signal_level_from_index(level);
 }
 
-std::vector<CellCandidate> BsRegistry::enumerate_candidates(BsIndex bs_index,
-                                                            bool device_5g_capable,
-                                                            Rng& rng) const {
-  std::vector<CellCandidate> out;
+CandidateSet BsRegistry::enumerate_candidates(BsIndex bs_index, bool device_5g_capable,
+                                              Rng& rng) const {
+  CandidateSet out;
   CELLREL_CHECK_OP(static_cast<std::size_t>(bs_index), <, stations_.size());
   const BaseStation& bs = stations_[bs_index];
   for (Rat rat : kAllRats) {

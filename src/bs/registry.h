@@ -10,6 +10,7 @@
 
 #include "bs/base_station.h"
 #include "bs/deployment.h"
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace cellrel {
@@ -20,6 +21,38 @@ struct CellCandidate {
   BsIndex bs = kInvalidBs;
   Rat rat = Rat::k4G;
   SignalLevel level = SignalLevel::kLevel0;
+};
+
+/// The candidates of one enumeration, stored inline so session planning
+/// allocates nothing per slot. Iterates and converts to a span like the
+/// vector it replaces.
+class CandidateSet {
+ public:
+  /// The serving BS's RATs plus at most two neighbour BSes' RATs.
+  static constexpr std::size_t kCapacity = 3 * kRatCount;
+
+  void push_back(const CellCandidate& c) {
+    if (size_ == kCapacity) [[unlikely]] fail_overflow();
+    items_[size_++] = c;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const CellCandidate* begin() const { return items_.data(); }
+  const CellCandidate* end() const { return items_.data() + size_; }
+  const CellCandidate& front() const {
+    CELLREL_DCHECK(size_ > 0) << "front() of an empty candidate set";
+    return items_[0];
+  }
+  operator std::span<const CellCandidate>() const { return {items_.data(), size_}; }
+
+ private:
+  // Fires the capacity check; out of line so push_back inlines to a
+  // compare and a store. The check's handler never returns normally.
+  void fail_overflow() const;
+
+  std::array<CellCandidate, kCapacity> items_;
+  std::size_t size_ = 0;
 };
 
 /// Owns the deployed base stations and provides lookup / selection.
@@ -37,10 +70,11 @@ class BsRegistry {
   BsIndex pick_bs(IspId isp, LocationClass location, Rng& rng) const;
 
   /// Enumerates the cells a device camped near `bs` could use: the BS's own
-  /// RATs plus (with some probability) a neighboring BS of the same ISP.
-  /// Levels are drawn from the location/ISP coverage model.
-  std::vector<CellCandidate> enumerate_candidates(BsIndex bs, bool device_5g_capable,
-                                                  Rng& rng) const;
+  /// RATs plus up to two neighbour draws from the same ISP and location
+  /// class. Levels are drawn from the location/ISP coverage model. At most
+  /// 12 candidates: each of the three BSes (serving, two neighbours)
+  /// contributes at most one per RAT, so the inline set never overflows.
+  CandidateSet enumerate_candidates(BsIndex bs, bool device_5g_capable, Rng& rng) const;
 
   /// Draws the signal level a device experiences from `bs` over `rat`
   /// given the ISP's coverage model and the site's location class.

@@ -41,14 +41,17 @@ double nominal_data_rate_mbps(Rat rat, SignalLevel level) {
 
 namespace {
 
-// Deterministic tie-breaking: stable comparison over (key, level, bs index).
-template <typename Key>
-std::optional<CellCandidate> pick_best(std::span<const CellCandidate> candidates, Key key) {
-  if (candidates.empty()) return std::nullopt;
-  const CellCandidate* best = &candidates[0];
-  for (const auto& c : candidates.subspan(1)) {
-    if (key(c) > key(*best)) best = &c;
+// The first strict maximum of `key` among the eligible candidates, in
+// candidate order; nullopt when none is eligible.
+template <typename Eligible, typename Key>
+std::optional<CellCandidate> pick_best(std::span<const CellCandidate> candidates,
+                                       Eligible eligible, Key key) {
+  const CellCandidate* best = nullptr;
+  for (const auto& c : candidates) {
+    if (!eligible(c)) continue;
+    if (best == nullptr || key(c) > key(*best)) best = &c;
   }
+  if (best == nullptr) return std::nullopt;
   return *best;
 }
 
@@ -58,16 +61,14 @@ std::optional<CellCandidate> pick_best(std::span<const CellCandidate> candidates
 // coverage usually reads level 0 so devices fall back to 2G — §3.3.) The one
 // exception is NR under Android 10, whose blind 5G preference ignores the
 // signal level entirely (§3.2).
-std::vector<CellCandidate> drop_unusable(std::span<const CellCandidate> candidates,
-                                         bool keep_level0_nr) {
-  std::vector<CellCandidate> usable;
-  for (const auto& c : candidates) {
-    if (c.level != SignalLevel::kLevel0 || (keep_level0_nr && c.rat == Rat::k5G)) {
-      usable.push_back(c);
-    }
-  }
-  if (usable.empty()) usable.assign(candidates.begin(), candidates.end());
-  return usable;
+bool usable(const CellCandidate& c, bool keep_level0_nr) {
+  return c.level != SignalLevel::kLevel0 || (keep_level0_nr && c.rat == Rat::k5G);
+}
+
+bool none_usable(std::span<const CellCandidate> candidates, bool keep_level0_nr) {
+  return std::none_of(candidates.begin(), candidates.end(), [&](const CellCandidate& c) {
+    return usable(c, keep_level0_nr);
+  });
 }
 
 }  // namespace
@@ -75,14 +76,14 @@ std::vector<CellCandidate> drop_unusable(std::span<const CellCandidate> candidat
 std::optional<CellCandidate> Android9Policy::choose(
     std::span<const CellCandidate> candidates,
     const std::optional<CellCandidate>& /*current*/) const {
-  std::vector<CellCandidate> eligible;
-  for (const auto& c : drop_unusable(candidates, /*keep_level0_nr=*/false)) {
-    if (c.rat != Rat::k5G) eligible.push_back(c);
-  }
+  const bool keep_all = none_usable(candidates, /*keep_level0_nr=*/false);
   // Newest RAT first, then strongest signal.
-  return pick_best(std::span<const CellCandidate>(eligible), [](const CellCandidate& c) {
-    return index_of(c.rat) * 100 + index_of(c.level);
-  });
+  return pick_best(
+      candidates,
+      [keep_all](const CellCandidate& c) {
+        return (keep_all || usable(c, false)) && c.rat != Rat::k5G;
+      },
+      [](const CellCandidate& c) { return index_of(c.rat) * 100 + index_of(c.level); });
 }
 
 std::optional<CellCandidate> Android10Policy::choose(
@@ -90,11 +91,14 @@ std::optional<CellCandidate> Android10Policy::choose(
     const std::optional<CellCandidate>& /*current*/) const {
   // Blind 5G preference: any NR candidate beats every LTE candidate, even
   // at level 0 ("5G is blindly preferred to the other RATs", §3.2).
-  const auto eligible = drop_unusable(candidates, /*keep_level0_nr=*/true);
-  return pick_best(std::span<const CellCandidate>(eligible), [](const CellCandidate& c) {
-    const std::size_t five_g_bonus = c.rat == Rat::k5G ? 10'000 : 0;
-    return five_g_bonus + index_of(c.rat) * 100 + index_of(c.level);
-  });
+  const bool keep_all = none_usable(candidates, /*keep_level0_nr=*/true);
+  return pick_best(
+      candidates,
+      [keep_all](const CellCandidate& c) { return keep_all || usable(c, true); },
+      [](const CellCandidate& c) {
+        const std::size_t five_g_bonus = c.rat == Rat::k5G ? 10'000 : 0;
+        return five_g_bonus + index_of(c.rat) * 100 + index_of(c.level);
+      });
 }
 
 double StabilityCompatiblePolicy::score(const CellCandidate& c) const {
@@ -104,17 +108,14 @@ double StabilityCompatiblePolicy::score(const CellCandidate& c) const {
 std::optional<CellCandidate> StabilityCompatiblePolicy::choose(
     std::span<const CellCandidate> candidates,
     const std::optional<CellCandidate>& current) const {
-  if (candidates.empty()) return std::nullopt;
   // Refuse level-0 targets whenever an alternative exists: the common
   // pattern of undesirable transitions is "level-0 RSS after transition"
   // (§4.2), and avoiding them cannot hurt the data rate in principle.
-  std::vector<CellCandidate> eligible;
-  for (const auto& c : candidates) {
-    if (c.level != SignalLevel::kLevel0) eligible.push_back(c);
-  }
-  if (eligible.empty()) eligible.assign(candidates.begin(), candidates.end());
-  auto chosen = pick_best(std::span<const CellCandidate>(eligible),
-                          [this](const CellCandidate& c) { return score(c); });
+  const bool keep_all = none_usable(candidates, /*keep_level0_nr=*/false);
+  auto chosen = pick_best(
+      candidates,
+      [keep_all](const CellCandidate& c) { return keep_all || usable(c, false); },
+      [this](const CellCandidate& c) { return score(c); });
   // Hysteresis: keep the current cell unless the winner is materially
   // better, to avoid ping-pong transitions that are themselves risky.
   if (chosen && current &&
@@ -124,9 +125,11 @@ std::optional<CellCandidate> StabilityCompatiblePolicy::choose(
   return chosen;
 }
 
-std::unique_ptr<RatSelectionPolicy> make_policy_for_android(int android_version) {
-  if (android_version >= 10) return std::make_unique<Android10Policy>();
-  return std::make_unique<Android9Policy>();
+const RatSelectionPolicy& policy_for_android(int android_version) {
+  static const Android9Policy android9;
+  static const Android10Policy android10;
+  if (android_version >= 10) return android10;
+  return android9;
 }
 
 }  // namespace cellrel

@@ -10,7 +10,6 @@
 #define CELLREL_TELEPHONY_RAT_POLICY_H
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -91,8 +90,8 @@ class StabilityCompatiblePolicy final : public RatSelectionPolicy {
   const RatLevelRiskTable& table_ = default_risk_table();
 };
 
-/// Factory helpers.
-std::unique_ptr<RatSelectionPolicy> make_policy_for_android(int android_version);
+/// The stock policy of an Android version (stateless, shared by every caller).
+const RatSelectionPolicy& policy_for_android(int android_version);
 
 }  // namespace cellrel
 

@@ -561,8 +561,8 @@ void Campaign::DeviceRun::plan_sessions() {
   const bool device_5g = profile_.model->has_5g;
   const bool stability =
       scenario_.policy == PolicyVariant::kStabilityCompatible && device_5g;
-  const auto stock_policy =
-      make_policy_for_android(static_cast<int>(profile_.model->android));
+  const RatSelectionPolicy& stock_policy =
+      policy_for_android(static_cast<int>(profile_.model->android));
   const StabilityCompatiblePolicy stability_policy;
   const bool dual_connectivity = stability && scenario_.dual_connectivity;
 
@@ -599,7 +599,7 @@ void Campaign::DeviceRun::plan_sessions() {
     const auto candidates = registry_.enumerate_candidates(s.bs, device_5g, rng_);
     if (candidates.empty()) return;
 
-    const auto stock_choice = stock_policy->choose(candidates, prev_stock);
+    const auto stock_choice = stock_policy.choose(candidates, prev_stock);
     const auto active_choice = stability
                                    ? stability_policy.choose(candidates, prev_active)
                                    : stock_choice;

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "bs/base_station.h"
 #include "bs/cell_id.h"
 #include "bs/deployment.h"
 #include "bs/isp.h"
 #include "bs/registry.h"
+#include "common/check.h"
 
 namespace cellrel {
 namespace {
@@ -270,6 +272,57 @@ TEST(Registry, CandidatesMatchDeviceCapability) {
     }
   }
   EXPECT_TRUE(saw_5g_for_capable);
+}
+
+TEST(CandidateSet, HoldsTwelveAndRejectsAThirteenth) {
+  ScopedCheckFailureHandler guard(throwing_check_failure_handler());
+  CandidateSet set;
+  for (std::size_t i = 0; i < CandidateSet::kCapacity; ++i) {
+    set.push_back({static_cast<BsIndex>(i), Rat::k4G, SignalLevel::kLevel3});
+  }
+  ASSERT_EQ(set.size(), 12u);
+  EXPECT_EQ(set.front().bs, 0u);
+  const std::span<const CellCandidate> view = set;
+  EXPECT_EQ(view.back().bs, 11u);
+  try {
+    set.push_back({12, Rat::k4G, SignalLevel::kLevel3});
+    FAIL() << "a 13th candidate was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("candidate set overflow"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(set.size(), 12u);
+}
+
+// Pins the candidate draw chain at unit level: the (bs, rat, level) triples
+// of 1,000 enumerations over every ISP, location class and device capability,
+// then the Rng's next word. A change to the number or order of draws moves
+// the digest, so every campaign output would move with it.
+TEST(Registry, CandidateDrawOrderPinned) {
+  DeploymentConfig config;
+  config.bs_count = 8'000;
+  Rng rng(9);
+  const BsRegistry registry(config, rng);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (std::size_t i = 0; i < 1'000; ++i) {
+    const LocationClass loc = kAllLocationClasses[i % kAllLocationClasses.size()];
+    const bool device_5g = (i / kAllLocationClasses.size()) % 2 == 0;
+    const IspId isp = kAllIsps[(i / (2 * kAllLocationClasses.size())) % kIspCount];
+    const BsIndex idx = registry.pick_bs(isp, loc, rng);
+    const auto candidates = registry.enumerate_candidates(idx, device_5g, rng);
+    mix(candidates.size());
+    for (const auto& c : candidates) {
+      mix(c.bs);
+      mix(index_of(c.rat));
+      mix(index_of(c.level));
+    }
+  }
+  mix(rng.next_u64());
+  EXPECT_EQ(h, 0x2f60be6a7d1e5631ULL);
 }
 
 TEST(Registry, FailureCountsAlignWithStations) {

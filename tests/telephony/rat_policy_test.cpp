@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace cellrel {
 namespace {
 
@@ -176,9 +178,140 @@ TEST(StabilityPolicy, EmptyCandidatesYieldNothing) {
 }
 
 TEST(PolicyFactory, MatchesAndroidVersion) {
-  EXPECT_EQ(make_policy_for_android(9)->name(), "android9");
-  EXPECT_EQ(make_policy_for_android(10)->name(), "android10-aggressive-5g");
-  EXPECT_EQ(make_policy_for_android(11)->name(), "android10-aggressive-5g");
+  EXPECT_EQ(policy_for_android(9).name(), "android9");
+  EXPECT_EQ(policy_for_android(10).name(), "android10-aggressive-5g");
+  EXPECT_EQ(policy_for_android(11).name(), "android10-aggressive-5g");
+  // Stateless policies are shared, not built per caller.
+  EXPECT_EQ(&policy_for_android(10), &policy_for_android(12));
+}
+
+// The vector-filtering policy bodies the in-place filters replaced, kept
+// verbatim as the oracle: filter into a copy, then take the first strict
+// maximum of the copy.
+namespace reference {
+
+template <typename Key>
+std::optional<CellCandidate> pick_best(std::span<const CellCandidate> candidates, Key key) {
+  if (candidates.empty()) return std::nullopt;
+  const CellCandidate* best = &candidates[0];
+  for (const auto& c : candidates.subspan(1)) {
+    if (key(c) > key(*best)) best = &c;
+  }
+  return *best;
+}
+
+std::vector<CellCandidate> drop_unusable(std::span<const CellCandidate> candidates,
+                                         bool keep_level0_nr) {
+  std::vector<CellCandidate> usable;
+  for (const auto& c : candidates) {
+    if (c.level != SignalLevel::kLevel0 || (keep_level0_nr && c.rat == Rat::k5G)) {
+      usable.push_back(c);
+    }
+  }
+  if (usable.empty()) usable.assign(candidates.begin(), candidates.end());
+  return usable;
+}
+
+std::optional<CellCandidate> android9(std::span<const CellCandidate> candidates) {
+  std::vector<CellCandidate> eligible;
+  for (const auto& c : drop_unusable(candidates, /*keep_level0_nr=*/false)) {
+    if (c.rat != Rat::k5G) eligible.push_back(c);
+  }
+  return pick_best(std::span<const CellCandidate>(eligible), [](const CellCandidate& c) {
+    return index_of(c.rat) * 100 + index_of(c.level);
+  });
+}
+
+std::optional<CellCandidate> android10(std::span<const CellCandidate> candidates) {
+  const auto eligible = drop_unusable(candidates, /*keep_level0_nr=*/true);
+  return pick_best(std::span<const CellCandidate>(eligible), [](const CellCandidate& c) {
+    const std::size_t five_g_bonus = c.rat == Rat::k5G ? 10'000 : 0;
+    return five_g_bonus + index_of(c.rat) * 100 + index_of(c.level);
+  });
+}
+
+double score(const CellCandidate& c) {
+  return nominal_data_rate_mbps(c.rat, c.level) -
+         StabilityCompatiblePolicy::kRiskWeight * default_risk_table().at(c.rat, c.level);
+}
+
+std::optional<CellCandidate> stability(std::span<const CellCandidate> candidates,
+                                       const std::optional<CellCandidate>& current) {
+  if (candidates.empty()) return std::nullopt;
+  std::vector<CellCandidate> eligible;
+  for (const auto& c : candidates) {
+    if (c.level != SignalLevel::kLevel0) eligible.push_back(c);
+  }
+  if (eligible.empty()) eligible.assign(candidates.begin(), candidates.end());
+  auto chosen = pick_best(std::span<const CellCandidate>(eligible),
+                          [](const CellCandidate& c) { return score(c); });
+  if (chosen && current &&
+      (chosen->bs != current->bs || chosen->rat != current->rat)) {
+    if (score(*chosen) < score(*current) + 1.0) return current;
+  }
+  return chosen;
+}
+
+}  // namespace reference
+
+::testing::AssertionResult same_choice(const std::optional<CellCandidate>& got,
+                                       const std::optional<CellCandidate>& want) {
+  const auto show = [](const std::optional<CellCandidate>& c) {
+    if (!c) return std::string("nullopt");
+    return "(bs " + std::to_string(c->bs) + ", " + std::string(to_string(c->rat)) +
+           ", level " + std::to_string(index_of(c->level)) + ")";
+  };
+  if (got.has_value() == want.has_value() &&
+      (!got || (got->bs == want->bs && got->rat == want->rat && got->level == want->level))) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "got " << show(got) << ", reference " << show(want);
+}
+
+TEST(RatPolicy, InPlaceFiltersMatchVectorReference) {
+  // Sets of 0..12 candidates (the enumeration bound). BS indices come from
+  // a small pool so equal keys on different cells are common; the shapes
+  // below add the all-level-0, NR-only and duplicate-member corner cases.
+  enum Shape { kMixed, kAllLevel0, kNrOnly, kDuplicates, kShapeCount };
+  const Android9Policy android9;
+  const Android10Policy android10;
+  const StabilityCompatiblePolicy stability;
+  Rng rng(2021);
+  std::vector<CellCandidate> set;
+  for (int trial = 0; trial < 100'000; ++trial) {
+    const auto shape = static_cast<Shape>(rng.uniform_int(0, kShapeCount - 1));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    set.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (shape == kDuplicates && j > 0 && rng.bernoulli(0.5)) {
+        set.push_back(set[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(j) - 1))]);
+        continue;
+      }
+      CellCandidate c;
+      c.bs = static_cast<BsIndex>(rng.uniform_int(0, 3));
+      c.rat = shape == kNrOnly ? Rat::k5G
+                               : kAllRats[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+      c.level = shape == kAllLevel0
+                    ? SignalLevel::kLevel0
+                    : signal_level_from_index(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+      set.push_back(c);
+    }
+    std::vector<std::optional<CellCandidate>> currents = {std::nullopt};
+    if (!set.empty()) {
+      currents.push_back(
+          set[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))]);
+    }
+    for (const auto& current : currents) {
+      ASSERT_TRUE(same_choice(android9.choose(set, current), reference::android9(set)))
+          << "android9, trial " << trial;
+      ASSERT_TRUE(same_choice(android10.choose(set, current), reference::android10(set)))
+          << "android10, trial " << trial;
+      ASSERT_TRUE(
+          same_choice(stability.choose(set, current), reference::stability(set, current)))
+          << "stability, trial " << trial;
+    }
+  }
 }
 
 // The Fig. 17 transition question, asked from every serving cell of the
