@@ -150,22 +150,4 @@ std::size_t RecordBatch::resident_bytes() const {
          method_.capacity() + rat_.capacity() + level_.capacity() + flags_.capacity();
 }
 
-RecordBatch BatchArena::acquire(std::size_t capacity) {
-  if (!free_.empty()) {
-    RecordBatch batch = std::move(free_.back());
-    free_.pop_back();
-    batch.clear();
-    batch.reserve(capacity);
-    ++reused_;
-    return batch;
-  }
-  ++allocated_;
-  return RecordBatch(capacity);
-}
-
-void BatchArena::release(RecordBatch&& batch) {
-  batch.clear();
-  free_.push_back(std::move(batch));
-}
-
 }  // namespace cellrel

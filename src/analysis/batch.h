@@ -19,8 +19,9 @@
 // A row is 45 bytes of trivially-copyable column data versus ~100+ bytes
 // (plus APN heap) for TraceRecord, and materializing a batch back into
 // TraceRecords is bit-exact. Batches have a fixed capacity chosen from
-// calibration (see workload/campaign.cpp) and are recycled through a
-// per-shard BatchArena so the spill-to-disk path runs in bounded memory.
+// calibration (see workload/campaign.cpp); a spilling shard clears and
+// refills its one batch in place, so the spill-to-disk path runs in bounded
+// memory.
 //
 // cellrel-lint's `batch-hygiene` rule keeps raw std::string members and
 // per-record heap allocation out of this file and batch.cpp; the only
@@ -87,7 +88,7 @@ class RecordBatch {
   bool empty() const { return device_.empty(); }
   bool full() const { return size() >= capacity_; }
 
-  /// Drops the rows but keeps the column buffers (arena reuse).
+  /// Drops the rows but keeps the column buffers (spill reuse).
   void clear();
 
   /// Decodes one record into a row: the one TraceRecord -> row field list.
@@ -130,26 +131,6 @@ class RecordBatch {
   std::vector<std::uint8_t> level_;
   /// bit 0: filtered_false_positive; bits 1..7: FalsePositiveKind.
   std::vector<std::uint8_t> flags_;
-};
-
-/// Free-list of RecordBatch buffers for one shard. acquire() hands out a
-/// cleared batch (reusing a released buffer when available), so the
-/// spill-to-disk path allocates O(1) batches per shard regardless of how
-/// many it emits. Not thread-safe by design: one arena per shard.
-class BatchArena {
- public:
-  RecordBatch acquire(std::size_t capacity);
-  void release(RecordBatch&& batch);
-
-  /// Batches newly allocated (cache misses) and reuses served from the
-  /// free list — the recycling evidence the bench records.
-  std::uint64_t allocated() const { return allocated_; }
-  std::uint64_t reused() const { return reused_; }
-
- private:
-  std::vector<RecordBatch> free_;
-  std::uint64_t allocated_ = 0;
-  std::uint64_t reused_ = 0;
 };
 
 }  // namespace cellrel

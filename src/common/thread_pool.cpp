@@ -1,59 +1,48 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
 
 namespace cellrel {
 
-ThreadPool::ThreadPool(std::size_t thread_count) {
-  const std::size_t n = std::max<std::size_t>(1, thread_count);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+void for_each_shard(std::size_t count, std::size_t threads,
+                    const std::function<void(std::size_t)>& fn) {
+  // One slot per index: a worker writes only the slots of the indices it
+  // took, and the scan after the join picks the lowest failing index no
+  // matter which worker ran it or when.
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t workers = std::min(threads, count);
+  if (workers <= 1) {
+    work();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+    for (std::thread& t : pool) t.join();
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  CELLREL_CHECK(task != nullptr) << "ThreadPool::submit requires a callable task";
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> result = packaged.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    CELLREL_CHECK(!stopping_) << "ThreadPool::submit after shutdown began";
-    queue_.push(std::move(packaged));
-  }
-  cv_.notify_one();
-  return result;
-}
-
-std::size_t ThreadPool::hardware_threads() {
+std::size_t hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();  // exceptions land in the task's future
-  }
 }
 
 std::size_t shard_count_for(std::size_t total, std::size_t items_per_shard) {

@@ -1,11 +1,12 @@
-// Fixed-size FIFO thread pool + deterministic sharding helpers.
+// The shard executor + deterministic sharding helpers.
 //
 // This is the only place in src/ where threading primitives are permitted
 // (enforced by cellrel-lint's "threading" rule): all parallelism in the
-// simulator is expressed as shard tasks submitted here, and every shard
-// writes exclusively to its own result slot. Determinism therefore never
-// depends on scheduling — workers may finish in any order, but results are
-// merged in shard-index order, which is a pure function of the scenario.
+// simulator is expressed as shard indices handed to for_each_shard, and
+// every shard writes exclusively to its own result slot. Determinism
+// therefore never depends on scheduling — workers may finish in any order,
+// but results are merged in shard-index order, which is a pure function of
+// the scenario.
 //
 // The sharding helpers live here (rather than in the campaign) so other
 // fleet-scale workloads can reuse the same partition-and-merge discipline.
@@ -13,50 +14,21 @@
 #ifndef CELLREL_COMMON_THREAD_POOL_H
 #define CELLREL_COMMON_THREAD_POOL_H
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace cellrel {
 
-/// A fixed-size pool executing submitted tasks in FIFO order. Tasks still
-/// queued at destruction time are drained (run to completion), so joining
-/// the pool is always equivalent to having run every submitted task.
-class ThreadPool {
- public:
-  /// Spawns `thread_count` workers (clamped to at least 1).
-  explicit ThreadPool(std::size_t thread_count);
+/// Runs fn(0) .. fn(count - 1), each index exactly once. With `threads <= 1`
+/// or `count <= 1` the indices run in order on the calling thread; otherwise
+/// min(threads, count) workers take indices from one shared counter. Every
+/// index runs even when another throws; after all workers are joined, the
+/// exception of the lowest failing index is rethrown.
+void for_each_shard(std::size_t count, std::size_t threads,
+                    const std::function<void(std::size_t)>& fn);
 
-  /// Drains the queue, then joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues `task`. The returned future becomes ready when the task has
-  /// run; an exception thrown by the task is captured and rethrown from
-  /// future::get() — the caller's join loop is the propagation point.
-  std::future<void> submit(std::function<void()> task);
-
-  /// std::thread::hardware_concurrency(), never 0 (falls back to 1).
-  static std::size_t hardware_threads();
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::queue<std::packaged_task<void()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
+/// std::thread::hardware_concurrency(), never 0 (falls back to 1).
+std::size_t hardware_threads();
 
 /// One contiguous half-open range of a deterministic partition.
 struct ShardRange {

@@ -47,12 +47,13 @@ TraceRecord MonitorService::base_record(const FailureEvent& event) const {
 }
 
 void MonitorService::write_record(TraceRecord record) {
-  overhead_.on_trace_written(compressed_record_bytes(record));
+  const std::size_t bytes = compressed_record_bytes(record);
+  overhead_.on_trace_written(bytes);
   overhead_.add_failure_duration(record.duration);
   ++records_written_;
   metrics_.records.add();
   if (record.filtered_false_positive) metrics_.filtered_fp.add();
-  uploader_.submit(std::move(record));
+  uploader_.submit(std::move(record), bytes);
 }
 
 void MonitorService::on_failure_event(const FailureEvent& event) {

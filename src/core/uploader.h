@@ -33,8 +33,9 @@ class TraceUploader {
   }
   bool wifi_available() const { return wifi_; }
 
-  /// Enqueues one record; uploads immediately when WiFi is up.
-  void submit(TraceRecord record);
+  /// Enqueues one record whose compressed size the writer already computed
+  /// (compressed_record_bytes); uploads immediately when WiFi is up.
+  void submit(TraceRecord record, std::size_t compressed_bytes);
 
   /// Forces a flush regardless of WiFi (end-of-campaign drain; the bytes
   /// are still accounted as WiFi uploads since the campaign idles devices
@@ -48,6 +49,7 @@ class TraceUploader {
  private:
   Sink sink_;
   std::vector<TraceRecord> buffer_;
+  std::uint64_t buffered_bytes_ = 0;  // compressed bytes of buffer_
   bool wifi_ = false;
   std::uint64_t uploaded_records_ = 0;
   std::uint64_t uploaded_bytes_ = 0;

@@ -28,6 +28,10 @@ std::string_view to_string(RecoveryOutcome o) {
 
 ProbationSchedule vanilla_probation_schedule() { return ProbationSchedule{}; }
 
+ProbationSchedule timp_probation_schedule() {
+  return make_probation_schedule(21.0, 6.0, 16.0, "timp-optimized");
+}
+
 ProbationSchedule make_probation_schedule(double pro0_s, double pro1_s, double pro2_s,
                                           std::string_view name) {
   ProbationSchedule s;

@@ -48,6 +48,10 @@ struct ProbationSchedule {
 /// The vanilla Android schedule (fixed one-minute probations).
 ProbationSchedule vanilla_probation_schedule();
 
+/// The TIMP-optimized schedule (§4.3): the paper's 21 / 6 / 16 s probations,
+/// which the RecoveryOptimizer reproduces on the calibrated curves.
+ProbationSchedule timp_probation_schedule();
+
 /// Builds a schedule from three probation values in seconds.
 ProbationSchedule make_probation_schedule(double pro0_s, double pro1_s, double pro2_s,
                                           std::string_view name);

@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "telephony/rat_policy.h"
+#include "telephony/recovery.h"
 #include "workload/calibration.h"
 #include "workload/mobility.h"
 
@@ -22,7 +23,7 @@ namespace {
 /// Devices per shard task. A pure constant (never derived from the thread
 /// count), so the partition — and with it the merge order and every
 /// floating-point summation order — is identical whether shards run
-/// sequentially or on a pool. Small enough to load-balance the heavy-tailed
+/// on one thread or many. Small enough to load-balance the heavy-tailed
 /// per-device cost (failing devices dominate), large enough that task
 /// dispatch overhead is negligible.
 constexpr std::size_t kDevicesPerShard = 64;
@@ -103,8 +104,8 @@ std::size_t batch_capacity_for(double expected_shard_records) {
 ///
 /// Records flow through fixed-capacity columnar RecordBatches: emit() fills
 /// `current`, sealed batches are either retained in `batches` (in-memory
-/// modes) or written to the shard's spill file and their buffer recycled
-/// through `arena` (streaming + spill: O(1) resident batches per shard).
+/// modes) or written to the shard's spill file and `current` cleared in
+/// place for the next one (streaming + spill: one resident batch per shard).
 /// Transitions/dwells always fold into order-independent count tables; the
 /// per-sample rows are kept too only when a dataset export or the
 /// materialized dataset needs them (write_dataset_csv and the streaming
@@ -113,7 +114,6 @@ struct ShardResult {
   // --- Record data plane ---
   StringPool apns;
   std::vector<RecordBatch> batches;
-  BatchArena arena;
   RecordBatch current;
   std::unique_ptr<BatchSpillWriter> spill;
   std::size_t batch_capacity = 0;
@@ -141,45 +141,40 @@ struct ShardResult {
   // --- Data-plane accounting ---
   std::uint64_t records_batched = 0;
   std::uint64_t batches_sealed = 0;
-  std::uint64_t batch_bytes = 0;       // column bytes currently allocated
-  std::uint64_t peak_batch_bytes = 0;  // high-water mark of the above
+  std::uint64_t peak_batch_bytes = 0;  // column bytes resident at seal()
   std::uint64_t spilled_bytes = 0;
 
   /// Appends one record to the current batch, sealing it when full.
   void emit(const TraceRecord& r) {
-    if (current.capacity() == 0) {
-      const std::uint64_t fresh = arena.allocated();
-      current = arena.acquire(batch_capacity);
-      if (arena.allocated() != fresh) {
-        batch_bytes += current.resident_bytes();
-        peak_batch_bytes = std::max(peak_batch_bytes, batch_bytes);
-      }
-    }
+    if (current.capacity() == 0) current.reserve(batch_capacity);
     current.push(r, apns);
     ++records_batched;
     if (current.full()) seal_current();
   }
 
-  /// Seals the in-flight batch: spill-and-recycle or retain.
+  /// Seals the in-flight batch: spill-and-clear or retain.
   void seal_current() {
-    if (current.empty()) {
-      current = RecordBatch{};
-      return;
-    }
+    if (current.empty()) return;
     ++batches_sealed;
     if (spill) {
       spill->write(current, apns);
-      arena.release(std::move(current));  // buffer stays resident in the arena
+      current.clear();  // the buffers carry the next batch
     } else {
       batches.push_back(std::move(current));
+      current = RecordBatch{};
     }
-    current = RecordBatch{};
   }
 
   /// End-of-shard: flushes the partial batch, closes the spill file, and
   /// publishes the deterministic dataplane counters into the shard sink.
+  /// Batches only ever grow to their fixed capacity, so the resident bytes
+  /// here (every retained batch, or the one spill buffer) are the shard's
+  /// high-water mark.
   void seal() {
     seal_current();
+    peak_batch_bytes = current.resident_bytes();
+    for (const RecordBatch& b : batches) peak_batch_bytes += b.resident_bytes();
+    current = RecordBatch{};
     if (spill) {
       spilled_bytes = spill->bytes_written();
       spill->close();
@@ -187,12 +182,6 @@ struct ShardResult {
     }
     metrics.counter("dataplane.records_batched").add(records_batched);
     metrics.counter("dataplane.batches").add(batches_sealed);
-  }
-
-  std::size_t batched_records() const {
-    std::size_t n = 0;
-    for (const RecordBatch& b : batches) n += b.size();
-    return n;
   }
 };
 
@@ -222,19 +211,14 @@ std::vector<BsMeta> snapshot_base_stations(const BsRegistry& registry) {
 /// Host-process accounting (differs across execution modes of the same
 /// scenario by design — excluded from the default export).
 void publish_process_gauges(CampaignResult& result, const std::vector<ShardResult>& shards) {
-  std::uint64_t peak_batch = 0, spilled = 0, allocated = 0, reused = 0;
+  std::uint64_t peak_batch = 0, spilled = 0;
   for (const ShardResult& s : shards) {
     peak_batch += s.peak_batch_bytes;
     spilled += s.spilled_bytes;
-    allocated += s.arena.allocated();
-    reused += s.arena.reused();
   }
   result.metrics.gauge("process.dataplane.peak_batch_bytes")
       .set(static_cast<double>(peak_batch));
   result.metrics.gauge("process.dataplane.spilled_bytes").set(static_cast<double>(spilled));
-  result.metrics.gauge("process.dataplane.batches_allocated")
-      .set(static_cast<double>(allocated));
-  result.metrics.gauge("process.dataplane.batches_reused").set(static_cast<double>(reused));
 }
 
 /// Order-canonical reduction of the shard results. Runs single-threaded
@@ -285,7 +269,7 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   dwells.reserve(dwell_count);
   if (materialize) {
     std::size_t records = 0;
-    for (const ShardResult& s : shards) records += s.batched_records();
+    for (const ShardResult& s : shards) records += s.records_batched;
     result.dataset.records.reserve(records);
   }
 
@@ -497,6 +481,9 @@ class Campaign::DeviceRun final : public FailureEventListener {
   std::unique_ptr<AndroidMod> mod_;
   DeviceObservables observables_;
   std::vector<Session> sessions_;
+  /// Target failure episodes over the campaign (plan_sessions; 1 for a
+  /// failure-free device, which never reads it).
+  double target_episodes_ = 1.0;
   bool failure_free_ = true;
   bool oos_prone_ = false;
 
@@ -524,9 +511,9 @@ void Campaign::DeviceRun::plan_sessions() {
   const auto target_events =
       failure_free_ ? 0.0 : std::clamp(raw, 1.0, 3000.0);
   // Setup episodes carry ~2 events (retries), stalls and OOS one each.
-  const double target_episodes = std::max(1.0, target_events / 1.32);
+  target_episodes_ = std::max(1.0, target_events / 1.32);
   const int session_count = std::max(
-      cal_.min_sessions, static_cast<int>(target_episodes * cal_.sessions_per_episode));
+      cal_.min_sessions, static_cast<int>(target_episodes_ * cal_.sessions_per_episode));
 
   const SimDuration window = SimDuration::days(scenario_.campaign_days);
 
@@ -622,8 +609,11 @@ void Campaign::DeviceRun::plan_sessions() {
                                : 1.0;
     s.hazard_stock =
         context_hazard(cal_, bs_stock, s.stock, s.transitioned_stock, prev_s, 1.0);
-    s.hazard_active =
-        context_hazard(cal_, bs_active, s.active, s.transitioned_active, prev_a, dc_mult);
+    // Without the stability policy the active path is the stock path (same
+    // cell, same prev chain, no EN-DC factor): the same hazard, bit for bit.
+    s.hazard_active = stability ? context_hazard(cal_, bs_active, s.active,
+                                                 s.transitioned_active, prev_a, dc_mult)
+                                : s.hazard_stock;
 
     if (degradation_on &&
         in_incident_window(incident.degradation_start_day, incident.degradation_days,
@@ -696,7 +686,7 @@ void Campaign::DeviceRun::build_stack() {
   sim_ = std::make_unique<Simulator>();
   AndroidMod::Config config;
   config.telephony.recovery_schedule = scenario_.recovery == RecoveryVariant::kTimpOptimized
-                                           ? scenario_.timp_schedule
+                                           ? timp_probation_schedule()
                                            : vanilla_probation_schedule();
   config.telephony.isp = profile_.isp;
   config.telephony.execute_recovery_stage = [this](RecoveryStage stage) {
@@ -1103,14 +1093,9 @@ void Campaign::DeviceRun::execute() {
 
   // Per-session failure probabilities, normalized against the STOCK policy
   // so policy improvements causally reduce realized failures.
-  const double freq = profile_.model->paper_frequency *
-                      cal_.isp_frequency_factor[index_of(profile_.isp)];
-  const double target_events =
-      std::clamp(freq * profile_.susceptibility / cal_.susceptibility_mean, 1.0, 3000.0);
-  const double target_episodes = std::max(1.0, target_events / 1.32);
   double hazard_sum = 0.0;
   for (const Session& s : sessions_) hazard_sum += s.hazard_stock;
-  const double scale = hazard_sum > 0.0 ? target_episodes / hazard_sum : 0.0;
+  const double scale = hazard_sum > 0.0 ? target_episodes_ / hazard_sum : 0.0;
 
   for (const Session& s : sessions_) {
     if (sim_->now() < s.at) sim_->run_until(s.at);
@@ -1244,30 +1229,9 @@ CampaignResult Campaign::run() {
     out.seal();
   };
 
-  const std::uint32_t threads = scenario_.resolve_threads();
   {
     obs::PhaseSpan span(campaign_metrics, "run_shards");
-    if (threads <= 1 || shard_count <= 1) {
-      for (std::size_t s = 0; s < shard_count; ++s) run_shard(s);
-    } else {
-      ThreadPool pool(std::min<std::size_t>(threads, shard_count));
-      std::vector<std::future<void>> pending;
-      pending.reserve(shard_count);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        pending.push_back(pool.submit([&run_shard, s] { run_shard(s); }));
-      }
-      // Join; a shard that threw rethrows here, after every future is waited
-      // on, so no worker is left writing into a dead frame.
-      std::exception_ptr first_error;
-      for (auto& f : pending) {
-        try {
-          f.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    for_each_shard(shard_count, scenario_.resolve_threads(), run_shard);
   }
 
   CampaignResult result;

@@ -1,6 +1,9 @@
 #include "workload/scenario.h"
 
 #include <cstdlib>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 #include "common/thread_pool.h"
 
@@ -13,15 +16,28 @@ namespace {
 /// wrapping to 4 billion) before a pool is sized from it.
 constexpr std::uint32_t kMaxThreads = 4096;
 
+/// A thread count given as text: only a plain decimal integer in
+/// [0, kMaxThreads] counts (no sign, no blanks, no suffix).
+std::optional<std::uint32_t> parse_thread_count(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint32_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::uint32_t>(c - '0');
+    if (value > kMaxThreads) return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 std::uint32_t Scenario::resolve_threads() const {
   std::uint32_t resolved = threads;
   if (const char* env = std::getenv("CELLREL_THREADS")) {
-    resolved = static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
+    resolved = parse_thread_count(env).value_or(threads);
   }
   if (resolved == 0) {
-    resolved = static_cast<std::uint32_t>(ThreadPool::hardware_threads());
+    resolved = static_cast<std::uint32_t>(hardware_threads());
   }
   return resolved;
 }
@@ -41,6 +57,14 @@ std::vector<ScenarioError> Scenario::validate() const {
     errors.push_back({"threads", "worker-thread request exceeds " +
                                      std::to_string(kMaxThreads) +
                                      " (0 means one per hardware thread)"});
+  }
+  if (const char* env = std::getenv("CELLREL_THREADS"); env && !parse_thread_count(env)) {
+    std::string message = "'";
+    message += env;
+    message += "' is not a worker-thread count (a decimal integer in [0, ";
+    message += std::to_string(kMaxThreads);
+    message += "]; 0 means one per hardware thread)";
+    errors.push_back({"CELLREL_THREADS", std::move(message)});
   }
   if (!spill_dir.empty() && !stream) {
     errors.push_back({"spill_dir", "batch spilling requires streaming mode (set stream)"});
@@ -114,16 +138,6 @@ std::vector<ScenarioError> Scenario::validate() const {
     if (!(incident.fault_start_day >= 0.0)) {
       errors.push_back({"incident.fault_start_day",
                         "fault-injection start must not precede the campaign origin"});
-    }
-  }
-  if (recovery == RecoveryVariant::kTimpOptimized) {
-    for (std::size_t i = 0; i < kRecoveryStageCount; ++i) {
-      if (!(timp_schedule.probation[i] > SimDuration::zero())) {
-        errors.push_back({"timp_schedule",
-                          "probation for stage " + std::to_string(i) +
-                              " must be positive (TIMP schedules are strictly "
-                              "positive by construction)"});
-      }
     }
   }
   return errors;

@@ -10,7 +10,6 @@
 #include "bs/deployment.h"
 #include "common/names.h"
 #include "query/spec.h"
-#include "telephony/recovery.h"
 #include "workload/mobility.h"
 
 namespace cellrel {
@@ -95,27 +94,25 @@ struct Scenario {
   /// hazard by its EN-DC disruption factor. Stock campaigns ignore it.
   /// cellrel_campaign's --no-dualconn clears it; cellbench sets it.
   bool dual_connectivity = true;
+  /// kTimpOptimized runs timp_probation_schedule() (telephony/recovery.h).
   RecoveryVariant recovery = RecoveryVariant::kVanilla;
-  /// Probations used when recovery == kTimpOptimized (filled by the caller
-  /// from RecoveryOptimizer output; defaults to the paper's result).
-  ProbationSchedule timp_schedule =
-      make_probation_schedule(21.0, 6.0, 16.0, "timp-optimized");
 
   /// Android-MOD active probing for stall durations (false = vanilla
   /// fixed-interval estimation; the probe-ladder ablation).
   bool monitor_probing = true;
 
   /// Structural sanity of the scenario: non-zero fleet/BS counts, a positive
-  /// campaign window, a sane thread request, and (when the TIMP recovery
-  /// variant is selected) strictly positive probations. Returns every
-  /// finding, empty when the scenario is runnable. Campaign::run and both
-  /// CLI tools call this on every entry path.
+  /// campaign window, and a sane thread request — the `threads` field and,
+  /// when set, CELLREL_THREADS (a decimal integer in [0, 4096]). Returns
+  /// every finding, empty when the scenario is runnable. Campaign::run and
+  /// both CLI tools call this on every entry path.
   std::vector<ScenarioError> validate() const;
 
   /// The worker-thread count a campaign will actually use: CELLREL_THREADS
   /// (if set) overrides `threads`, and 0 resolves to the hardware thread
-  /// count. Always >= 1. The single home of the env-override logic — tools
-  /// and tests must not re-implement it.
+  /// count. Always >= 1. A CELLREL_THREADS value validate() rejects is
+  /// ignored here (the field applies). The single home of the env-override
+  /// logic — tools and tests must not re-implement it.
   std::uint32_t resolve_threads() const;
 };
 

@@ -1,5 +1,5 @@
-// Columnar data plane: StringPool interning, RecordBatch round-trips,
-// BatchArena recycling, and the lossless spill file format.
+// Columnar data plane: StringPool interning, RecordBatch round-trips and
+// in-place reuse, and the lossless spill file format.
 
 #include "analysis/batch.h"
 
@@ -153,19 +153,6 @@ TEST(RecordBatch, BytesPerRowMatchesColumnLayout) {
   // 8 (device) + 8 + 8 (times) + 4 (bs) + 4 (apn) + 4 (cause) + 4 (probe
   // rounds) + 5 single-byte columns = 45 bytes per row.
   EXPECT_EQ(RecordBatch::kBytesPerRow, 45u);
-}
-
-TEST(BatchArena, RecyclesReleasedBuffers) {
-  BatchArena arena;
-  RecordBatch a = arena.acquire(64);
-  EXPECT_EQ(arena.allocated(), 1u);
-  EXPECT_EQ(arena.reused(), 0u);
-  arena.release(std::move(a));
-  RecordBatch b = arena.acquire(64);
-  EXPECT_EQ(arena.allocated(), 1u);
-  EXPECT_EQ(arena.reused(), 1u);
-  EXPECT_TRUE(b.empty());
-  EXPECT_GE(b.capacity(), 64u);
 }
 
 TEST(BatchSpill, WriteReadRoundTripIsLossless) {

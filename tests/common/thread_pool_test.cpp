@@ -1,4 +1,4 @@
-// ThreadPool + deterministic sharding helper tests.
+// Shard executor + deterministic sharding helper tests.
 
 #include "common/thread_pool.h"
 
@@ -6,8 +6,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -15,67 +18,63 @@
 namespace cellrel {
 namespace {
 
-TEST(ThreadPool, HardwareThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+TEST(ForEachShard, HardwareThreadsIsPositive) { EXPECT_GE(hardware_threads(), 1u); }
+
+TEST(ForEachShard, RunsEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> runs(100);
+  for_each_shard(runs.size(), 4, [&runs](std::size_t i) { ++runs[i]; });
+  for (std::size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].load(), 1) << i;
 }
 
-TEST(ThreadPool, ClampsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  auto f = pool.submit([] {});
-  f.get();
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 100; ++i) {
-      futures.push_back(pool.submit([&counter] { ++counter; }));
-    }
-    for (auto& f : futures) f.get();
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SingleWorkerPreservesFifoOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  std::vector<int> expected(50);
+TEST(ForEachShard, OneThreadRunsInIndexOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  for_each_shard(50, 1, [&](std::size_t i) {
+    order.push_back(i);
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
+  std::vector<std::size_t> expected(50);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
+  EXPECT_TRUE(all_on_caller);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] {});
-  auto bad = pool.submit([] { throw std::runtime_error("shard failed"); });
-  ok.get();
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  auto after = pool.submit([] {});
-  after.get();
+TEST(ForEachShard, StartsNoMoreThreadsThanIndices) {
+  std::mutex mutex;
+  std::set<std::thread::id> workers;
+  for_each_shard(3, 8, [&](std::size_t) {
+    // Hold each index long enough that an idle extra worker would have
+    // taken one if it existed.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::lock_guard<std::mutex> lock(mutex);
+    workers.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(workers.size(), 1u);
+  EXPECT_LE(workers.size(), 3u);
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+TEST(ForEachShard, ZeroIndicesRunNothing) {
+  int runs = 0;
+  for_each_shard(0, 4, [&runs](std::size_t) { ++runs; });
+  EXPECT_EQ(runs, 0);
+}
+
+TEST(ForEachShard, RethrowsTheLowestFailingIndexAfterEveryIndexRan) {
+  for (const std::size_t threads : {1UL, 4UL}) {
+    std::atomic<int> ran{0};
+    try {
+      for_each_shard(40, threads, [&ran](std::size_t i) {
         ++ran;
+        if (i == 29) throw std::runtime_error("shard 29");
+        if (i == 7) throw std::runtime_error("shard 7");
       });
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 7") << "threads=" << threads;
     }
-    // Destruction must wait for (and run) everything still queued.
+    EXPECT_EQ(ran.load(), 40) << "threads=" << threads;
   }
-  EXPECT_EQ(ran.load(), 20);
 }
 
 TEST(ShardRangeHelpers, ShardCountForRoundsUp) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/overhead.h"
 #include "core/uploader.h"
 
@@ -13,13 +16,19 @@ TraceRecord record_with_device(DeviceId id) {
   return r;
 }
 
+/// Submits the record with the size its writer computes for it.
+void submit(TraceUploader& uploader, TraceRecord record) {
+  const std::size_t bytes = compressed_record_bytes(record);
+  uploader.submit(std::move(record), bytes);
+}
+
 TEST(Uploader, BuffersUntilWifi) {
   std::vector<TraceRecord> received;
   TraceUploader uploader([&](std::span<TraceRecord> batch) {
     for (auto& r : batch) received.push_back(std::move(r));
   });
-  uploader.submit(record_with_device(1));
-  uploader.submit(record_with_device(2));
+  submit(uploader, record_with_device(1));
+  submit(uploader, record_with_device(2));
   EXPECT_EQ(uploader.buffered(), 2u);
   EXPECT_TRUE(received.empty());
   uploader.set_wifi_available(true);
@@ -30,12 +39,32 @@ TEST(Uploader, BuffersUntilWifi) {
   EXPECT_GT(uploader.uploaded_bytes(), 0u);
 }
 
+TEST(Uploader, UploadedBytesAreRecordSizesPlusOneEnvelopePerFlush) {
+  TraceUploader uploader([](std::span<TraceRecord>) {});
+  TraceRecord long_apn = record_with_device(3);
+  long_apn.apn = std::string(200, 'x');  // past the fixed-field allowance
+  const std::vector<TraceRecord> records = {record_with_device(1), record_with_device(2),
+                                            long_apn};
+  std::uint64_t record_bytes = 0;
+  for (const TraceRecord& r : records) record_bytes += compressed_record_bytes(r);
+  ASSERT_GT(compressed_record_bytes(long_apn), compressed_record_bytes(records[0]));
+
+  submit(uploader, records[0]);
+  submit(uploader, records[1]);
+  uploader.flush();  // flush 1: two records
+  uploader.set_wifi_available(true);
+  submit(uploader, records[2]);  // flush 2: uploaded at once
+  uploader.flush();              // empty: no envelope
+  EXPECT_EQ(uploader.uploaded_records(), 3u);
+  EXPECT_EQ(uploader.uploaded_bytes(), record_bytes + 2 * 64);
+}
+
 TEST(Uploader, ImmediateUploadWhileOnWifi) {
   int batches = 0;
   TraceUploader uploader([&](std::span<TraceRecord>) { ++batches; });
   uploader.set_wifi_available(true);
-  uploader.submit(record_with_device(1));
-  uploader.submit(record_with_device(2));
+  submit(uploader, record_with_device(1));
+  submit(uploader, record_with_device(2));
   EXPECT_EQ(batches, 2);
   EXPECT_EQ(uploader.buffered(), 0u);
 }
@@ -43,7 +72,7 @@ TEST(Uploader, ImmediateUploadWhileOnWifi) {
 TEST(Uploader, ForcedFlushWithoutWifi) {
   int batches = 0;
   TraceUploader uploader([&](std::span<TraceRecord>) { ++batches; });
-  uploader.submit(record_with_device(1));
+  submit(uploader, record_with_device(1));
   uploader.flush();
   EXPECT_EQ(batches, 1);
   uploader.flush();  // empty flush is a no-op

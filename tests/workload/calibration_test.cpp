@@ -6,6 +6,7 @@
 
 #include "bs/deployment.h"
 #include "device/phone_model.h"
+#include "telephony/recovery.h"
 #include "workload/scenario.h"
 
 namespace cellrel {
@@ -56,10 +57,12 @@ TEST(Scenario, DefaultsMatchStudySetup) {
   EXPECT_EQ(sc.policy, PolicyVariant::kStock);
   EXPECT_EQ(sc.recovery, RecoveryVariant::kVanilla);
   EXPECT_TRUE(sc.monitor_probing);
-  // The default TIMP schedule ships the paper's numbers.
-  EXPECT_EQ(sc.timp_schedule.probation[0], SimDuration::seconds(21.0));
-  EXPECT_EQ(sc.timp_schedule.probation[1], SimDuration::seconds(6.0));
-  EXPECT_EQ(sc.timp_schedule.probation[2], SimDuration::seconds(16.0));
+  // The TIMP schedule ships the paper's numbers.
+  const ProbationSchedule timp = timp_probation_schedule();
+  EXPECT_EQ(timp.probation[0], SimDuration::seconds(21.0));
+  EXPECT_EQ(timp.probation[1], SimDuration::seconds(6.0));
+  EXPECT_EQ(timp.probation[2], SimDuration::seconds(16.0));
+  EXPECT_EQ(timp.name, "timp-optimized");
 }
 
 TEST(Scenario, VariantNames) {

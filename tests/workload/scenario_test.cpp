@@ -78,16 +78,6 @@ TEST(ScenarioValidate, RejectsAbsurdThreadRequest) {
   EXPECT_TRUE(has_error_for(sc.validate(), "threads"));
 }
 
-TEST(ScenarioValidate, RejectsNonPositiveTimpProbationOnlyWhenTimpSelected) {
-  Scenario sc;
-  sc.timp_schedule.probation[1] = SimDuration::zero();
-  // Vanilla recovery never reads the TIMP schedule: no error.
-  sc.recovery = RecoveryVariant::kVanilla;
-  EXPECT_TRUE(sc.validate().empty());
-  sc.recovery = RecoveryVariant::kTimpOptimized;
-  EXPECT_TRUE(has_error_for(sc.validate(), "timp_schedule"));
-}
-
 // --- Scenario-pack fields (DESIGN.md §13) --------------------------------
 // Every rejection reason is asserted by field name; the rules are
 // feature-gated, so pack-free scenarios keep validating exactly as before.
@@ -235,7 +225,7 @@ TEST(ScenarioResolveThreads, ZeroResolvesToHardwareConcurrency) {
   sc.threads = 0;
   const std::uint32_t resolved = sc.resolve_threads();
   EXPECT_GE(resolved, 1u);
-  EXPECT_EQ(resolved, static_cast<std::uint32_t>(ThreadPool::hardware_threads()));
+  EXPECT_EQ(resolved, static_cast<std::uint32_t>(hardware_threads()));
 }
 
 TEST(ScenarioResolveThreads, EnvOverridesField) {
@@ -251,8 +241,40 @@ TEST(ScenarioResolveThreads, EnvZeroMeansHardwareConcurrency) {
   env.set("0");
   Scenario sc;
   sc.threads = 7;
-  EXPECT_EQ(sc.resolve_threads(),
-            static_cast<std::uint32_t>(ThreadPool::hardware_threads()));
+  EXPECT_EQ(sc.resolve_threads(), static_cast<std::uint32_t>(hardware_threads()));
+}
+
+TEST(ScenarioValidate, AcceptsDecimalThreadsEnvUpToTheCap) {
+  ScopedThreadsEnv env;
+  for (const char* v : {"0", "1", "16", "4096", "0004"}) {
+    env.set(v);
+    EXPECT_TRUE(Scenario{}.validate().empty()) << v;
+  }
+}
+
+TEST(ScenarioValidate, RejectsMalformedThreadsEnvNamingTheValue) {
+  ScopedThreadsEnv env;
+  for (const char* v : {"-1", "abc", "", " 4", "4 ", "+4", "4x", "4097", "4294967295",
+                        "99999999999999999999"}) {
+    env.set(v);
+    const std::vector<ScenarioError> errors = Scenario{}.validate();
+    ASSERT_EQ(errors.size(), 1u) << "'" << v << "'";
+    EXPECT_EQ(errors[0].field, "CELLREL_THREADS");
+    EXPECT_NE(errors[0].message.find(std::string("'") + v + "'"), std::string::npos)
+        << errors[0].message;
+  }
+}
+
+TEST(ScenarioResolveThreads, MalformedEnvFallsBackToTheField) {
+  // A value validate() rejects never sizes the executor: -1 does not wrap
+  // to 4 billion, and garbage does not mean "all hardware threads".
+  ScopedThreadsEnv env;
+  Scenario sc;
+  sc.threads = 3;
+  for (const char* v : {"-1", "abc", "4097"}) {
+    env.set(v);
+    EXPECT_EQ(sc.resolve_threads(), 3u) << v;
+  }
 }
 
 }  // namespace

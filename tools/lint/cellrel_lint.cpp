@@ -185,8 +185,8 @@ void scan_includes(const std::vector<Token>& code, const std::string& module,
           out->violations.push_back(
               {relative_path, lineno, "threading",
                "'<" + target + ">' is confined to common/thread_pool.* and the "
-               "campaign shard executor; express parallelism as shard tasks "
-               "on the ThreadPool"});
+               "campaign shard executor; express parallelism as shard indices "
+               "handed to for_each_shard"});
         }
       }
       if (target == "chrono" && module != "obs") {
@@ -576,7 +576,7 @@ void scan_nodiscard(const std::vector<Token>& code, const std::string& relative_
 /// through StringPool/ApnId; std::string_view is fine because the lexer
 /// keeps `string_view` as one identifier) and no per-record heap
 /// allocation. `new` is double-flagged with naked-new on purpose: the
-/// batch-specific message explains the arena discipline.
+/// batch-specific message explains the reserve-and-reuse discipline.
 void scan_batch_hygiene(const std::vector<Token>& code, const std::string& relative_path,
                         const LintOptions& options, FileAnalysis* out) {
   if (options.batch_hot_files.count(relative_path) == 0) return;
@@ -593,8 +593,8 @@ void scan_batch_hygiene(const std::vector<Token>& code, const std::string& relat
       out->violations.push_back(
           {relative_path, code[i].line, "batch-hygiene",
            "per-record heap allocation ('" + t + "') in the batch hot path; "
-           "columns grow through vector reserve and batches are recycled "
-           "through the BatchArena"});
+           "columns grow through vector reserve and a spilling shard reuses "
+           "its one batch in place"});
     }
   }
 }

@@ -37,7 +37,8 @@
 //                       (new / make_unique / make_shared) are banned in the
 //                       columnar batch hot path (analysis/batch.*): APN text
 //                       is interned through StringPool/ApnId and columns only
-//                       grow through vector reserve + the BatchArena.
+//                       grow through vector reserve (a spilling shard
+//                       clears and refills its one batch in place).
 //                       `std::string_view` is fine.
 //
 //  tree-level
