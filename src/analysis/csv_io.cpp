@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -16,44 +11,114 @@ namespace cellrel {
 
 namespace {
 
-std::vector<std::string_view> split(std::string_view line, char sep = ',') {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(line.substr(start));
-      break;
+/// Reads the delimited fields of one row left to right. Each typed read
+/// takes the next field; a read past the last field, or a field that does
+/// not parse, latches the first failure and yields a zero value, so a row
+/// parser reads straight through and asks done() once at the end.
+class FieldCursor {
+ public:
+  explicit FieldCursor(std::string_view line, char sep = ',') : rest_(line), sep_(sep) {}
+
+  /// The next field's raw text.
+  std::string_view text() {
+    ++fields_;
+    if (!more_) {
+      fail();
+      return {};
     }
-    out.push_back(line.substr(start, pos - start));
-    start = pos + 1;
+    const std::size_t pos = rest_.find(sep_);
+    const std::string_view field = rest_.substr(0, pos);
+    if (pos == std::string_view::npos) {
+      more_ = false;
+    } else {
+      rest_.remove_prefix(pos + 1);
+    }
+    return field;
   }
-  return out;
-}
 
-template <typename T>
-std::optional<T> parse_number(std::string_view s) {
-  T value{};
-  const auto* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  /// A decimal integer in std::from_chars syntax (no sign on unsigned
+  /// types, no '+', no whitespace).
+  template <typename T>
+  T integer() {
+    const std::string_view s = text();
+    T value{};
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec != std::errc{} || ptr != s.data() + s.size()) fail();
+    return value;
+  }
+
+  /// An enum stored as its integer code, which must be below `count`.
+  template <typename E>
+  E code(std::uint64_t count) {
+    const auto v = integer<std::uint64_t>();
+    if (v >= count) {
+      fail();
+      return E{};
+    }
+    return static_cast<E>(v);
+  }
+
+  /// "0" or "1".
+  bool flag() {
+    const std::string_view s = text();
+    if (s != "0" && s != "1") fail();
+    return s == "1";
+  }
+
+  /// A time or duration in seconds: finite, non-negative, and small enough
+  /// that SimDuration::seconds' int64 microsecond conversion is defined.
+  double seconds() {
+    const std::string_view s = text();
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    // The negated range test also rejects nan; inf fails the upper bound.
+    if (ec != std::errc{} || ptr != s.data() + s.size() || !(v >= 0.0 && v * 1e6 < 0x1p63)) {
+      fail();
+      return 0.0;
+    }
+    return v;
+  }
+
+  /// The next field through `parse`, a text -> std::optional<T> function.
+  template <typename Parse>
+  auto parsed(Parse parse) {
+    auto value = parse(text());
+    if (!value) fail();
+    return value.value_or(typename decltype(value)::value_type{});
+  }
+
+  /// Latches a failure on the field just read unless `ok`.
+  void require(bool ok) {
+    if (!ok) fail();
+  }
+
+  /// Every read succeeded and no field is left over.
+  bool done() const { return failed_ < 0 && !more_; }
+
+  /// 0-based index of the first field that failed (missing or malformed),
+  /// or -1 when only fields were left over.
+  int failed_field() const { return failed_; }
+
+ private:
+  void fail() {
+    if (failed_ < 0) failed_ = fields_ - 1;
+  }
+
+  std::string_view rest_;
+  char sep_;
+  bool more_ = true;  // a line of n separators holds n + 1 fields
+  int fields_ = 0;
+  int failed_ = -1;
+};
+
+/// Parses a whole line with `read`, or nullopt if the row is malformed.
+template <typename Read>
+auto row_from_csv(std::string_view line, Read read)
+    -> std::optional<decltype(read(std::declval<FieldCursor&>()))> {
+  FieldCursor f(line);
+  auto value = read(f);
+  if (!f.done()) return std::nullopt;
   return value;
-}
-
-/// A time or duration in seconds: finite, non-negative, and small enough
-/// that SimDuration::seconds' int64 microsecond conversion is defined.
-std::optional<double> parse_seconds(std::string_view s) {
-  // std::from_chars for double is not universally available; strtod via a
-  // bounded copy keeps this portable.
-  char buf[64];
-  if (s.size() >= sizeof(buf)) return std::nullopt;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  // The negated range test also rejects nan; inf fails the upper bound.
-  if (end != buf + s.size() || !(v >= 0.0 && v * 1e6 < 0x1p63)) return std::nullopt;
-  return v;
 }
 
 std::ofstream open_out(const std::filesystem::path& path) {
@@ -66,6 +131,152 @@ std::ifstream open_in(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("csv_io: cannot read " + path.string());
   return in;
+}
+
+// Each table's header: its writer emits it, its reader requires it.
+constexpr std::string_view kDevicesHeader = "device,model,isp,has_5g,android";
+constexpr std::string_view kBaseStationsHeader = "index,isp,rat_mask,location,failure_count";
+constexpr std::string_view kConnectedTimeHeader = "rat,level,seconds";
+constexpr std::string_view kTransitionsHeader =
+    "device,from_rat,from_level,to_rat,to_level,failure";
+constexpr std::string_view kDwellsHeader = "device,rat,level,failure";
+
+/// The `index`-th comma-separated name of `header`.
+std::string_view field_name(std::string_view header, int index) {
+  FieldCursor names(header);
+  std::string_view name;
+  for (int i = 0; i <= index; ++i) name = names.text();
+  return name;
+}
+
+/// Opens `file`, requires its first line to equal `header`, and hands each
+/// non-empty data row through `read` (FieldCursor& -> T) to `sink(T&&, row)`.
+/// A row `read` leaves unfinished throws, naming the file, the 1-based data
+/// row and the first failing field.
+template <typename Read, typename Sink>
+void for_each_row(const std::filesystem::path& file, std::string_view header, Read read,
+                  Sink&& sink) {
+  auto in = open_in(file);
+  std::string line;
+  if (!std::getline(in, line) || line != header) {
+    throw std::runtime_error("csv_io: malformed header in " + file.string() +
+                             ": expected '" + std::string(header) + "'");
+  }
+  int row = 0;
+  while (std::getline(in, line)) {
+    ++row;
+    if (line.empty()) continue;
+    FieldCursor f(line);
+    auto value = read(f);
+    if (!f.done()) {
+      const int bad = f.failed_field();
+      const std::string what =
+          bad < 0 ? std::string("extra fields")
+                  : "field '" + std::string(field_name(header, bad)) + "'";
+      throw std::runtime_error("csv_io: malformed row " + std::to_string(row) + " in " +
+                               file.string() + ": " + what);
+    }
+    sink(std::move(value), row);
+  }
+}
+
+std::optional<FailCause> cause_from_string(std::string_view s) {
+  return FailCauseCatalog::instance().by_name(s);
+}
+
+TraceRecord read_record(FieldCursor& f) {
+  // Format (trace_csv_header): device,model,isp,type,at_s,duration_s,method,
+  // rat,level,bs,cell,apn,cause,filtered,probe_rounds
+  TraceRecord r;
+  r.device = f.integer<DeviceId>();
+  r.model_id = f.integer<int>();
+  r.isp = f.parsed(isp_from_string);
+  r.type = f.parsed(parse_failure_type);
+  r.at = SimTime::from_seconds(f.seconds());
+  r.duration = SimDuration::seconds(f.seconds());
+  r.duration_method = f.parsed(duration_method_from_string);
+  r.rat = f.parsed(parse_rat);
+  r.level = f.code<SignalLevel>(kSignalLevelCount);
+  r.bs = f.integer<BsIndex>();
+  r.cell = f.parsed(cell_identity_from_string);
+  r.apn = std::string(f.text());
+  r.cause = f.parsed(cause_from_string);
+  r.filtered_false_positive = f.flag();
+  r.probe_rounds = f.integer<std::uint32_t>();
+  return r;
+}
+
+DeviceMeta read_device(FieldCursor& f) {
+  DeviceMeta d;
+  d.id = f.integer<DeviceId>();
+  d.model_id = f.integer<int>();
+  d.isp = f.parsed(isp_from_string);
+  d.has_5g = f.flag();
+  const int android = f.integer<int>();
+  f.require(android == 9 || android == 10);
+  d.android = static_cast<AndroidVersion>(android);
+  return d;
+}
+
+BsMeta read_base_station(FieldCursor& f) {
+  BsMeta bs;
+  bs.index = f.integer<BsIndex>();
+  bs.isp = f.parsed(isp_from_string);
+  bs.rat_mask = f.code<std::uint8_t>(1u << kRatCount);
+  bs.location = f.code<LocationClass>(kAllLocationClasses.size());
+  bs.failure_count = f.integer<std::uint64_t>();
+  return bs;
+}
+
+ConnectedTimeRow read_connected_time(FieldCursor& f) {
+  ConnectedTimeRow row;
+  row.rat = f.parsed(parse_rat);
+  row.level = f.code<SignalLevel>(kSignalLevelCount);
+  row.seconds = f.seconds();
+  return row;
+}
+
+TransitionRecord read_transition(FieldCursor& f) {
+  TransitionRecord t;
+  t.device = f.integer<DeviceId>();
+  t.from_rat = f.parsed(parse_rat);
+  t.from_level = f.code<SignalLevel>(kSignalLevelCount);
+  t.to_rat = f.parsed(parse_rat);
+  t.to_level = f.code<SignalLevel>(kSignalLevelCount);
+  t.failure_within_window = f.flag();
+  return t;
+}
+
+DwellRecord read_dwell(FieldCursor& f) {
+  DwellRecord d;
+  d.device = f.integer<DeviceId>();
+  d.rat = f.parsed(parse_rat);
+  d.level = f.code<SignalLevel>(kSignalLevelCount);
+  d.failure_within_window = f.flag();
+  return d;
+}
+
+/// A spill row; the APN is interned only once the whole row has parsed.
+RecordBatch::RowView read_spill_row(FieldCursor& f, StringPool& apns) {
+  RecordBatch::RowView r;
+  r.device = f.integer<DeviceId>();
+  r.type = f.code<FailureType>(kFailureTypeCount);
+  r.at_us = f.integer<std::int64_t>();
+  f.require(r.at_us >= 0);
+  r.duration_us = f.integer<std::int64_t>();
+  f.require(r.duration_us >= 0);
+  r.duration_method =
+      f.code<DurationMethod>(static_cast<unsigned>(DurationMethod::kStateTracking) + 1);
+  r.rat = f.code<Rat>(kRatCount);
+  r.level = f.code<SignalLevel>(kSignalLevelCount);
+  r.bs = f.integer<BsIndex>();
+  const std::string_view apn = f.text();
+  r.cause = static_cast<FailCause>(f.integer<std::int32_t>());
+  r.filtered_false_positive = f.flag();
+  r.probe_rounds = f.integer<std::uint32_t>();
+  r.ground_truth_fp = f.code<FalsePositiveKind>(kFalsePositiveKindCount);
+  if (f.done()) r.apn = apns.intern(apn);
+  return r;
 }
 
 }  // namespace
@@ -86,162 +297,128 @@ std::optional<DurationMethod> duration_method_from_string(std::string_view s) {
 }
 
 std::optional<CellIdentity> cell_identity_from_string(std::string_view s) {
-  if (s.starts_with("cdma:")) {
-    const auto parts = split(s.substr(5), '-');
-    if (parts.size() != 3) return std::nullopt;
-    const auto sid = parse_number<std::uint16_t>(parts[0]);
-    const auto nid = parse_number<std::uint16_t>(parts[1]);
-    const auto bid = parse_number<std::uint32_t>(parts[2]);
-    if (!sid || !nid || !bid) return std::nullopt;
-    return CellIdentity{CdmaCellId{*sid, *nid, *bid}};
+  const bool cdma = s.starts_with("cdma:");
+  FieldCursor f(cdma ? s.substr(5) : s, '-');
+  CellIdentity cell;
+  if (cdma) {
+    cell = CdmaCellId{f.integer<std::uint16_t>(), f.integer<std::uint16_t>(),
+                      f.integer<std::uint32_t>()};
+  } else {
+    cell = CellGlobalId{f.integer<std::uint16_t>(), f.integer<std::uint16_t>(),
+                        f.integer<std::uint32_t>(), f.integer<std::uint32_t>()};
   }
-  const auto parts = split(s, '-');
-  if (parts.size() != 4) return std::nullopt;
-  const auto mcc = parse_number<std::uint16_t>(parts[0]);
-  const auto mnc = parse_number<std::uint16_t>(parts[1]);
-  const auto lac = parse_number<std::uint32_t>(parts[2]);
-  const auto cid = parse_number<std::uint32_t>(parts[3]);
-  if (!mcc || !mnc || !lac || !cid) return std::nullopt;
-  return CellIdentity{CellGlobalId{*mcc, *mnc, *lac, *cid}};
+  if (!f.done()) return std::nullopt;
+  return cell;
 }
 
 std::optional<TraceRecord> trace_record_from_csv(std::string_view line) {
-  // Format (trace_csv_header): device,model,isp,type,at_s,duration_s,method,
-  // rat,level,bs,cell,apn,cause,filtered,probe_rounds
-  const auto f = split(line);
-  if (f.size() != 15) return std::nullopt;
-  TraceRecord r;
-  const auto device = parse_number<std::uint64_t>(f[0]);
-  const auto model = parse_number<int>(f[1]);
-  const auto isp = isp_from_string(f[2]);
-  const auto type = parse_failure_type(f[3]);
-  const auto at = parse_seconds(f[4]);
-  const auto duration = parse_seconds(f[5]);
-  const auto method = duration_method_from_string(f[6]);
-  const auto rat = parse_rat(f[7]);
-  const auto level = parse_number<std::size_t>(f[8]);
-  const auto bs = parse_number<BsIndex>(f[9]);
-  const auto cell = cell_identity_from_string(f[10]);
-  const auto cause = FailCauseCatalog::instance().by_name(f[12]);
-  const auto probe_rounds = parse_number<std::uint32_t>(f[14]);
-  if (!device || !model || !isp || !type || !at || !duration || !method || !rat ||
-      !level || *level >= kSignalLevelCount || !bs || !cell || !probe_rounds) {
-    return std::nullopt;
-  }
-  r.device = *device;
-  r.model_id = *model;
-  r.isp = *isp;
-  r.type = *type;
-  r.at = SimTime::from_seconds(*at);
-  r.duration = SimDuration::seconds(*duration);
-  r.duration_method = *method;
-  r.rat = *rat;
-  r.level = signal_level_from_index(*level);
-  r.bs = *bs;
-  r.cell = *cell;
-  r.apn = std::string(f[11]);
-  r.cause = cause.value_or(FailCause::kNone);
-  if (f[13] != "0" && f[13] != "1") return std::nullopt;
-  r.filtered_false_positive = f[13] == "1";
-  r.probe_rounds = *probe_rounds;
-  return r;
+  return row_from_csv(line, read_record);
 }
 
-namespace {
-
-// Section writers shared by the materialized exporter and the streaming
-// sidecar exporter, so the two paths cannot drift format-wise.
-
-void write_devices_csv(std::span<const DeviceMeta> devices,
-                       const std::filesystem::path& dir) {
-  auto out = open_out(dir / DatasetFiles::kDevices);
-  out << "device,model,isp,has_5g,android\n";
-  for (const auto& d : devices) {
-    out << d.id << ',' << d.model_id << ',' << to_string(d.isp) << ','
-        << (d.has_5g ? 1 : 0) << ',' << static_cast<int>(d.android) << '\n';
-  }
+std::optional<DeviceMeta> device_from_csv(std::string_view line) {
+  return row_from_csv(line, read_device);
 }
 
-void write_base_stations_csv(std::span<const BsMeta> base_stations,
-                             const std::filesystem::path& dir) {
-  auto out = open_out(dir / DatasetFiles::kBaseStations);
-  out << "index,isp,rat_mask,location,failure_count\n";
-  for (const auto& bs : base_stations) {
-    out << bs.index << ',' << to_string(bs.isp) << ',' << static_cast<int>(bs.rat_mask)
-        << ',' << static_cast<int>(bs.location) << ',' << bs.failure_count << '\n';
-  }
+std::optional<BsMeta> base_station_from_csv(std::string_view line) {
+  return row_from_csv(line, read_base_station);
 }
 
-void write_connected_time_csv(const ConnectedTimeTable& table,
-                              const std::filesystem::path& dir) {
-  auto out = open_out(dir / DatasetFiles::kConnectedTime);
-  out << "rat,level,seconds\n";
-  for (Rat rat : kAllRats) {
-    for (SignalLevel level : kAllSignalLevels) {
-      out << to_string(rat) << ',' << index_of(level) << ',' << table.at(rat, level)
-          << '\n';
+std::optional<ConnectedTimeRow> connected_time_from_csv(std::string_view line) {
+  return row_from_csv(line, read_connected_time);
+}
+
+std::optional<TransitionRecord> transition_from_csv(std::string_view line) {
+  return row_from_csv(line, read_transition);
+}
+
+std::optional<DwellRecord> dwell_from_csv(std::string_view line) {
+  return row_from_csv(line, read_dwell);
+}
+
+// ---------------------------------------------------------------------------
+// The dataset writer
+// ---------------------------------------------------------------------------
+
+DatasetCsvWriter::DatasetCsvWriter(const std::filesystem::path& dir) : dir_(dir) {
+  std::filesystem::create_directories(dir_);
+  records_ = open_out(dir_ / DatasetFiles::kRecords);
+  records_ << trace_csv_header() << '\n';
+}
+
+void DatasetCsvWriter::append(const TraceRecord& record) {
+  records_ << to_csv(record) << '\n';
+}
+
+void DatasetCsvWriter::append(const RecordBatch& batch, const MaterializeContext& ctx) {
+  for (std::size_t i = 0; i < batch.size(); ++i) append(batch.materialize_row(i, ctx));
+}
+
+void DatasetCsvWriter::close(std::span<const DeviceMeta> devices,
+                             std::span<const BsMeta> base_stations,
+                             const ConnectedTimeTable& connected_time,
+                             std::span<const TransitionRecord> transitions,
+                             std::span<const DwellRecord> dwells) {
+  records_.flush();
+  if (!records_) {
+    throw std::runtime_error("csv_io: record export failed for " +
+                             (dir_ / DatasetFiles::kRecords).string());
+  }
+  records_.close();
+  {
+    auto out = open_out(dir_ / DatasetFiles::kDevices);
+    out << kDevicesHeader << '\n';
+    for (const auto& d : devices) {
+      out << d.id << ',' << d.model_id << ',' << to_string(d.isp) << ','
+          << (d.has_5g ? 1 : 0) << ',' << static_cast<int>(d.android) << '\n';
+    }
+  }
+  {
+    auto out = open_out(dir_ / DatasetFiles::kBaseStations);
+    out << kBaseStationsHeader << '\n';
+    for (const auto& bs : base_stations) {
+      out << bs.index << ',' << to_string(bs.isp) << ',' << static_cast<int>(bs.rat_mask)
+          << ',' << static_cast<int>(bs.location) << ',' << bs.failure_count << '\n';
+    }
+  }
+  {
+    auto out = open_out(dir_ / DatasetFiles::kConnectedTime);
+    out << kConnectedTimeHeader << '\n';
+    for (Rat rat : kAllRats) {
+      for (SignalLevel level : kAllSignalLevels) {
+        out << to_string(rat) << ',' << index_of(level) << ','
+            << connected_time.at(rat, level) << '\n';
+      }
+    }
+  }
+  {
+    auto out = open_out(dir_ / DatasetFiles::kTransitions);
+    out << kTransitionsHeader << '\n';
+    for (const auto& t : transitions) {
+      out << t.device << ',' << to_string(t.from_rat) << ',' << index_of(t.from_level)
+          << ',' << to_string(t.to_rat) << ',' << index_of(t.to_level) << ','
+          << (t.failure_within_window ? 1 : 0) << '\n';
+    }
+  }
+  {
+    auto out = open_out(dir_ / DatasetFiles::kDwells);
+    out << kDwellsHeader << '\n';
+    for (const auto& d : dwells) {
+      out << d.device << ',' << to_string(d.rat) << ',' << index_of(d.level) << ','
+          << (d.failure_within_window ? 1 : 0) << '\n';
     }
   }
 }
 
-void write_transitions_csv(std::span<const TransitionRecord> transitions,
-                           const std::filesystem::path& dir) {
-  auto out = open_out(dir / DatasetFiles::kTransitions);
-  out << "device,from_rat,from_level,to_rat,to_level,failure\n";
-  for (const auto& t : transitions) {
-    out << t.device << ',' << to_string(t.from_rat) << ',' << index_of(t.from_level) << ','
-        << to_string(t.to_rat) << ',' << index_of(t.to_level) << ','
-        << (t.failure_within_window ? 1 : 0) << '\n';
-  }
-}
-
-void write_dwells_csv(std::span<const DwellRecord> dwells, const std::filesystem::path& dir) {
-  auto out = open_out(dir / DatasetFiles::kDwells);
-  out << "device,rat,level,failure\n";
-  for (const auto& d : dwells) {
-    out << d.device << ',' << to_string(d.rat) << ',' << index_of(d.level) << ','
-        << (d.failure_within_window ? 1 : 0) << '\n';
-  }
-}
-
-}  // namespace
-
 void write_dataset_csv(const TraceDataset& dataset, const std::filesystem::path& dir) {
-  std::filesystem::create_directories(dir);
-
-  {
-    auto out = open_out(dir / DatasetFiles::kRecords);
-    out << trace_csv_header() << '\n';
-    for (const auto& r : dataset.records) out << to_csv(r) << '\n';
-  }
-  write_devices_csv(dataset.devices, dir);
-  write_base_stations_csv(dataset.base_stations, dir);
-  write_connected_time_csv(dataset.connected_time, dir);
-  write_transitions_csv(dataset.transitions, dir);
-  write_dwells_csv(dataset.dwells, dir);
+  DatasetCsvWriter out(dir);
+  for (const TraceRecord& r : dataset.records) out.append(r);
+  out.close(dataset.devices, dataset.base_stations, dataset.connected_time,
+            dataset.transitions, dataset.dwells);
 }
 
-namespace {
-
-void for_each_row(std::ifstream& in, const std::filesystem::path& file,
-                  const std::function<void(std::string_view, int)>& fn) {
-  std::string line;
-  int line_no = 0;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    fn(line, line_no);
-  }
-  (void)file;
-}
-
-[[noreturn]] void malformed(const std::filesystem::path& file, int line_no) {
-  throw std::runtime_error("csv_io: malformed row " + std::to_string(line_no) + " in " +
-                           file.string());
-}
-
-}  // namespace
+// ---------------------------------------------------------------------------
+// The dataset readers
+// ---------------------------------------------------------------------------
 
 RecordReferences::RecordReferences(const TraceDataset& sidecars)
     : bs_count_(sidecars.base_stations.size()) {
@@ -269,102 +446,27 @@ TraceDataset read_dataset_csv(const std::filesystem::path& dir) {
   TraceDataset data = read_dataset_sidecars_csv(dir);
   const RecordReferences refs(data);
   const auto file = dir / DatasetFiles::kRecords;
-  auto in = open_in(file);
-  for_each_row(in, file, [&](std::string_view line, int n) {
-    auto record = trace_record_from_csv(line);
-    if (!record) malformed(file, n);
-    refs.check(record->device, record->bs, file, n);
-    data.records.push_back(std::move(*record));
+  for_each_row(file, trace_csv_header(), read_record, [&](TraceRecord&& r, int row) {
+    refs.check(r.device, r.bs, file, row);
+    data.records.push_back(std::move(r));
   });
   return data;
 }
 
 TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
   TraceDataset data;
-  {
-    const auto file = dir / DatasetFiles::kDevices;
-    auto in = open_in(file);
-    for_each_row(in, file, [&](std::string_view line, int n) {
-      const auto f = split(line);
-      if (f.size() != 5) malformed(file, n);
-      const auto id = parse_number<std::uint64_t>(f[0]);
-      const auto model = parse_number<int>(f[1]);
-      const auto isp = isp_from_string(f[2]);
-      const auto android = parse_number<int>(f[4]);
-      if (!id || !model || !isp || !android || (f[3] != "0" && f[3] != "1")) {
-        malformed(file, n);
-      }
-      data.devices.push_back(DeviceMeta{*id, *model, *isp, f[3] == "1",
-                                        static_cast<AndroidVersion>(*android)});
-    });
-  }
-  {
-    const auto file = dir / DatasetFiles::kBaseStations;
-    auto in = open_in(file);
-    for_each_row(in, file, [&](std::string_view line, int n) {
-      const auto f = split(line);
-      if (f.size() != 5) malformed(file, n);
-      const auto index = parse_number<BsIndex>(f[0]);
-      const auto isp = isp_from_string(f[1]);
-      const auto mask = parse_number<int>(f[2]);
-      const auto location = parse_number<int>(f[3]);
-      const auto count = parse_number<std::uint64_t>(f[4]);
-      if (!index || !isp || !mask || !location.has_value() || !count) malformed(file, n);
-      data.base_stations.push_back(BsMeta{*index, *isp, static_cast<std::uint8_t>(*mask),
-                                          static_cast<LocationClass>(*location), *count});
-    });
-  }
-  {
-    const auto file = dir / DatasetFiles::kConnectedTime;
-    auto in = open_in(file);
-    for_each_row(in, file, [&](std::string_view line, int n) {
-      const auto f = split(line);
-      if (f.size() != 3) malformed(file, n);
-      const auto rat = parse_rat(f[0]);
-      const auto level = parse_number<std::size_t>(f[1]);
-      const auto seconds = parse_seconds(f[2]);
-      if (!rat || !level || *level >= kSignalLevelCount || !seconds) malformed(file, n);
-      data.connected_time.add(*rat, signal_level_from_index(*level), *seconds);
-    });
-  }
-  {
-    const auto file = dir / DatasetFiles::kTransitions;
-    auto in = open_in(file);
-    for_each_row(in, file, [&](std::string_view line, int n) {
-      const auto f = split(line);
-      if (f.size() != 6) malformed(file, n);
-      const auto device = parse_number<std::uint64_t>(f[0]);
-      const auto from_rat = parse_rat(f[1]);
-      const auto from_level = parse_number<std::size_t>(f[2]);
-      const auto to_rat = parse_rat(f[3]);
-      const auto to_level = parse_number<std::size_t>(f[4]);
-      if (!device || !from_rat || !from_level || !to_rat || !to_level ||
-          *from_level >= kSignalLevelCount || *to_level >= kSignalLevelCount ||
-          (f[5] != "0" && f[5] != "1")) {
-        malformed(file, n);
-      }
-      data.transitions.push_back(TransitionRecord{
-          *device, *from_rat, signal_level_from_index(*from_level), *to_rat,
-          signal_level_from_index(*to_level), f[5] == "1"});
-    });
-  }
-  {
-    const auto file = dir / DatasetFiles::kDwells;
-    auto in = open_in(file);
-    for_each_row(in, file, [&](std::string_view line, int n) {
-      const auto f = split(line);
-      if (f.size() != 4) malformed(file, n);
-      const auto device = parse_number<std::uint64_t>(f[0]);
-      const auto rat = parse_rat(f[1]);
-      const auto level = parse_number<std::size_t>(f[2]);
-      if (!device || !rat || !level || *level >= kSignalLevelCount ||
-          (f[3] != "0" && f[3] != "1")) {
-        malformed(file, n);
-      }
-      data.dwells.push_back(
-          DwellRecord{*device, *rat, signal_level_from_index(*level), f[3] == "1"});
-    });
-  }
+  for_each_row(dir / DatasetFiles::kDevices, kDevicesHeader, read_device,
+               [&](DeviceMeta&& d, int) { data.devices.push_back(d); });
+  for_each_row(dir / DatasetFiles::kBaseStations, kBaseStationsHeader, read_base_station,
+               [&](BsMeta&& bs, int) { data.base_stations.push_back(bs); });
+  for_each_row(dir / DatasetFiles::kConnectedTime, kConnectedTimeHeader, read_connected_time,
+               [&](ConnectedTimeRow&& c, int) {
+                 data.connected_time.add(c.rat, c.level, c.seconds);
+               });
+  for_each_row(dir / DatasetFiles::kTransitions, kTransitionsHeader, read_transition,
+               [&](TransitionRecord&& t, int) { data.transitions.push_back(t); });
+  for_each_row(dir / DatasetFiles::kDwells, kDwellsHeader, read_dwell,
+               [&](DwellRecord&& d, int) { data.dwells.push_back(d); });
   return data;
 }
 
@@ -435,101 +537,23 @@ void BatchSpillWriter::close() {
 
 std::optional<RecordBatch::RowView> spill_row_from_csv(std::string_view line,
                                                        StringPool& apns) {
-  const auto f = split(line);
-  if (f.size() != 13) return std::nullopt;
-  const auto device = parse_number<std::uint64_t>(f[0]);
-  const auto type = parse_number<unsigned>(f[1]);
-  const auto at_us = parse_number<std::int64_t>(f[2]);
-  const auto duration_us = parse_number<std::int64_t>(f[3]);
-  const auto method = parse_number<unsigned>(f[4]);
-  const auto rat = parse_number<unsigned>(f[5]);
-  const auto level = parse_number<unsigned>(f[6]);
-  const auto bs = parse_number<BsIndex>(f[7]);
-  const auto cause = parse_number<std::int32_t>(f[9]);
-  const auto probe_rounds = parse_number<std::uint32_t>(f[11]);
-  const auto gt = parse_number<unsigned>(f[12]);
-  if (!device || !type || *type >= kFailureTypeCount || !at_us || *at_us < 0 ||
-      !duration_us || *duration_us < 0 ||
-      !method || *method > static_cast<unsigned>(DurationMethod::kStateTracking) ||
-      !rat || *rat >= kRatCount || !level || *level >= kSignalLevelCount || !bs ||
-      !cause || !probe_rounds || !gt || *gt >= kFalsePositiveKindCount ||
-      (f[10] != "0" && f[10] != "1")) {
-    return std::nullopt;
-  }
-  RecordBatch::RowView r;
-  r.device = *device;
-  r.type = static_cast<FailureType>(*type);
-  r.at_us = *at_us;
-  r.duration_us = *duration_us;
-  r.duration_method = static_cast<DurationMethod>(*method);
-  r.rat = static_cast<Rat>(*rat);
-  r.level = static_cast<SignalLevel>(*level);
-  r.bs = *bs;
-  r.apn = apns.intern(f[8]);
-  r.cause = static_cast<FailCause>(*cause);
-  r.filtered_false_positive = f[10] == "1";
-  r.probe_rounds = *probe_rounds;
-  r.ground_truth_fp = static_cast<FalsePositiveKind>(*gt);
-  return r;
+  return row_from_csv(line, [&apns](FieldCursor& f) { return read_spill_row(f, apns); });
 }
 
 void read_spill_batches(const std::filesystem::path& file, std::size_t capacity,
                         StringPool& apns,
                         const std::function<void(const RecordBatch&)>& fn) {
-  auto in = open_in(file);
   RecordBatch batch(capacity);
-  for_each_row(in, file, [&](std::string_view line, int n) {
-    const auto row = spill_row_from_csv(line, apns);
-    if (!row) malformed(file, n);
-    batch.push_row(*row);
-    if (batch.full()) {
-      fn(batch);
-      batch.clear();
-    }
-  });
+  for_each_row(
+      file, spill_csv_header(), [&apns](FieldCursor& f) { return read_spill_row(f, apns); },
+      [&](RecordBatch::RowView&& row, int) {
+        batch.push_row(row);
+        if (batch.full()) {
+          fn(batch);
+          batch.clear();
+        }
+      });
   if (!batch.empty()) fn(batch);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming dataset export
-// ---------------------------------------------------------------------------
-
-TraceCsvStreamWriter::TraceCsvStreamWriter(const std::filesystem::path& dir) {
-  std::filesystem::create_directories(dir);
-  file_ = dir / DatasetFiles::kRecords;
-  out_.open(file_);
-  if (!out_) {
-    throw std::runtime_error("csv_io: cannot write " + file_.string());
-  }
-  out_ << trace_csv_header() << '\n';
-}
-
-void TraceCsvStreamWriter::append(const RecordBatch& batch, const MaterializeContext& ctx) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out_ << to_csv(batch.materialize_row(i, ctx)) << '\n';
-    ++records_;
-  }
-}
-
-void TraceCsvStreamWriter::close() {
-  if (!out_.is_open()) return;
-  out_.flush();
-  if (!out_) {
-    throw std::runtime_error("csv_io: streaming record export failed for " + file_.string());
-  }
-  out_.close();
-}
-
-void write_streaming_sidecars_csv(const Aggregator& agg,
-                                  std::span<const TransitionRecord> transitions,
-                                  std::span<const DwellRecord> dwells,
-                                  const std::filesystem::path& dir) {
-  std::filesystem::create_directories(dir);
-  write_devices_csv(agg.devices(), dir);
-  write_base_stations_csv(agg.base_stations(), dir);
-  write_connected_time_csv(agg.connected_time(), dir);
-  write_transitions_csv(transitions, dir);
-  write_dwells_csv(dwells, dir);
 }
 
 }  // namespace cellrel

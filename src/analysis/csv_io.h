@@ -6,6 +6,12 @@
 // dwells) and loads it back, so campaigns can be generated once and
 // re-analyzed offline — the workflow the cellrel_campaign CLI tool exposes.
 //
+// One writer (DatasetCsvWriter) produces every dataset directory: the
+// materialized write_dataset_csv and the campaign merge's --out export, in
+// both merge modes. One field cursor reads every row format: records,
+// spill shards, the five sidecar tables and the cell identities; every
+// reader checks its file's header line against the writer's.
+//
 // The record rows use the same serialization as core/trace.h's to_csv();
 // ground-truth annotations are intentionally NOT exported (the real backend
 // never had them), so analyses over an imported dataset reflect exactly
@@ -21,7 +27,6 @@
 #include <span>
 #include <string>
 
-#include "analysis/aggregate.h"
 #include "analysis/batch.h"
 #include "analysis/dataset.h"
 
@@ -37,13 +42,39 @@ struct DatasetFiles {
   static constexpr const char* kDwells = "dwells.csv";
 };
 
-/// Writes the dataset under `dir` (created if missing). Throws
-/// std::runtime_error on I/O failure.
+/// Writes one dataset directory: records.csv row by row as the rows arrive,
+/// then the five sidecar tables on close(). Throws std::runtime_error on
+/// I/O failure.
+class DatasetCsvWriter {
+ public:
+  /// Creates `dir` if missing and opens records.csv with its header.
+  explicit DatasetCsvWriter(const std::filesystem::path& dir);
+
+  void append(const TraceRecord& record);
+  /// Appends every row of `batch`, expanded through `ctx`.
+  void append(const RecordBatch& batch, const MaterializeContext& ctx);
+
+  /// Closes records.csv, throwing if its stream failed, then writes
+  /// devices, base_stations, connected_time, transitions and dwells.
+  void close(std::span<const DeviceMeta> devices, std::span<const BsMeta> base_stations,
+             const ConnectedTimeTable& connected_time,
+             std::span<const TransitionRecord> transitions,
+             std::span<const DwellRecord> dwells);
+
+ private:
+  std::filesystem::path dir_;
+  std::ofstream records_;
+};
+
+/// Writes the dataset under `dir` (created if missing) through
+/// DatasetCsvWriter. Throws std::runtime_error on I/O failure.
 void write_dataset_csv(const TraceDataset& dataset, const std::filesystem::path& dir);
 
 /// Reads a dataset previously written by write_dataset_csv. Throws
-/// std::runtime_error on missing files, malformed rows, or a record that
-/// points outside the dataset (see RecordReferences).
+/// std::runtime_error on missing files, a header line that is not the
+/// writer's, malformed rows (the message names the file, the 1-based data
+/// row and the field), or a record that points outside the dataset (see
+/// RecordReferences).
 TraceDataset read_dataset_csv(const std::filesystem::path& dir);
 
 /// Reads every table EXCEPT records.csv (devices, base stations, connected
@@ -68,15 +99,36 @@ class RecordReferences {
   std::size_t bs_count_ = 0;
 };
 
-// --- parsing helpers (exposed for tests) ---
+// --- row parsers (the readers' own; exposed for tests) ---
+//
+// Each returns nullopt unless the row holds exactly its format's fields,
+// each well-formed: integers in std::from_chars syntax, enum codes in
+// range, flags "0"/"1", names from their catalogue, and seconds that are
+// finite, non-negative and inside the SimTime range.
 std::optional<IspId> isp_from_string(std::string_view s);
 std::optional<DurationMethod> duration_method_from_string(std::string_view s);
 std::optional<CellIdentity> cell_identity_from_string(std::string_view s);
 
-/// Parses one records.csv row (the to_csv() format). Returns nullopt on a
-/// malformed row, including an at_s/duration_s that is not finite, is
-/// negative, or lies outside the SimTime range.
+/// One records.csv row (the to_csv() format); the cause must be a
+/// FailCauseCatalog name.
 std::optional<TraceRecord> trace_record_from_csv(std::string_view line);
+
+/// One devices.csv row; android is 9 or 10.
+std::optional<DeviceMeta> device_from_csv(std::string_view line);
+
+/// One base_stations.csv row; rat_mask < 16 and location < 6.
+std::optional<BsMeta> base_station_from_csv(std::string_view line);
+
+/// One connected_time.csv row.
+struct ConnectedTimeRow {
+  Rat rat = Rat::k4G;
+  SignalLevel level = SignalLevel::kLevel0;
+  double seconds = 0.0;
+};
+std::optional<ConnectedTimeRow> connected_time_from_csv(std::string_view line);
+
+std::optional<TransitionRecord> transition_from_csv(std::string_view line);
+std::optional<DwellRecord> dwell_from_csv(std::string_view line);
 
 // ---------------------------------------------------------------------------
 // Batch spill files (streaming campaigns, --spill-dir)
@@ -122,8 +174,8 @@ class BatchSpillWriter {
 };
 
 /// Parses one spill row into a batch row view; `apns` receives the APN
-/// text (interned, first-appearance order). Returns nullopt on malformed
-/// input, including a negative at_us or duration_us.
+/// text (interned, first-appearance order) of a well-formed row. Returns
+/// nullopt on malformed input, including a negative at_us or duration_us.
 std::optional<RecordBatch::RowView> spill_row_from_csv(std::string_view line,
                                                        StringPool& apns);
 
@@ -134,48 +186,6 @@ std::optional<RecordBatch::RowView> spill_row_from_csv(std::string_view line,
 void read_spill_batches(const std::filesystem::path& file, std::size_t capacity,
                         StringPool& apns,
                         const std::function<void(const RecordBatch&)>& fn);
-
-// ---------------------------------------------------------------------------
-// Streaming dataset export (--stream --out)
-// ---------------------------------------------------------------------------
-//
-// Trace-level CSV export used to require the materialized merge: the writer
-// took a whole TraceDataset. The streaming converter instead rides the
-// streaming merge — each columnar batch is expanded row-by-row through the
-// shard's MaterializeContext (the same re-derivation the materialized merge
-// performs) and appended to records.csv as it is consumed, so the export
-// runs in O(1) record memory and records.csv is byte-identical to
-// write_dataset_csv()'s for the same scenario.
-
-/// Appends materialized batch rows to "<dir>/records.csv" (dir created if
-/// missing; header written on open). Throws std::runtime_error on I/O
-/// failure.
-class TraceCsvStreamWriter {
- public:
-  explicit TraceCsvStreamWriter(const std::filesystem::path& dir);
-
-  /// Writes every row of `batch`, expanded through `ctx` (to_csv format).
-  void append(const RecordBatch& batch, const MaterializeContext& ctx);
-
-  /// Flushes and closes; throws std::runtime_error if the stream failed.
-  void close();
-
-  std::uint64_t records_written() const { return records_; }
-
- private:
-  std::filesystem::path file_;
-  std::ofstream out_;
-  std::uint64_t records_ = 0;
-};
-
-/// Writes the non-record tables of a streaming campaign under `dir`:
-/// devices, base_stations and connected_time from the aggregator's retained
-/// copies, transitions and dwells from the shards' per-session samples in
-/// merge order — every file byte-identical to the materialized export.
-void write_streaming_sidecars_csv(const Aggregator& agg,
-                                  std::span<const TransitionRecord> transitions,
-                                  std::span<const DwellRecord> dwells,
-                                  const std::filesystem::path& dir);
 
 }  // namespace cellrel
 

@@ -98,7 +98,6 @@ class BaseStation {
   // BsRegistry::apply_failure_deltas), keeping the simulation phase
   // free of shared-counter writes.
   void record_failure() { ++failure_count_; }
-  void add_failures(std::uint64_t n) { failure_count_ += n; }
   std::uint64_t failure_count() const { return failure_count_; }
 
  private:

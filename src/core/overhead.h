@@ -58,7 +58,6 @@ class OverheadAccountant {
   std::uint64_t cellular_bytes() const { return probe_bytes_; }
   std::uint64_t wifi_upload_bytes() const { return upload_bytes_; }
   SimDuration cpu_busy_time() const { return cpu_busy_; }
-  SimDuration monitored_failure_time() const { return failure_time_; }
 
  private:
   SimDuration cpu_busy_;

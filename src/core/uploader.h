@@ -31,7 +31,6 @@ class TraceUploader {
     wifi_ = available;
     if (wifi_) flush();
   }
-  bool wifi_available() const { return wifi_; }
 
   /// Enqueues one record whose compressed size the writer already computed
   /// (compressed_record_bytes); uploads immediately when WiFi is up.

@@ -1,8 +1,8 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "analysis/csv_io.h"
@@ -19,8 +19,10 @@ namespace {
 /// cover.
 double printed_seconds(std::int64_t us) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(us) / 1e6);
-  return std::strtod(buf, nullptr);
+  const int n = std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(us) / 1e6);
+  double v = 0.0;
+  std::from_chars(buf, buf + n, v);
+  return v;
 }
 
 /// `prefix` followed by the decimal id. Appends rather than `const char* +
@@ -98,7 +100,8 @@ double canonical_seconds(std::int64_t us) {
   // to the nearest millisecond. An exact .500 tie is left to printf, which
   // rounds the double it sees (half to even when the tie is exactly
   // representable, as 62,500 us is: "0.062"). ms / 1000.0 is one correctly
-  // rounded division, the same double strtod makes of the printed text.
+  // rounded division, the same double a correctly rounded parse of the
+  // printed text makes.
   constexpr std::int64_t kIntegerLimitUs = std::int64_t{1} << 52;
   const std::int64_t residue = us % 1000;
   if (us < 0 || us >= kIntegerLimitUs || residue == 500) return printed_seconds(us);

@@ -42,7 +42,7 @@ namespace cellrel::query {
 
 /// Quantizes a timestamp/duration in microseconds onto the %.3f-seconds grid
 /// of records.csv: rounds to the nearest millisecond in integers and returns
-/// ms / 1000.0, bit-identical to strtod of the "%.3f" text of us / 1e6. An
+/// ms / 1000.0, bit-identical to parsing the "%.3f" text of us / 1e6. An
 /// exact .500 ms tie, a negative value and a value from 2^52 us up take that
 /// text path instead (printf rounds an exactly representable tie half to
 /// even: 62,500 us gives 0.062). The 1 us shortfall a records.csv value can

@@ -1,6 +1,6 @@
 #include "query/spec.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <utility>
 #include <vector>
 
@@ -48,10 +48,9 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
 }
 
 std::optional<double> parse_f64(std::string_view s) {
-  const std::string z(s);
-  char* end = nullptr;
-  const double v = std::strtod(z.c_str(), &end);
-  if (end != z.c_str() + z.size() || z.empty()) return std::nullopt;
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;
 }
 

@@ -70,10 +70,6 @@ struct QueryFilter {
   /// since <= at_s < until.
   std::optional<double> since_s;
   std::optional<double> until_s;
-
-  bool any_set() const {
-    return model_id || isp || rat || level || bs || type || since_s || until_s;
-  }
 };
 
 struct QuerySpec {

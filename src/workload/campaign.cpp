@@ -231,14 +231,13 @@ void publish_process_gauges(CampaignResult& result, const std::vector<ShardResul
 /// One pass folds every batch — in memory, or re-read from the shard's spill
 /// file one buffer at a time — into the Aggregator (`result.stream`), the
 /// inline query executors, the BS-health tracker (Scenario::detect) and the
-/// optional streaming CSV export. In materialized mode (no --stream) the
-/// same pass also expands the batches into `result.dataset`, with an EXACT
-/// reserve taken from the batch manifest.
+/// optional CSV export (Scenario::out_dir, either mode). In materialized
+/// mode (no --stream) the same pass also expands the batches into
+/// `result.dataset`, with an EXACT reserve taken from the batch manifest.
 CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult>&& shards,
                                    const Scenario& scenario) {
   const bool materialize = !scenario.stream;
   const std::filesystem::path spill_dir = scenario.spill_dir;
-  const std::filesystem::path stream_out_dir = scenario.stream_out_dir;
   CampaignResult result;
   result.stream = std::make_unique<Aggregator>();
   Aggregator& agg = *result.stream;
@@ -250,8 +249,8 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   }
 
   // The shards keep per-session transition/dwell samples only for the
-  // materialized dataset or the streaming export; they land in the dataset
-  // or in these export buffers.
+  // materialized dataset or the export; they land in the dataset or, in a
+  // streaming run, in these export buffers.
   std::vector<TransitionRecord> export_transitions;
   std::vector<DwellRecord> export_dwells;
   std::vector<TransitionRecord>& transitions =
@@ -277,15 +276,12 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
   executors.reserve(scenario.inline_queries.size());
   for (const query::QuerySpec& spec : scenario.inline_queries) executors.emplace_back(spec);
 
-  // Streaming dataset export (--stream --out): each batch is expanded
-  // row-by-row through the shard's MaterializeContext and appended to
-  // records.csv as it is consumed — the record order equals the
-  // materialized dataset's, so every file is byte-identical to
-  // write_dataset_csv()'s.
-  std::unique_ptr<TraceCsvStreamWriter> export_csv;
-  if (!stream_out_dir.empty()) {
-    export_csv = std::make_unique<TraceCsvStreamWriter>(stream_out_dir);
-  }
+  // Dataset export (--out): each batch is expanded row by row through the
+  // shard's MaterializeContext and appended to records.csv as it is
+  // consumed. The record order is the materialized dataset's, so every file
+  // is byte-identical to write_dataset_csv()'s, in either mode.
+  std::optional<DatasetCsvWriter> export_csv;
+  if (!scenario.out_dir.empty()) export_csv.emplace(scenario.out_dir);
   const auto resolve_cell = [&registry](BsIndex bs) { return registry.at(bs).identity(); };
 
   OverheadAccum overhead;
@@ -351,8 +347,8 @@ CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult
     result.query_results.push_back(ex.result());
   }
   if (export_csv) {
-    export_csv->close();
-    write_streaming_sidecars_csv(agg, transitions, dwells, stream_out_dir);
+    export_csv->close(agg.devices(), agg.base_stations(), agg.connected_time(), transitions,
+                      dwells);
   }
   publish_process_gauges(result, shards);
   return result;
@@ -1207,7 +1203,7 @@ CampaignResult Campaign::run() {
   auto run_shard = [&](std::size_t s) {
     const ShardRange range = shard_range(fleet.size(), shard_count, s);
     ShardResult& out = shards[s];
-    out.keep_samples = !scenario_.stream || !scenario_.stream_out_dir.empty();
+    out.keep_samples = !scenario_.stream || !scenario_.out_dir.empty();
     out.devices.reserve(range.size());
     // Batch capacity from the calibration's expected record count — a pure
     // function of the fleet and scenario. This replaces the old merged-

@@ -69,12 +69,6 @@ std::vector<ScenarioError> Scenario::validate() const {
   if (!spill_dir.empty() && !stream) {
     errors.push_back({"spill_dir", "batch spilling requires streaming mode (set stream)"});
   }
-  if (!stream_out_dir.empty() && !stream) {
-    errors.push_back(
-        {"stream_out_dir",
-         "streaming dataset export requires streaming mode (set stream); "
-         "materialized runs export via the tool's --out path instead"});
-  }
   if (detect && !(detect_window_s >= 1.0)) {
     errors.push_back({"detect_window_s",
                       "detection window must be at least one simulated second"});

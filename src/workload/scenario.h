@@ -48,14 +48,14 @@ struct Scenario {
   /// drops to O(shards x batch capacity). The directory is created if
   /// missing; existing shard files are overwritten.
   std::string spill_dir;
-  /// When non-empty (streaming mode only), the merge streams every record
-  /// through the dataset CSV writer into this directory while it folds
-  /// batches into the aggregator, so `--stream --out` exports a trace-level
-  /// dataset without ever materializing it. Every file is byte-identical to
-  /// a materialized export of the same scenario: the shards keep their
-  /// transition/dwell samples for the export (a streaming run without one
-  /// keeps only the count tables).
-  std::string stream_out_dir;
+  /// When non-empty, the merge writes the dataset CSV directory here
+  /// (DatasetCsvWriter), appending every record as it folds the batches, in
+  /// both modes: a streaming run exports without ever materializing the
+  /// dataset. Every file is byte-identical to write_dataset_csv() of the
+  /// materialized dataset: the shards keep their transition/dwell samples
+  /// for the export (a streaming run without one keeps only the count
+  /// tables).
+  std::string out_dir;
 
   /// Inline queries (src/query, DESIGN.md §12): each spec is evaluated
   /// incrementally from the columnar shard batches during the campaign

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/aggregate.h"
 #include "workload/campaign.h"
@@ -15,10 +16,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A fresh directory named after the running test (ctest runs the cases
+/// in parallel processes, so a shared name would race).
 class ScopedTempDir {
  public:
   explicit ScopedTempDir(const char* name = "cellrel_csv_test")
-      : path_(fs::temp_directory_path() / name) {
+      : path_(fs::temp_directory_path() /
+              (std::string(name) + "_" +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name())) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }
@@ -84,20 +89,26 @@ TEST(CsvParsing, TraceRecordRoundTrip) {
 TEST(CsvParsing, RejectsMalformedRows) {
   EXPECT_FALSE(trace_record_from_csv("").has_value());
   EXPECT_FALSE(trace_record_from_csv("1,2,3").has_value());
-  EXPECT_FALSE(
-      trace_record_from_csv("x,12,ISP-B,Data_Stall,1,2,probing,5G,2,3,460-0-1-1,apn,NONE,0,0")
-          .has_value());
+  EXPECT_FALSE(trace_record_from_csv(
+                   "x,12,ISP-B,Data_Stall,1,2,probing,5G,2,3,460-0-1-1,apn,SIGNAL_LOST,0,0")
+                   .has_value());
   // Times and durations must be finite, non-negative seconds inside the
   // SimTime range (inf used to reach SimDuration::seconds' int64 cast).
-  const auto row = [](const char* at, const char* duration) {
+  const auto row = [](const char* at, const char* duration, const char* cause = "SIGNAL_LOST") {
     return std::string("1,12,ISP-B,Data_Stall,") + at + "," + duration +
-           ",probing,5G,2,3,460-0-1-1,apn,NONE,0,0";
+           ",probing,5G,2,3,460-0-1-1,apn," + cause + ",0,0";
   };
   ASSERT_TRUE(trace_record_from_csv(row("1", "2")).has_value());
   for (const char* bad : {"nan", "inf", "-inf", "-1", "-1e300", "1e300", "1e13"}) {
     EXPECT_FALSE(trace_record_from_csv(row(bad, "2")).has_value()) << "at_s=" << bad;
     EXPECT_FALSE(trace_record_from_csv(row("1", bad)).has_value()) << "duration_s=" << bad;
   }
+  // A cause must be a catalogue name; "NONE" is not one.
+  for (const char* bad : {"NONE", "", "signal_lost", "SIGNAL_LOST "}) {
+    EXPECT_FALSE(trace_record_from_csv(row("1", "2", bad)).has_value()) << "cause=" << bad;
+  }
+  EXPECT_EQ(trace_record_from_csv(row("1", "2", "UNKNOWN_DATA_CALL_FAILURE"))->cause,
+            FailCause::kUnknown);
 }
 
 TEST(CsvIo, DatasetRoundTripPreservesAnalysis) {
@@ -142,31 +153,33 @@ TEST(CsvIo, DatasetRoundTripPreservesAnalysis) {
   }
 }
 
-TEST(CsvIo, StreamingSidecarsMatchTheDatasetWriter) {
-  // The streaming export writes its non-record tables from the aggregator
-  // and the shards' samples; every file equals write_dataset_csv's.
+TEST(CsvIo, MaterializedMergeExportMatchesTheDatasetWriter) {
+  // A materialized campaign with out_dir writes its export from the merge
+  // (records appended batch by batch, sidecars from the aggregator); every
+  // file equals write_dataset_csv of the campaign's dataset.
+  const ScopedTempDir dir("cellrel_csv_merge_export_test");
+  const fs::path merged = dir.path() / "merged";
+  const fs::path written = dir.path() / "written";
   Scenario sc;
   sc.device_count = 200;
   sc.deployment.bs_count = 800;
   sc.campaign_days = 20.0;
   sc.seed = 45;
+  sc.threads = 3;
+  sc.out_dir = merged.string();
   const CampaignResult result = Campaign(sc).run();
+  ASSERT_FALSE(result.dataset.records.empty());
   ASSERT_FALSE(result.dataset.transitions.empty());
   ASSERT_FALSE(result.dataset.dwells.empty());
 
-  const ScopedTempDir dir("cellrel_csv_sidecars_test");
-  const fs::path full = dir.path() / "full";
-  const fs::path sidecars = dir.path() / "sidecars";
-  write_dataset_csv(result.dataset, full);
-  write_streaming_sidecars_csv(*result.stream, result.dataset.transitions,
-                               result.dataset.dwells, sidecars);
-  EXPECT_FALSE(fs::exists(sidecars / DatasetFiles::kRecords));
-  for (const char* file : {DatasetFiles::kDevices, DatasetFiles::kBaseStations,
-                           DatasetFiles::kConnectedTime, DatasetFiles::kTransitions,
-                           DatasetFiles::kDwells}) {
+  write_dataset_csv(result.dataset, written);
+  for (const char* file : {DatasetFiles::kRecords, DatasetFiles::kDevices,
+                           DatasetFiles::kBaseStations, DatasetFiles::kConnectedTime,
+                           DatasetFiles::kTransitions, DatasetFiles::kDwells}) {
     SCOPED_TRACE(file);
-    std::ifstream a(full / file, std::ios::binary);
-    std::ifstream b(sidecars / file, std::ios::binary);
+    std::ifstream a(written / file, std::ios::binary);
+    std::ifstream b(merged / file, std::ios::binary);
+    ASSERT_TRUE(a.good() && b.good());
     std::ostringstream ta, tb;
     ta << a.rdbuf();
     tb << b.rdbuf();
@@ -239,6 +252,79 @@ std::string read_error(const fs::path& dir) {
     return e.what();
   }
   return "";
+}
+
+/// Replaces line `index` of `file` (0 = the header) with `text`.
+void rewrite_line(const fs::path& file, std::size_t index, const std::string& text) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(file);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_LT(index, lines.size());
+  lines[index] = text;
+  std::ofstream out(file, std::ios::trunc);
+  for (const std::string& line : lines) out << line << '\n';
+}
+
+std::string first_row(const fs::path& file) {
+  std::ifstream in(file);
+  std::string line;
+  std::getline(in, line);
+  std::getline(in, line);
+  return line;
+}
+
+TEST(CsvIo, AndroidVersionOtherThan9Or10IsANamedError) {
+  ScopedTempDir dir;
+  write_dataset_csv(referenced_dataset(), dir.path());
+  EXPECT_EQ(read_error(dir.path()), "");
+  rewrite_line(dir.path() / DatasetFiles::kDevices, 2, "9,1,ISP-A,0,7");
+  const std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("malformed row 2 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("devices.csv: field 'android'"), std::string::npos) << error;
+}
+
+TEST(CsvIo, LocationCodeOutsideTheSixClassesIsANamedError) {
+  ScopedTempDir dir;
+  write_dataset_csv(referenced_dataset(), dir.path());
+  rewrite_line(dir.path() / DatasetFiles::kBaseStations, 3, "2,ISP-A,1,6,0");
+  const std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("malformed row 3 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("base_stations.csv: field 'location'"), std::string::npos) << error;
+}
+
+TEST(CsvIo, RatMaskOfSixteenOrMoreIsANamedError) {
+  ScopedTempDir dir;
+  write_dataset_csv(referenced_dataset(), dir.path());
+  rewrite_line(dir.path() / DatasetFiles::kBaseStations, 2, "1,ISP-A,16,1,0");
+  const std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("malformed row 2 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("base_stations.csv: field 'rat_mask'"), std::string::npos) << error;
+}
+
+TEST(CsvIo, HeaderMustEqualTheWritersHeader) {
+  ScopedTempDir dir;
+  write_dataset_csv(referenced_dataset(), dir.path());
+  rewrite_line(dir.path() / DatasetFiles::kDwells, 0, "device,rat,level");
+  const std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("malformed header in "), std::string::npos) << error;
+  EXPECT_NE(error.find("dwells.csv: expected 'device,rat,level,failure'"), std::string::npos)
+      << error;
+}
+
+TEST(CsvIo, UnknownCauseNameIsANamedError) {
+  ScopedTempDir dir;
+  write_dataset_csv(referenced_dataset(), dir.path());
+  const fs::path records = dir.path() / DatasetFiles::kRecords;
+  std::string row = first_row(records);
+  const std::string cause = ",UNKNOWN_DATA_CALL_FAILURE,";
+  ASSERT_NE(row.find(cause), std::string::npos) << row;
+  row.replace(row.find(cause), cause.size(), ",NONE,");
+  rewrite_line(records, 1, row);
+  const std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("malformed row 1 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("records.csv: field 'cause'"), std::string::npos) << error;
 }
 
 TEST(CsvIo, RecordsMustPointInsideTheirDataset) {

@@ -104,6 +104,8 @@ TEST_F(QueryContractTest, SpecParseRejectsBadInput) {
       "agg=nope",         "group=martians agg=pf",   "agg=pf k=zero",
       "agg=pf since=abc", "agg=pf type=Not_A_Type",  "agg=pf isp=ISP-Z",
       "agg=pf level=9",   "nonsense",
+      // Window bounds use std::from_chars syntax.
+      "agg=pf since=+1",  "agg=pf until=0x10",      "agg=pf since=1e400",
       // Transition matrices are fleet-wide: filters and groups are rejected.
       "agg=transition from=4G to=5G model=5",
       "agg=transition from=4G to=5G isp=ISP-B type=Data_Stall",

@@ -120,12 +120,23 @@ TEST(CliBinders, U64AndDoubleRoundTrip) {
   EXPECT_EQ(u, 18446744073709551615ull);
   EXPECT_FALSE(u64_value(&u)("nope"));
   EXPECT_FALSE(u64_value(&u)("-1"));
+  // No sign and no whitespace.
+  for (const char* bad : {"+5", " 5", "5 ", "18446744073709551616", ""}) {
+    EXPECT_FALSE(u64_value(&u)(bad)) << bad;
+  }
+  EXPECT_EQ(u, 18446744073709551615ull);
 
   double d = 0.0;
   EXPECT_TRUE(double_value(&d)("2.5"));
   EXPECT_DOUBLE_EQ(d, 2.5);
   EXPECT_FALSE(double_value(&d)("2.5x"));
   EXPECT_FALSE(double_value(&d)(""));
+  // std::from_chars syntax: no sign, whitespace or hex prefix, and no
+  // out-of-range value.
+  for (const char* bad : {"+2.5", " 2.5", "0x10", "1e400", "1e-400"}) {
+    EXPECT_FALSE(double_value(&d)(bad)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, 2.5);
 }
 
 TEST(CliParser, BareDashIsAPositional) {

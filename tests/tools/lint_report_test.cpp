@@ -1,9 +1,7 @@
-// Tests for the cellrel-lint reporting layer: SARIF 2.1.0 shape, baseline
-// round-trip, and --fail-on-new matching semantics.
+// Tests for the cellrel-lint reporting layer: SARIF 2.1.0 shape.
 
 #include "lint/report.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -56,62 +54,6 @@ TEST(LintReport, SarifOutputIsByteStableAcrossInputOrder) {
   const auto a = entry("obs", "src/net/x.cpp", 3, "chrono outside obs");
   const auto b = entry("layering", "src/common/y.h", 2, "upward include");
   EXPECT_EQ(to_sarif({a, b}), to_sarif({b, a}));
-}
-
-TEST(LintReport, BaselineKeyExcludesLine) {
-  const auto e1 = entry("threading", "src/sim/q.h", 10, "include <mutex>");
-  const auto e2 = entry("threading", "src/sim/q.h", 99, "include <mutex>");
-  EXPECT_EQ(baseline_key(e1), baseline_key(e2));
-  EXPECT_EQ(baseline_key(e1), "threading|src/sim/q.h|include <mutex>");
-}
-
-TEST(LintReport, BaselineParseSkipsCommentsAndBlanks) {
-  const auto keys = parse_baseline(
-      "# header comment\n"
-      "\n"
-      "threading|src/sim/q.h|include <mutex>\n"
-      "  \n"
-      "obs|src/net/x.cpp|chrono outside obs\n");
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "threading|src/sim/q.h|include <mutex>");
-}
-
-TEST(LintReport, BaselineRoundTrip) {
-  const std::vector<ReportEntry> entries = {
-      entry("obs", "src/net/x.cpp", 3, "chrono outside obs"),
-      entry("threading", "src/sim/q.h", 10, "include <mutex>"),
-  };
-  const auto keys = parse_baseline(format_baseline(entries));
-  ASSERT_EQ(keys.size(), 2u);
-  for (const auto& e : entries) {
-    EXPECT_NE(std::find(keys.begin(), keys.end(), baseline_key(e)), keys.end());
-  }
-}
-
-TEST(LintReport, MatchSplitsFreshBaselinedStale) {
-  const auto known = entry("threading", "src/sim/q.h", 10, "include <mutex>");
-  const auto fresh = entry("naked-new", "src/device/leak.cpp", 7, "naked new");
-  const auto match = match_baseline(
-      {known, fresh},
-      {baseline_key(known), "obs|src/gone.cpp|stale finding"});
-  ASSERT_EQ(match.baselined.size(), 1u);
-  EXPECT_EQ(match.baselined[0].rule, "threading");
-  ASSERT_EQ(match.fresh.size(), 1u);
-  EXPECT_EQ(match.fresh[0].rule, "naked-new");
-  ASSERT_EQ(match.stale.size(), 1u);
-  EXPECT_EQ(match.stale[0], "obs|src/gone.cpp|stale finding");
-}
-
-TEST(LintReport, MatchUsesMultisetBudget) {
-  // Two identical findings, one baseline entry: one is baselined, the
-  // second is fresh — a baseline line cancels exactly one occurrence.
-  const auto e = entry("threading", "src/sim/q.h", 10, "include <mutex>");
-  auto e2 = e;
-  e2.line = 42;
-  const auto match = match_baseline({e, e2}, {baseline_key(e)});
-  EXPECT_EQ(match.baselined.size(), 1u);
-  EXPECT_EQ(match.fresh.size(), 1u);
-  EXPECT_TRUE(match.stale.empty());
 }
 
 }  // namespace

@@ -279,7 +279,7 @@ TEST_F(StreamingCampaignTest, StreamOutExportMatchesMaterializedBytes) {
 
   Scenario sc = streaming_scenario(71, 4);
   sc.stream = true;
-  sc.stream_out_dir = stream_dir.string();
+  sc.out_dir = stream_dir.string();
   const CampaignResult streamed = Campaign(sc).run();
   ASSERT_NE(streamed.stream, nullptr);
 

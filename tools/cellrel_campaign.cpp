@@ -15,8 +15,8 @@
 // path.
 // --spill-dir DIR additionally spills sealed batches to per-shard CSV files
 // under DIR, bounding batch residency to O(shards x batch capacity).
-// --stream --out DIR streams the CSV export through the merge (every file
-// byte-identical to the materialized export).
+// --out DIR writes the CSV export from the merge in either mode (every file
+// byte-identical with or without --stream).
 //
 // --detect runs the sleeping-cell detector (src/detect): the shard merge
 // feeds every uploaded record to one BS-health tracker, whose verdicts are
@@ -32,7 +32,6 @@
 #include <string>
 
 #include "analysis/aggregate.h"
-#include "analysis/csv_io.h"
 #include "analysis/report.h"
 #include "cli.h"
 #include "detect/detector.h"
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
   sc.name = "cli";
   sc.device_count = 4000;
   sc.deployment.bs_count = 8000;
-  std::string out_dir;
   std::string metrics_out;
   std::string metrics_csv;
   std::string health_out;
@@ -260,7 +258,7 @@ int main(int argc, char** argv) {
                     "write inline query results as <name>.json under DIR",
                     cli::string_value(&query_out));
   parser.add_option("--out", "DIR", "export the dataset as CSV into DIR",
-                    cli::string_value(&out_dir));
+                    cli::string_value(&sc.out_dir));
   parser.add_option("--metrics-out", "FILE", "export campaign metrics as JSON",
                     cli::string_value(&metrics_out));
   parser.add_option("--metrics-csv", "FILE", "export campaign metrics as CSV",
@@ -280,13 +278,6 @@ int main(int argc, char** argv) {
     }
     std::fputs(parser.usage().c_str(), stderr);
     return 2;
-  }
-
-  // --stream --out rides the streaming converter: the merge writes the CSV
-  // export while folding batches, so the dataset is never materialized.
-  if (sc.stream && !out_dir.empty()) {
-    sc.stream_out_dir = out_dir;
-    out_dir.clear();
   }
 
   // --incident convenience: families enabled without an explicit window get a
@@ -338,17 +329,9 @@ int main(int argc, char** argv) {
   }
   if (print_metrics) std::fputs(render_metrics(result.metrics).c_str(), stdout);
 
-  if (!out_dir.empty()) {
-    write_dataset_csv(result.dataset, out_dir);
-    if (!quiet) {
-      std::printf("dataset written to %s (%zu records, %zu devices, %zu BSes)\n",
-                  out_dir.c_str(), result.dataset.records.size(),
-                  result.dataset.devices.size(), result.dataset.base_stations.size());
-    }
-  }
-  if (!sc.stream_out_dir.empty() && !quiet) {
-    std::printf("dataset streamed to %s (%llu records, %zu devices, %zu BSes)\n",
-                sc.stream_out_dir.c_str(),
+  if (!sc.out_dir.empty() && !quiet) {
+    std::printf("dataset written to %s (%llu records, %zu devices, %zu BSes)\n",
+                sc.out_dir.c_str(),
                 static_cast<unsigned long long>(result.stream->total_records()),
                 result.stream->devices().size(), result.stream->base_stations().size());
   }

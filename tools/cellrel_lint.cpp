@@ -6,16 +6,11 @@
 //
 // Options:
 //   --sarif FILE           also write findings as SARIF 2.1.0 JSON
-//   --baseline FILE        read the accepted-findings baseline
-//   --fail-on-new          fail only on findings absent from the baseline
-//   --write-baseline FILE  write the current findings as a new baseline
 //
-// Exit codes: 0 = clean (or only baselined findings with --fail-on-new),
-// 1 = violations found, 2 = usage or I/O error.
+// Exit codes: 0 = clean, 1 = violations found, 2 = usage or I/O error.
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,19 +33,10 @@ int main(int argc, char** argv) {
   using cellrel::lint::ReportEntry;
 
   std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  bool fail_on_new = false;
 
   cellrel::cli::Parser parser("cellrel_lint", "SRC_ROOT [SRC_ROOT...]");
   parser.add_option("--sarif", "FILE", "write findings as SARIF 2.1.0 JSON",
                     cellrel::cli::string_value(&sarif_path));
-  parser.add_option("--baseline", "FILE", "accepted-findings baseline to read",
-                    cellrel::cli::string_value(&baseline_path));
-  parser.add_flag("--fail-on-new", "fail only on findings absent from --baseline",
-                  [&] { fail_on_new = true; });
-  parser.add_option("--write-baseline", "FILE", "write current findings as a baseline",
-                    cellrel::cli::string_value(&write_baseline_path));
 
   const cellrel::cli::ParseResult r = parser.parse(argc, argv);
   if (r.help_requested) {
@@ -62,10 +48,6 @@ int main(int argc, char** argv) {
       std::fputs("cellrel_lint: at least one SRC_ROOT is required\n", stderr);
     }
     std::fputs(parser.usage().c_str(), stderr);
-    return 2;
-  }
-  if (fail_on_new && baseline_path.empty()) {
-    std::fputs("cellrel_lint: --fail-on-new requires --baseline FILE\n", stderr);
     return 2;
   }
 
@@ -92,31 +74,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!write_baseline_path.empty()) {
-    if (!write_file(write_baseline_path, cellrel::lint::format_baseline(entries))) {
-      std::fprintf(stderr, "cellrel_lint: cannot write %s\n", write_baseline_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "cellrel_lint: wrote %zu finding(s) to %s\n", entries.size(),
-                 write_baseline_path.c_str());
-  }
-
-  // Split against the baseline (everything is "fresh" without one).
-  cellrel::lint::BaselineMatch match;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cellrel_lint: cannot read baseline %s\n", baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    match = cellrel::lint::match_baseline(entries,
-                                          cellrel::lint::parse_baseline(buf.str()));
-  } else {
-    match.fresh = entries;
-  }
-
   if (!sarif_path.empty()) {
     if (!write_file(sarif_path, cellrel::lint::to_sarif(entries))) {
       std::fprintf(stderr, "cellrel_lint: cannot write %s\n", sarif_path.c_str());
@@ -124,15 +81,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const auto& e : match.baselined) {
-    std::fprintf(stderr, "%s:%zu: [%s] (baselined) %s\n", e.uri.c_str(), e.line,
-                 e.rule.c_str(), e.message.c_str());
-  }
-  for (const auto& key : match.stale) {
-    std::fprintf(stderr, "cellrel-lint: stale baseline entry (fixed? remove it): %s\n",
-                 key.c_str());
-  }
-  for (const auto& e : match.fresh) {
+  for (const auto& e : entries) {
     if (e.uri.empty()) {
       std::fprintf(stderr, "(tree): [%s] %s\n", e.rule.c_str(), e.message.c_str());
     } else {
@@ -141,15 +90,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t fatal = fail_on_new ? match.fresh.size() : entries.size();
-  if (fatal > 0) {
-    std::fprintf(stderr, "cellrel-lint: %zu violation(s) found%s\n", fatal,
-                 fail_on_new ? " (not in baseline)" : "");
+  if (!entries.empty()) {
+    std::fprintf(stderr, "cellrel-lint: %zu violation(s) found\n", entries.size());
     return 1;
-  }
-  if (!match.baselined.empty()) {
-    std::fprintf(stderr, "cellrel-lint: %zu baselined finding(s) tolerated\n",
-                 match.baselined.size());
   }
   std::puts("cellrel-lint: clean");
   return 0;

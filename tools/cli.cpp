@@ -1,9 +1,8 @@
 #include "cli.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace cellrel::cli {
 
@@ -87,12 +86,9 @@ std::string Parser::usage() const {
 }
 
 bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  const std::string buf(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
   *out = v;
   return true;
 }
@@ -112,12 +108,9 @@ std::function<bool(std::string_view)> u64_value(std::uint64_t* out) {
 
 std::function<bool(std::string_view)> double_value(double* out) {
   return [out](std::string_view text) {
-    if (text.empty()) return false;
-    const std::string buf(text);
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(buf.c_str(), &end);
-    if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
     *out = v;
     return true;
   };

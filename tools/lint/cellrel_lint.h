@@ -54,8 +54,8 @@
 // ("bad-suppression", never suppressible).
 //
 // The library half is separated from main() so the rules are unit-testable
-// against fixture trees (tests/lint_fixtures). SARIF and baseline output
-// live in lint/report.h.
+// against fixture trees (tests/lint_fixtures). SARIF output lives in
+// lint/report.h.
 
 #ifndef CELLREL_TOOLS_LINT_CELLREL_LINT_H
 #define CELLREL_TOOLS_LINT_CELLREL_LINT_H

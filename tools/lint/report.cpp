@@ -1,7 +1,6 @@
 #include "lint/report.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 namespace cellrel::lint {
@@ -102,57 +101,6 @@ std::string to_sarif(const std::vector<ReportEntry>& entries) {
       << "  ]\n"
       << "}\n";
   return out.str();
-}
-
-std::string baseline_key(const ReportEntry& entry) {
-  return entry.rule + "|" + entry.uri + "|" + entry.message;
-}
-
-std::vector<std::string> parse_baseline(const std::string& text) {
-  std::vector<std::string> keys;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    keys.push_back(line);
-  }
-  return keys;
-}
-
-std::string format_baseline(const std::vector<ReportEntry>& entries) {
-  std::ostringstream out;
-  out << "# cellrel-lint baseline — accepted pre-existing findings.\n"
-      << "# Format: rule|path|message (line numbers excluded on purpose).\n"
-      << "# New findings are NOT covered: --fail-on-new fails on anything\n"
-      << "# absent from this file. Shrink towards empty; never grow it to\n"
-      << "# mute a finding you could fix or suppress with a reason.\n";
-  std::vector<std::string> keys;
-  keys.reserve(entries.size());
-  for (const auto& e : entries) keys.push_back(baseline_key(e));
-  std::sort(keys.begin(), keys.end());
-  for (const auto& k : keys) out << k << "\n";
-  return out.str();
-}
-
-BaselineMatch match_baseline(const std::vector<ReportEntry>& entries,
-                             const std::vector<std::string>& baseline_keys) {
-  std::map<std::string, std::size_t> budget;
-  for (const auto& k : baseline_keys) ++budget[k];
-  BaselineMatch m;
-  for (const auto& e : sorted(entries)) {
-    const auto it = budget.find(baseline_key(e));
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      m.baselined.push_back(e);
-    } else {
-      m.fresh.push_back(e);
-    }
-  }
-  for (const auto& [key, left] : budget) {
-    for (std::size_t i = 0; i < left; ++i) m.stale.push_back(key);
-  }
-  return m;
 }
 
 }  // namespace cellrel::lint

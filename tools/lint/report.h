@@ -1,17 +1,5 @@
-// cellrel-lint reporting layer: SARIF 2.1.0 export and the baseline
-// mechanism that lets new rules land strict without a flag day.
-//
-// Baseline format (tools/lint/baseline.txt): one finding per line,
-//     rule|path|message
-// Lines starting with '#' and blank lines are comments. Line numbers are
-// deliberately NOT part of the key, so unrelated edits that shift code do
-// not invalidate the baseline. Each baseline line cancels one occurrence
-// (multiset semantics).
-//
-// With --fail-on-new, findings present in the baseline are reported as
-// baselined (informational) and do not fail the run; anything else does.
-// Stale baseline entries (listed but no longer found) are reported so the
-// file can be re-shrunk — the end state is always an empty baseline.
+// cellrel-lint reporting layer: SARIF 2.1.0 export. There is no baseline
+// of accepted findings: every finding fails the run.
 
 #ifndef CELLREL_TOOLS_LINT_REPORT_H
 #define CELLREL_TOOLS_LINT_REPORT_H
@@ -36,24 +24,6 @@ struct ReportEntry {
 /// Every rule in rule_catalog() appears under tool.driver.rules so ruleIds
 /// resolve even when a rule has no results.
 std::string to_sarif(const std::vector<ReportEntry>& entries);
-
-/// `rule|uri|message` — the baseline key for one finding.
-std::string baseline_key(const ReportEntry& entry);
-
-/// Parses baseline text into keys (comments and blank lines skipped).
-std::vector<std::string> parse_baseline(const std::string& text);
-
-/// Renders findings as baseline text (sorted), with a format header.
-std::string format_baseline(const std::vector<ReportEntry>& entries);
-
-/// Splits findings against a baseline (multiset match on baseline_key).
-struct BaselineMatch {
-  std::vector<ReportEntry> fresh;      // not in the baseline: these fail
-  std::vector<ReportEntry> baselined;  // matched: reported, non-fatal
-  std::vector<std::string> stale;      // baseline keys with no finding left
-};
-BaselineMatch match_baseline(const std::vector<ReportEntry>& entries,
-                             const std::vector<std::string>& baseline_keys);
 
 }  // namespace cellrel::lint
 
