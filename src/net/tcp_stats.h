@@ -4,13 +4,16 @@
 // TCP statistics: "over 10 outbound TCP segments but not a single inbound
 // TCP segment during the last minute" (§2.1). This class reproduces that
 // accounting: callers report segment sends/receives with timestamps and the
-// detector queries counts over a trailing window.
+// detector queries counts over a trailing window. Times passed to the
+// counters (sends, receives and queries alike) must never decrease, so the
+// window keeps the sends still inside it and only the latest receive.
 
 #ifndef CELLREL_NET_TCP_STATS_H
 #define CELLREL_NET_TCP_STATS_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/sim_time.h"
 
@@ -35,8 +38,12 @@ class TcpSegmentCounters {
  private:
   void expire(SimTime now) const;
 
-  mutable std::deque<SimTime> sent_;
-  mutable std::deque<SimTime> received_;
+  // Send times; [sent_head_, end) are inside the window as of the last
+  // expire(). The expired prefix is compacted away in on_segment_sent.
+  mutable std::vector<SimTime> sent_;
+  mutable std::size_t sent_head_ = 0;
+  SimTime last_received_;
+  bool received_any_ = false;
   std::uint64_t total_sent_ = 0;
   std::uint64_t total_received_ = 0;
 };

@@ -2,34 +2,47 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "common/check.h"
 
 namespace cellrel {
 
-ScheduledEvent Simulator::schedule_at(SimTime at, std::function<void()> fn) {
-  if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
-  auto slot = static_cast<std::uint32_t>(slots_.size());
-  if (free_slots_.empty()) {
-    CELLREL_CHECK(slots_.size() < UINT32_MAX) << "event slot pool exhausted";
-    slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.live = true;
-  s.cancelled = false;
-  heap_.push_back(Entry{at, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return ScheduledEvent{this, slot, s.gen};
+void Simulator::throw_past() {
+  throw std::invalid_argument("Simulator: cannot schedule in the past");
 }
 
-ScheduledEvent Simulator::schedule_after(SimDuration delay, std::function<void()> fn) {
-  if (delay.is_negative()) throw std::invalid_argument("Simulator: negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
+void Simulator::throw_negative_delay() {
+  throw std::invalid_argument("Simulator: negative delay");
+}
+
+// Adds one chunk of slots. Every allocation the kernel makes happens here:
+// the heap and the free list are reserved to at least the slot count, and
+// neither can hold more entries than there are slots, so scheduling and
+// firing never reallocate them.
+void Simulator::grow() {
+  const std::size_t base = chunks_.size() * kChunkSlots;
+  CELLREL_CHECK(base + kChunkSlots <= UINT32_MAX) << "event slot pool exhausted";
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  // Geometric, so growing to n slots copies O(n) entries in all.
+  const auto reserve_for = [slots = base + kChunkSlots](auto& v) {
+    if (v.capacity() < slots) v.reserve(std::max(slots, 2 * v.capacity()));
+  };
+  reserve_for(heap_);
+  reserve_for(free_slots_);
+  // Reversed, so the lowest new index is handed out first.
+  for (std::uint32_t i = kChunkSlots; i > 0; --i) {
+    free_slots_.push_back(static_cast<std::uint32_t>(base + i - 1));
+  }
+}
+
+ScheduledEvent Simulator::enqueue(SimTime at, std::uint32_t index) {
+  free_slots_.pop_back();
+  Slot& s = slot(index);
+  s.live = true;
+  s.cancelled = false;
+  heap_.push_back(Entry{at, next_seq_++, index});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return ScheduledEvent{this, index, s.gen};
 }
 
 Simulator::Entry Simulator::pop() {
@@ -40,7 +53,7 @@ Simulator::Entry Simulator::pop() {
 }
 
 bool Simulator::fire(const Entry& e) {
-  CELLREL_CHECK(e.slot < slots_.size() && slots_[e.slot].live)
+  CELLREL_CHECK(e.slot < chunks_.size() * kChunkSlots && slot(e.slot).live)
       << "scheduled entry's slot is not live";
   CELLREL_CHECK(e.time >= now_) << "simulation clock would run backwards: event at "
                                 << to_string(e.time) << ", clock at " << to_string(now_);
@@ -49,17 +62,25 @@ bool Simulator::fire(const Entry& e) {
                  (heap_.front().time == e.time && heap_.front().seq > e.seq))
       << "event heap order violated";
   now_ = e.time;
-  // Release the slot before invoking: the callback may schedule events
-  // (reallocating slots_) and must see its own handle as no longer pending.
-  Slot& s = slots_[e.slot];
+  // The handle reads "not pending" inside its own callback. The callback
+  // runs in its slot (chunks never move, and the slot is not free until it
+  // returns); then, even if it throws, the callable is destroyed and the
+  // slot freed.
+  Slot& s = slot(e.slot);
   const bool cancelled = s.cancelled;
-  std::function<void()> fn = std::move(s.fn);
-  s.fn = nullptr;
   s.live = false;
   ++s.gen;
-  free_slots_.push_back(e.slot);
+  struct Release {
+    Simulator& sim;
+    Slot& s;
+    std::uint32_t index;
+    ~Release() {
+      s.fn.reset();
+      sim.free_slots_.push_back(index);  // reserved in grow(): cannot throw
+    }
+  } release{*this, s, e.slot};
   if (cancelled) return false;
-  fn();
+  s.fn();
   return true;
 }
 

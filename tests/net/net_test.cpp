@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <deque>
+
+#include "common/rng.h"
 #include "net/network_stack.h"
 #include "net/tcp_stats.h"
 #include "sim/event_queue.h"
@@ -62,6 +67,87 @@ TEST(TcpStats, CustomThreshold) {
   for (int i = 0; i < 4; ++i) tcp.on_segment_sent(t);
   EXPECT_FALSE(tcp.stall_suspected(t, 4));  // "over" is strict
   EXPECT_TRUE(tcp.stall_suspected(t, 3));
+}
+
+// The deque-based window TcpSegmentCounters replaced: every segment time
+// inside the window is kept, and expiry pops both queues from the front.
+class ReferenceTcpCounters {
+ public:
+  void on_segment_sent(SimTime now) {
+    sent_.push_back(now);
+    ++total_sent_;
+    expire(now);
+  }
+  void on_segment_received(SimTime now) {
+    received_.push_back(now);
+    ++total_received_;
+    expire(now);
+  }
+  bool stall_suspected(SimTime now, std::uint64_t sent_threshold) {
+    expire(now);
+    return sent_.size() > sent_threshold && received_.empty();
+  }
+  std::uint64_t total_sent() const { return total_sent_; }
+  std::uint64_t total_received() const { return total_received_; }
+
+ private:
+  void expire(SimTime now) {
+    const SimTime cutoff = now - TcpSegmentCounters::kWindow;
+    while (!sent_.empty() && sent_.front() <= cutoff) sent_.pop_front();
+    while (!received_.empty() && received_.front() <= cutoff) received_.pop_front();
+  }
+
+  std::deque<SimTime> sent_;
+  std::deque<SimTime> received_;
+  std::uint64_t total_sent_ = 0;
+  std::uint64_t total_received_ = 0;
+};
+
+// Drives the window and the reference through one seeded sequence of sends,
+// receives and queries at non-decreasing times. The steps include repeats of
+// the same time, the 2.5 s traffic tick (24 of which land exactly on the
+// 60 s cutoff), exactly 60 s, one microsecond either side of it, and gaps
+// longer than the window.
+TEST(TcpStats, MatchesDequeReferenceUnderRandomTraffic) {
+  constexpr std::array<std::int64_t, 3> kCutoffStepsUs = {59'999'999, 60'000'000, 60'000'001};
+  TcpSegmentCounters tcp;
+  ReferenceTcpCounters ref;
+  Rng rng(20210823);
+  SimTime t = SimTime::origin();
+  std::uint64_t suspected = 0;
+  std::uint64_t queries = 0;
+  for (int op = 0; op < 200'000; ++op) {
+    const double step = rng.next_double();
+    if (step < 0.4) {
+      t += SimDuration::milliseconds(2'500);
+    } else if (step < 0.5) {
+      t += SimDuration::microseconds(rng.uniform_int(1, 5'000'000));
+    } else if (step < 0.53) {
+      t += SimDuration::microseconds(
+          kCutoffStepsUs[static_cast<std::size_t>(rng.uniform_int(0, 2))]);
+    } else if (step < 0.54) {
+      t += SimDuration::microseconds(rng.uniform_int(60'000'001, 600'000'000));
+    }  // otherwise the time repeats
+    const double kind = rng.next_double();
+    if (kind < 0.5) {
+      tcp.on_segment_sent(t);
+      ref.on_segment_sent(t);
+    } else if (kind < 0.53) {
+      tcp.on_segment_received(t);
+      ref.on_segment_received(t);
+    } else {
+      const auto threshold = static_cast<std::uint64_t>(rng.uniform_int(0, 12));
+      const bool want = ref.stall_suspected(t, threshold);
+      ASSERT_EQ(tcp.stall_suspected(t, threshold), want) << "op " << op;
+      suspected += want ? 1 : 0;
+      ++queries;
+    }
+    ASSERT_EQ(tcp.total_sent(), ref.total_sent()) << "op " << op;
+    ASSERT_EQ(tcp.total_received(), ref.total_received()) << "op " << op;
+  }
+  // Both answers must be common, or the comparison shows little.
+  EXPECT_GT(suspected, queries / 10);
+  EXPECT_LT(suspected, queries - queries / 10);
 }
 
 // --- Network stack probing semantics ---

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -201,6 +204,115 @@ TEST(Simulator, CallbackCancelsLaterEventAtSameTime) {
   EXPECT_EQ(sim.run(), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
   EXPECT_FALSE(second.pending());
+}
+
+// --- Callback lifetime: captures live in their slot, built and destroyed
+// in place. A shared_ptr's use count shows each capture destroyed exactly
+// once: a second destruction would drop it to 0 and free the int.
+
+TEST(SimulatorLifetime, CaptureDestroyedOnceWhenFired) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  sim.schedule_after(SimDuration::seconds(1.0), [t = token] { ++*t; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimulatorLifetime, CaptureDestroyedOnceWhenCancelled) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  ScheduledEvent e = sim.schedule_after(SimDuration::seconds(1.0), [t = token] { ++*t; });
+  e.cancel();
+  // A cancelled callable is released when its entry is popped.
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(*token, 0);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimulatorLifetime, CaptureDestroyedOnceWhenSimulatorDiesWithItPending) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.schedule_after(SimDuration::seconds(1.0), [t = token] { ++*t; });
+    sim.schedule_after(SimDuration::seconds(2.0), [t = token] { ++*t; });
+    EXPECT_TRUE(sim.step());
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimulatorLifetime, MutableAndMoveOnlyCaptures) {
+  Simulator sim;
+  int calls_seen = 0;
+  auto counter = [n = 0, &calls_seen]() mutable { calls_seen = ++n; };
+  std::unique_ptr<int> taken;
+  sim.schedule_after(SimDuration::seconds(1.0), counter);
+  sim.schedule_after(SimDuration::seconds(2.0), [p = std::make_unique<int>(42), &taken]() mutable {
+    taken = std::move(p);
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(calls_seen, 1);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 42);
+}
+
+TEST(SimulatorLifetime, CallbackReadsItsCapturesAfterSchedulingNewChunks) {
+  Simulator sim;
+  std::vector<std::int64_t> seen;
+  const std::array<std::int64_t, 5> payload = {3, 1, 4, 1, 5};
+  // 8 + 8 + 40 bytes: the largest capture the kernel accepts.
+  auto spawner = [&sim, &seen, payload] {
+    for (std::int64_t i = 0; i < 100; ++i) {
+      sim.schedule_after(SimDuration::seconds(1.0), [&seen, i] { seen.push_back(i); });
+    }
+    std::int64_t sum = 0;
+    for (const std::int64_t v : payload) sum += v;
+    seen.push_back(sum);
+  };
+  static_assert(sizeof(spawner) == EventFn::kCapacity);
+  sim.schedule_after(SimDuration::seconds(1.0), spawner);
+  EXPECT_TRUE(sim.step());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], 14);
+  EXPECT_EQ(sim.pending_events(), 100u);
+  EXPECT_EQ(sim.run(), 100u);
+  ASSERT_EQ(seen.size(), 101u);
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], static_cast<std::int64_t>(i) - 1);
+  }
+}
+
+TEST(SimulatorLifetime, ThrowingCallbackReleasesItsSlot) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  ScheduledEvent thrower = sim.schedule_after(SimDuration::seconds(1.0), [t = token] {
+    ++*t;
+    throw std::runtime_error("callback failed");
+  });
+  int later_fired = 0;
+  sim.schedule_after(SimDuration::seconds(2.0), [&] { ++later_fired; });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 1.0);
+  EXPECT_FALSE(thrower.pending());
+  // The free list is LIFO, so this takes the thrower's slot; the stale
+  // handle must not reach the new event.
+  int reused_fired = 0;
+  ScheduledEvent reused = sim.schedule_after(SimDuration::seconds(0.5), [&] { ++reused_fired; });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  thrower.cancel();
+  EXPECT_TRUE(reused.pending());
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(reused_fired, 1);
+  EXPECT_EQ(later_fired, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 // Drives the Simulator and a naive ordered-multimap model of it through the

@@ -8,6 +8,10 @@
 // a --metrics-out file bit-identical to --threads 1 (the CELLREL_THREADS
 // env var, if set, wins).
 //
+// --metrics-process adds the process.* metrics (resident batch bytes, spill
+// volume) to --metrics-out / --metrics-csv. They differ between --stream and
+// the default path, so the default export leaves them out.
+//
 // Every campaign folds its shards' columnar record batches into one
 // Aggregator at merge time, and the report is printed from it. --stream
 // skips materializing the merged dataset, so it never exists in memory; the
@@ -94,6 +98,7 @@ int main(int argc, char** argv) {
   std::string metrics_csv;
   std::string health_out;
   std::string query_out;
+  obs::ExportOptions metrics_options;
   bool print_metrics = false;
   bool quiet = false;
 
@@ -263,6 +268,9 @@ int main(int argc, char** argv) {
                     cli::string_value(&metrics_out));
   parser.add_option("--metrics-csv", "FILE", "export campaign metrics as CSV",
                     cli::string_value(&metrics_csv));
+  parser.add_flag("--metrics-process",
+                  "include the process.* metrics in --metrics-out / --metrics-csv",
+                  [&metrics_options] { metrics_options.include_process = true; });
   parser.add_flag("--print-metrics", "print the metrics table after the report",
                   [&print_metrics] { print_metrics = true; });
   parser.add_flag("--quiet", "suppress the report", [&quiet] { quiet = true; });
@@ -354,11 +362,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!metrics_out.empty() &&
-      !write_file(metrics_out, obs::metrics_to_json(result.metrics))) {
+      !write_file(metrics_out, obs::metrics_to_json(result.metrics, metrics_options))) {
     return 1;
   }
   if (!metrics_csv.empty() &&
-      !write_file(metrics_csv, obs::metrics_to_csv(result.metrics))) {
+      !write_file(metrics_csv, obs::metrics_to_csv(result.metrics, metrics_options))) {
     return 1;
   }
   return 0;
