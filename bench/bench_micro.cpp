@@ -12,6 +12,7 @@
 #include "query/engine.h"
 #include "query/presets.h"
 #include "sim/event_queue.h"
+#include "telephony/dc_tracker.h"
 #include "telephony/rat_policy.h"
 #include "workload/campaign.h"
 
@@ -89,7 +90,7 @@ BENCHMARK(BM_TcpWindowAccounting);
 void BM_ProberEpisode(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
-    NetworkStack stack(sim, Rng{7});
+    NetworkStack stack(Rng{7});
     stack.inject_fault(NetworkFault::kNetworkStall);
     sim.schedule_after(SimDuration::seconds(40.0),
                        [&] { stack.inject_fault(NetworkFault::kNone); });
@@ -101,6 +102,32 @@ void BM_ProberEpisode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProberEpisode);
+
+// A DcTracker retry ladder: setups on a failing channel until `range(0)`
+// failures, then on a healthy one until the connection is Active. Each step
+// is one RIL answer, its scheduled reply and the backoff retry.
+void BM_SetupRetryLadder(benchmark::State& state) {
+  const auto failures = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    Simulator sim;
+    obs::MetricSink metrics;
+    FailureEventBus bus;
+    RadioInterfaceLayer ril(Rng{9}, metrics);
+    ChannelConditions channel;
+    channel.base_failure_prob = 1.0;
+    ril.update_channel(channel);
+    DcTracker tracker(sim, ril, bus, metrics);
+    tracker.request_data();
+    while (tracker.setup_failures() < failures && sim.step()) {
+    }
+    channel.base_failure_prob = 0.0;
+    ril.update_channel(channel);
+    while (!tracker.connection().is_active() && sim.step()) {
+    }
+    benchmark::DoNotOptimize(tracker.setup_failures());
+  }
+}
+BENCHMARK(BM_SetupRetryLadder)->Arg(8);
 
 void BM_SmallCampaign(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,7 @@
 #include "core/prober.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace cellrel {
@@ -46,26 +48,15 @@ void NetworkStateProber::start(SimTime stall_started, CompletionCallback on_done
 }
 
 void NetworkStateProber::abort() {
-  if (!active_) return;
-  ++generation_;
-  pending_fallback_.cancel();
-  finish(ProbeEpisodeResult::kAborted);
+  if (active_) finish(ProbeEpisodeResult::kAborted);
 }
 
 void NetworkStateProber::finish(ProbeEpisodeResult result) {
   active_ = false;
   ++generation_;
   pending_fallback_.cancel();
-  Report report;
-  report.result = result;
-  report.measured_duration = sim_.now() - stall_started_;
-  report.rounds = rounds_;
-  report.reverted_to_fallback = fallback_mode_;
-  if (on_done_) {
-    auto cb = std::move(on_done_);
-    on_done_ = nullptr;
-    cb(report);
-  }
+  const Report report{result, sim_.now() - stall_started_, rounds_, fallback_mode_};
+  if (auto cb = std::exchange(on_done_, nullptr)) cb(report);
 }
 
 void NetworkStateProber::run_round() {
@@ -82,41 +73,26 @@ void NetworkStateProber::run_round() {
     return;
   }
   ++rounds_;
-  round_ = RoundState{};
-  round_.expected_dns = static_cast<std::uint32_t>(stack_.dns_server_count());
-  const std::uint64_t gen = generation_;
+  const auto dns_servers = static_cast<std::uint32_t>(stack_.dns_server_count());
+  round_ = RoundState{1 + 2 * dns_servers};
 
-  messages_sent_ += 1 + 2ull * round_.expected_dns;
-  bytes_sent_ += kIcmpBytes * (1 + round_.expected_dns) + kDnsBytes * round_.expected_dns;
+  messages_sent_ += 1 + 2ull * dns_servers;
+  bytes_sent_ += kIcmpBytes * (1 + dns_servers) + kDnsBytes * dns_servers;
 
-  stack_.icmp_localhost(icmp_timeout_, [this, gen](const ProbeOutcome& o) {
-    if (gen != generation_) return;
-    round_.localhost_done = true;
-    round_.localhost_answered = o.answered;
-    round_probe_done();
-  });
-  for (std::uint32_t s = 0; s < round_.expected_dns; ++s) {
-    stack_.icmp_dns_server(s, icmp_timeout_, [this, gen](const ProbeOutcome& o) {
-      if (gen != generation_) return;
-      ++round_.dns_icmp_done;
-      if (o.answered) ++round_.dns_icmp_answered;
-      round_probe_done();
-    });
-    stack_.dns_query(s, dns_timeout_, [this, gen](const ProbeOutcome& o) {
-      if (gen != generation_) return;
-      ++round_.dns_query_done;
-      if (o.answered) ++round_.dns_query_answered;
-      round_probe_done();
-    });
+  await(&RoundState::localhost_answered, stack_.icmp_localhost(icmp_timeout_));
+  for (std::uint32_t s = 0; s < dns_servers; ++s) {
+    await(&RoundState::dns_icmp_answered, stack_.icmp_dns_server(s, icmp_timeout_));
+    await(&RoundState::dns_query_answered, stack_.dns_query(s, dns_timeout_));
   }
 }
 
-void NetworkStateProber::round_probe_done() {
-  if (!round_.localhost_done || round_.dns_icmp_done < round_.expected_dns ||
-      round_.dns_query_done < round_.expected_dns) {
-    return;  // round still in flight
-  }
-  classify_round();
+void NetworkStateProber::await(bool RoundState::*flag, const ProbeOutcome& outcome) {
+  sim_.schedule_after(outcome.elapsed,
+                      [this, gen = generation_, flag, answered = outcome.answered] {
+                        if (gen != generation_) return;
+                        if (answered) round_.*flag = true;
+                        if (--round_.pending == 0) classify_round();
+                      });
 }
 
 void NetworkStateProber::classify_round() {
@@ -126,14 +102,14 @@ void NetworkStateProber::classify_round() {
     finish(ProbeEpisodeResult::kSystemSideFalsePositive);
     return;
   }
-  if (round_.dns_query_answered > 0) {
+  if (round_.dns_query_answered) {
     // Name resolution works again: the stall is over; the accumulated round
     // durations approximate the failure duration within one round (<= 5 s).
     finish(ProbeEpisodeResult::kNetworkStallResolved);
     return;
   }
   // No DNS answers. If the servers answered ICMP, only resolution is broken.
-  if (round_.dns_icmp_answered > 0) {
+  if (round_.dns_icmp_answered) {
     finish(ProbeEpisodeResult::kDnsOnlyFalsePositive);
     return;
   }

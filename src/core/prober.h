@@ -15,7 +15,8 @@
 //   * a DNS answer arrives                     -> stall over; sum durations
 // Past 1200 s of stall the timeouts double every round (overhead control);
 // once either timeout exceeds 60 s the prober reverts to Android's original
-// fixed-interval detection.
+// fixed-interval detection. The network stack decides each probe's outcome
+// when it is sent; the prober schedules the reply's arrival itself.
 
 #ifndef CELLREL_CORE_PROBER_H
 #define CELLREL_CORE_PROBER_H
@@ -67,18 +68,18 @@ class NetworkStateProber {
   std::uint64_t total_probe_bytes() const { return bytes_sent_; }
 
  private:
+  /// What one round's replies have shown so far.
   struct RoundState {
+    std::uint32_t pending = 0;  // replies still in flight
     bool localhost_answered = false;
-    bool localhost_done = false;
-    std::uint32_t dns_icmp_answered = 0;
-    std::uint32_t dns_icmp_done = 0;
-    std::uint32_t dns_query_answered = 0;
-    std::uint32_t dns_query_done = 0;
-    std::uint32_t expected_dns = 0;
+    bool dns_icmp_answered = false;   // by any DNS server
+    bool dns_query_answered = false;  // by any DNS server
   };
 
   void run_round();
-  void round_probe_done();
+  /// Schedules `outcome`'s arrival at its `elapsed`, where an answer sets
+  /// `flag`; a reply to an ended episode arrives as a no-op.
+  void await(bool RoundState::*flag, const ProbeOutcome& outcome);
   void classify_round();
   void fallback_check();
   void finish(ProbeEpisodeResult result);
@@ -92,7 +93,7 @@ class NetworkStateProber {
   SimDuration icmp_timeout_;
   SimDuration dns_timeout_;
   std::uint32_t rounds_ = 0;
-  std::uint64_t generation_ = 0;  // invalidates in-flight probe callbacks
+  std::uint64_t generation_ = 0;  // invalidates in-flight probe replies
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   bool active_ = false;

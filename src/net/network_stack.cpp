@@ -1,7 +1,5 @@
 #include "net/network_stack.h"
 
-#include <algorithm>
-
 namespace cellrel {
 
 std::string_view to_string(NetworkFault fault) {
@@ -23,45 +21,33 @@ std::optional<NetworkFault> parse_network_fault(std::string_view name) {
   return std::nullopt;
 }
 
-NetworkStack::NetworkStack(Simulator& sim, Rng rng) : sim_(sim), rng_(rng) {}
+NetworkStack::NetworkStack(Rng rng) : rng_(rng) {}
 
-void NetworkStack::answer(bool reachable, SimDuration rtt_mean, SimDuration timeout,
-                          ProbeCallback cb) {
+ProbeOutcome NetworkStack::answer(bool reachable, SimDuration rtt_mean, SimDuration timeout) {
   ++probes_sent_;
-  if (!reachable) {
-    sim_.schedule_after(timeout, [cb = std::move(cb), timeout] {
-      cb(ProbeOutcome{false, timeout});
-    });
-    return;
-  }
-  SimDuration rtt = SimDuration::seconds(rng_.exponential(rtt_mean.to_seconds()));
-  if (rtt >= timeout) {
-    // Late answers count as timeouts, exactly as the prober perceives them.
-    sim_.schedule_after(timeout, [cb = std::move(cb), timeout] {
-      cb(ProbeOutcome{false, timeout});
-    });
-    return;
-  }
-  sim_.schedule_after(rtt, [cb = std::move(cb), rtt] { cb(ProbeOutcome{true, rtt}); });
+  if (!reachable) return {false, timeout};
+  const SimDuration rtt = SimDuration::seconds(rng_.exponential(rtt_mean.to_seconds()));
+  // Late answers count as timeouts, exactly as the prober perceives them.
+  if (rtt >= timeout) return {false, timeout};
+  return {true, rtt};
 }
 
-void NetworkStack::icmp_localhost(SimDuration timeout, ProbeCallback cb) {
+ProbeOutcome NetworkStack::icmp_localhost(SimDuration timeout) {
   // The loopback probe fails only for system-side faults.
   const bool reachable = !is_system_side(fault_);
-  answer(reachable, SimDuration::milliseconds(1), timeout, std::move(cb));
+  return answer(reachable, SimDuration::milliseconds(1), timeout);
 }
 
-void NetworkStack::icmp_dns_server(std::size_t /*server*/, SimDuration timeout,
-                                   ProbeCallback cb) {
+ProbeOutcome NetworkStack::icmp_dns_server(std::size_t /*server*/, SimDuration timeout) {
   // Reaching the resolver requires a working data path; a pure DNS outage
   // leaves ICMP fine. System-side faults block everything outbound too.
   const bool reachable = fault_ == NetworkFault::kNone || fault_ == NetworkFault::kDnsOutage;
-  answer(reachable, SimDuration::milliseconds(45), timeout, std::move(cb));
+  return answer(reachable, SimDuration::milliseconds(45), timeout);
 }
 
-void NetworkStack::dns_query(std::size_t /*server*/, SimDuration timeout, ProbeCallback cb) {
+ProbeOutcome NetworkStack::dns_query(std::size_t /*server*/, SimDuration timeout) {
   const bool reachable = fault_ == NetworkFault::kNone;
-  answer(reachable, SimDuration::milliseconds(60), timeout, std::move(cb));
+  return answer(reachable, SimDuration::milliseconds(60), timeout);
 }
 
 }  // namespace cellrel

@@ -9,21 +9,19 @@
 //   * network-side stall — everything towards the network times out
 //                                          -> true Data_Stall.
 // This class simulates exactly those observable behaviours, driven by an
-// injected fault state, on top of the discrete-event simulator.
+// injected fault state. Each probe returns its outcome when it is sent; the
+// prober schedules the answer (or the timeout) at the outcome's `elapsed`.
 
 #ifndef CELLREL_NET_NETWORK_STACK_H
 #define CELLREL_NET_NETWORK_STACK_H
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "sim/event_queue.h"
 
 namespace cellrel {
 
@@ -68,7 +66,7 @@ struct ProbeOutcome {
 /// The device-side network stack the prober exercises.
 class NetworkStack {
  public:
-  NetworkStack(Simulator& sim, Rng rng);
+  explicit NetworkStack(Rng rng);
 
   NetworkStack(const NetworkStack&) = delete;
   NetworkStack& operator=(const NetworkStack&) = delete;
@@ -82,24 +80,21 @@ class NetworkStack {
   std::size_t dns_server_count() const { return dns_server_count_; }
   void set_dns_server_count(std::size_t n) { dns_server_count_ = n ? n : 1; }
 
-  using ProbeCallback = std::function<void(const ProbeOutcome&)>;
-
   /// ICMP echo to 127.0.0.1; `timeout` per §2.2 defaults to 1 s at callers.
-  void icmp_localhost(SimDuration timeout, ProbeCallback cb);
+  [[nodiscard]] ProbeOutcome icmp_localhost(SimDuration timeout);
 
   /// ICMP echo to the i-th assigned DNS server.
-  void icmp_dns_server(std::size_t server, SimDuration timeout, ProbeCallback cb);
+  [[nodiscard]] ProbeOutcome icmp_dns_server(std::size_t server, SimDuration timeout);
 
   /// DNS query (for the dedicated test server's name) to the i-th server.
-  void dns_query(std::size_t server, SimDuration timeout, ProbeCallback cb);
+  [[nodiscard]] ProbeOutcome dns_query(std::size_t server, SimDuration timeout);
 
   /// Number of probe messages sent (network-overhead accounting).
   std::uint64_t probes_sent() const { return probes_sent_; }
 
  private:
-  void answer(bool reachable, SimDuration rtt_mean, SimDuration timeout, ProbeCallback cb);
+  ProbeOutcome answer(bool reachable, SimDuration rtt_mean, SimDuration timeout);
 
-  Simulator& sim_;
   Rng rng_;
   NetworkFault fault_ = NetworkFault::kNone;
   std::size_t dns_server_count_ = 2;

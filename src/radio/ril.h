@@ -1,33 +1,27 @@
 // Radio Interface Layer (RIL) simulator.
 //
 // In Android, the framework talks to the baseband through the RIL, an async
-// command/response channel. This class reproduces that channel on top of
-// the discrete-event simulator: commands complete after the modem's latency
-// and responses arrive via callbacks. The telephony layer (DcTracker etc.)
-// is written against this interface exactly as the framework is written
-// against the real RIL.
+// command/response channel. The modem's answer (outcome, DataFailCause,
+// latency) is fixed when a command is issued, so each command returns it at
+// once and the caller schedules the response at `latency`. The telephony
+// layer (DcTracker etc.) is written against this interface exactly as the
+// framework is written against the real RIL.
 
 #ifndef CELLREL_RADIO_RIL_H
 #define CELLREL_RADIO_RIL_H
 
-#include <functional>
-#include <utility>
-
 #include "obs/metrics.h"
 #include "radio/modem.h"
-#include "sim/event_queue.h"
 
 namespace cellrel {
 
-/// Asynchronous command interface to the (simulated) baseband.
+/// Command interface to the (simulated) baseband.
 class RadioInterfaceLayer {
  public:
-  using ResponseCallback = std::function<void(const ModemResult&)>;
-
   /// Each command records its (simulated) modem latency under
   /// "ril.<command>.latency" and failures under "ril.<command>.failures" in
-  /// `metrics`; the handles are resolved here, once.
-  RadioInterfaceLayer(Simulator& sim, Rng rng, obs::MetricSink& metrics);
+  /// `metrics` when it is issued; the handles are resolved here, once.
+  RadioInterfaceLayer(Rng rng, obs::MetricSink& metrics);
 
   RadioInterfaceLayer(const RadioInterfaceLayer&) = delete;
   RadioInterfaceLayer& operator=(const RadioInterfaceLayer&) = delete;
@@ -37,11 +31,11 @@ class RadioInterfaceLayer {
   void update_channel(const ChannelConditions& cond) { channel_ = cond; }
   const ChannelConditions& channel() const { return channel_; }
 
-  /// Issues SETUP_DATA_CALL; `cb` runs when the modem responds.
-  void setup_data_call(ResponseCallback cb);
-  void deactivate_data_call(ResponseCallback cb);
-  void reregister(ResponseCallback cb);
-  void restart_radio(ResponseCallback cb);
+  /// Issues SETUP_DATA_CALL; the response is due `latency` from now.
+  [[nodiscard]] ModemResult setup_data_call();
+  [[nodiscard]] ModemResult deactivate_data_call();
+  [[nodiscard]] ModemResult reregister();
+  [[nodiscard]] ModemResult restart_radio();
 
  private:
   /// Per-command metric handles, resolved at construction.
@@ -50,10 +44,8 @@ class RadioInterfaceLayer {
     obs::Counter& failures;
   };
   static CommandMetrics resolve(obs::MetricSink& sink, const char* command);
+  static ModemResult record(const ModemResult& result, const CommandMetrics& metrics);
 
-  void dispatch(ModemResult result, ResponseCallback cb, const CommandMetrics& metrics);
-
-  Simulator& sim_;
   ModemSimulator modem_;
   ChannelConditions channel_;
   CommandMetrics setup_metrics_;

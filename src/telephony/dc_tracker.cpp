@@ -43,7 +43,8 @@ void DcTracker::attempt_setup() {
       << "SETUP_DATA_CALL issued in state " << to_string(dc_.state());
   ++setup_attempts_;
   metrics_.attempts.add();
-  ril_.setup_data_call([this](const ModemResult& r) { on_setup_response(r); });
+  const ModemResult result = ril_.setup_data_call();
+  sim_.schedule_after(result.latency, [this, result] { on_setup_response(result); });
 }
 
 FalsePositiveKind DcTracker::classify_ground_truth(const ModemResult& result) const {
@@ -53,9 +54,8 @@ FalsePositiveKind DcTracker::classify_ground_truth(const ModemResult& result) co
   return FalsePositiveKind::kNone;
 }
 
-void DcTracker::on_setup_response(const ModemResult& result) {
+void DcTracker::on_setup_response(ModemResult r) {
   if (dc_.state() != DcState::kActivating) return;  // torn down mid-flight
-  ModemResult r = result;
   // Account suspension overrides any radio-level outcome: the operator barrs
   // the subscriber regardless of channel health.
   if (balance_suspended_) {

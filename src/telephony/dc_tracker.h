@@ -1,9 +1,10 @@
 // DcTracker: the connection-setup driver (Android's DcTracker analogue).
 //
 // Owns the DataConnection state machine, issues SETUP_DATA_CALL through the
-// RIL, raises Data_Setup_Error events on the stack's FailureEventBus (with
-// the protocol error code from the radio), and retries with a progressive
-// backoff — reproducing the control flow of §2.1: "if a user device fails to
+// RIL and schedules the response at the modem's latency, raises
+// Data_Setup_Error events on the stack's FailureEventBus (with the protocol
+// error code from the radio), and retries with a progressive backoff —
+// reproducing the control flow of §2.1: "if a user device fails to
 // establish a data connection ... a Data_Setup_Error failure event will be
 // reported to relevant system services; then, a retry attempt will be
 // initiated". The backoff follows Android's data-retry config, which starts
@@ -18,6 +19,7 @@
 
 #include "obs/metrics.h"
 #include "radio/ril.h"
+#include "sim/event_queue.h"
 #include "telephony/data_connection.h"
 #include "telephony/events.h"
 
@@ -58,7 +60,7 @@ class DcTracker {
 
  private:
   void attempt_setup();
-  void on_setup_response(const ModemResult& result);
+  void on_setup_response(ModemResult r);
   FalsePositiveKind classify_ground_truth(const ModemResult& result) const;
 
   struct Metrics {

@@ -39,27 +39,26 @@ SmsResult SmsService::submit_once() {
   return SmsResult::kOk;
 }
 
-void SmsService::send(SendCallback cb) {
-  attempt(Pending{std::move(cb), 0});
+void SmsService::send() {
+  ++in_flight_;
+  attempt(1);
 }
 
-void SmsService::attempt(Pending pending) {
-  ++pending.attempts;
+void SmsService::attempt(int n) {
   const SmsResult result = submit_once();
   if (result == SmsResult::kOk) {
     ++delivered_;
-    if (pending.cb) pending.cb(true, pending.attempts);
+    --in_flight_;
     return;
   }
-  if (result == SmsResult::kRetry && pending.attempts <= kMaxRetries) {
-    sim_.schedule_after(kRetryDelay,
-                        [this, p = std::move(pending)]() mutable { attempt(std::move(p)); });
+  if (result == SmsResult::kRetry && n <= kMaxRetries) {
+    sim_.schedule_after(kRetryDelay, [this, n] { attempt(n + 1); });
     return;
   }
   // Retries exhausted (or a permanent rejection): report the failure.
   ++failed_;
+  --in_flight_;
   events_.raise(FailureType::kSmsSendFail, sim_.now());
-  if (pending.cb) pending.cb(false, pending.attempts);
 }
 
 VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng)

@@ -4,7 +4,8 @@
 // traditional short-message and voice services (§3.1), e.g. send failures
 // tagged RIL_SMS_SEND_FAIL_RETRY. We model Android's SmsManager-style send
 // path — submit over the signalling channel, retry up to a limit with
-// backoff, report a failure event when retries exhaust — and a voice-call
+// backoff, report a failure event when retries exhaust; a sender waits on
+// in_flight() — and a voice-call
 // manager whose active calls disrupt the data connection on non-DSDA
 // devices (one of the false-positive sources §2.2 filters). Both raise on
 // the stack's FailureEventBus.
@@ -18,6 +19,7 @@
 
 #include "common/rng.h"
 #include "radio/ril.h"
+#include "sim/event_queue.h"
 #include "telephony/events.h"
 
 namespace cellrel {
@@ -41,21 +43,17 @@ class SmsService {
   SmsService(const SmsService&) = delete;
   SmsService& operator=(const SmsService&) = delete;
 
-  using SendCallback = std::function<void(bool delivered, int attempts)>;
-
-  /// Submits one message; the callback fires when delivery succeeds or the
-  /// retry budget is exhausted (which raises an kSmsSendFail event).
-  void send(SendCallback cb);
+  /// Submits one message. It stays in flight until delivery succeeds or the
+  /// retry budget is exhausted (which raises a kSmsSendFail event).
+  void send();
 
   std::uint64_t messages_sent() const { return delivered_; }
   std::uint64_t messages_failed() const { return failed_; }
+  std::uint64_t in_flight() const { return in_flight_; }
 
  private:
-  struct Pending {
-    SendCallback cb;
-    int attempts = 0;
-  };
-  void attempt(Pending pending);
+  /// Submits the `n`-th attempt (1-based) of one in-flight message.
+  void attempt(int n);
   SmsResult submit_once();
 
   Simulator& sim_;
@@ -64,6 +62,7 @@ class SmsService {
   Rng rng_;
   std::uint64_t delivered_ = 0;
   std::uint64_t failed_ = 0;
+  std::uint64_t in_flight_ = 0;
 };
 
 /// Voice-call state (Android TelephonyManager CALL_STATE_*).

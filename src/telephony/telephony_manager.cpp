@@ -5,10 +5,10 @@ namespace cellrel {
 TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& metrics,
                                    Config config)
     : sim_(sim),
-      ril_(sim, rng.fork(0x7261646921ULL), metrics),
+      ril_(rng.fork(0x7261646921ULL), metrics),
       dc_tracker_(sim, ril_, events_, metrics,
                   ApnManager::for_isp(config.isp).select(ApnType::kDefault).value().name),
-      network_(sim, rng.fork(0x6e657421ULL)),
+      network_(rng.fork(0x6e657421ULL)),
       stall_detector_(sim, tcp_, network_, events_, metrics),
       recoverer_(sim, metrics, config.recovery_schedule,
                  DataStallRecoverer::Hooks{
@@ -26,13 +26,13 @@ TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& met
 
 void TelephonyManager::enter_out_of_service(FalsePositiveKind ground_truth) {
   if (service_state_.out_of_service()) return;
-  service_state_.set_state(ServiceState::kOutOfService, sim_.now());
+  service_state_.set_state(ServiceState::kOutOfService);
   events_.raise(FailureType::kOutOfService, sim_.now(), FailCause::kNone, ground_truth);
 }
 
 void TelephonyManager::exit_out_of_service() {
   if (!service_state_.out_of_service()) return;
-  service_state_.set_state(ServiceState::kInService, sim_.now());
+  service_state_.set_state(ServiceState::kInService);
   events_.clear(FailureType::kOutOfService, sim_.now());
 }
 

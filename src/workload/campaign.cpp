@@ -802,18 +802,21 @@ void Campaign::DeviceRun::schedule_traffic() {
 
 bool Campaign::DeviceRun::stage_fix(RecoveryStage stage) {
   auto& tm = mod_->telephony();
-  // Execute the real operation through the RIL for latency realism.
+  // Execute the real operation through the RIL for latency realism. Nothing waits
+  // on the reply, but its event counts in sim.events and the drive_until budgets.
+  ModemResult reply;
   switch (stage) {
     case RecoveryStage::kCleanupConnection:
-      tm.ril().deactivate_data_call([](const ModemResult&) {});
+      reply = tm.ril().deactivate_data_call();
       break;
     case RecoveryStage::kReregister:
-      tm.ril().reregister([](const ModemResult&) {});
+      reply = tm.ril().reregister();
       break;
     case RecoveryStage::kRestartRadio:
-      tm.ril().restart_radio([](const ModemResult&) {});
+      reply = tm.ril().restart_radio();
       break;
   }
+  sim_->schedule_after(reply.latency, [] {});
   if (!stall_.open) return false;
   const NetworkFault f = tm.network().fault();
   if (f == NetworkFault::kNone) return true;  // already fixed
@@ -1044,9 +1047,9 @@ void Campaign::DeviceRun::run_episode(const Session& s, EpisodeKind kind) {
       // A message sent on a failing channel exhausts its RIL retries and
       // surfaces as RIL_SMS_SEND_FAIL_RETRY (§3.1's legacy tail).
       prepare_cell(s, 1.0, 0.0);
-      bool done = false;
-      mod_->telephony().sms().send([&](bool, int) { done = true; });
-      drive_until([&] { return done; }, 50'000);
+      SmsService& sms = mod_->telephony().sms();
+      sms.send();
+      drive_until([&] { return sms.in_flight() == 0; }, 50'000);
       prepare_cell(s, 0.0, 0.0);
       break;
     }

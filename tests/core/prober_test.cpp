@@ -9,7 +9,7 @@ namespace {
 
 struct Fixture {
   Simulator sim;
-  NetworkStack stack{sim, Rng{5}};
+  NetworkStack stack{Rng{5}};
   NetworkStateProber prober{sim, stack};
   std::optional<NetworkStateProber::Report> report;
 

@@ -58,7 +58,7 @@ class ProberClassificationTest
 TEST_P(ProberClassificationTest, ClassifiesFault) {
   const auto [c, dns_servers] = GetParam();
   Simulator sim;
-  NetworkStack stack(sim, Rng{5});
+  NetworkStack stack(Rng{5});
   stack.set_dns_server_count(static_cast<std::size_t>(dns_servers));
   stack.inject_fault(c.fault);
   if (c.fault == NetworkFault::kNetworkStall) {
@@ -105,7 +105,7 @@ class ProberFaultTransitionTest
 TEST_P(ProberFaultTransitionTest, MidEpisodeInjectionAlwaysClassifiable) {
   const auto [from, to] = GetParam();
   Simulator sim;
-  NetworkStack stack(sim, Rng{9});
+  NetworkStack stack(Rng{9});
   stack.inject_fault(from);
   NetworkStateProber prober(sim, stack);
   std::optional<NetworkStateProber::Report> report;
@@ -139,7 +139,7 @@ class ProberAccuracyTest : public ::testing::TestWithParam<double> {};
 TEST_P(ProberAccuracyTest, ErrorBoundedByOneRound) {
   const double outage_s = GetParam();
   Simulator sim;
-  NetworkStack stack(sim, Rng{6});
+  NetworkStack stack(Rng{6});
   stack.inject_fault(NetworkFault::kNetworkStall);
   sim.schedule_after(SimDuration::seconds(outage_s),
                      [&] { stack.inject_fault(NetworkFault::kNone); });
@@ -270,7 +270,7 @@ TEST(DcTrackerProperty, BackoffMonotoneAndCapped) {
   Simulator sim;
   obs::MetricSink metrics;
   FailureEventBus bus;
-  RadioInterfaceLayer ril(sim, Rng{9}, metrics);
+  RadioInterfaceLayer ril(Rng{9}, metrics);
   ChannelConditions failing;
   failing.level = SignalLevel::kLevel3;
   failing.base_failure_prob = 1.0;

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "net/network_stack.h"
 #include "net/tcp_stats.h"
-#include "sim/event_queue.h"
 
 namespace cellrel {
 namespace {
@@ -152,114 +151,68 @@ TEST(TcpStats, MatchesDequeReferenceUnderRandomTraffic) {
 
 // --- Network stack probing semantics ---
 
-struct ProbeResult {
-  bool done = false;
-  bool answered = false;
-};
-
-ProbeResult run_probe(Simulator& sim, NetworkStack& stack,
-                      void (NetworkStack::*probe)(std::size_t, SimDuration,
-                                                  NetworkStack::ProbeCallback),
-                      SimDuration timeout) {
-  ProbeResult result;
-  (stack.*probe)(0, timeout, [&](const ProbeOutcome& o) {
-    result.done = true;
-    result.answered = o.answered;
-  });
-  sim.run();
-  return result;
-}
-
 TEST(NetworkStack, HealthyAnswersEverything) {
-  Simulator sim;
-  NetworkStack stack(sim, Rng{1});
-  bool local = false;
-  stack.icmp_localhost(SimDuration::seconds(1), [&](const ProbeOutcome& o) {
-    local = o.answered;
-  });
-  sim.run();
-  EXPECT_TRUE(local);
-  EXPECT_TRUE(run_probe(sim, stack, &NetworkStack::icmp_dns_server, SimDuration::seconds(1))
-                  .answered);
-  EXPECT_TRUE(run_probe(sim, stack, &NetworkStack::dns_query, SimDuration::seconds(5))
-                  .answered);
+  NetworkStack stack(Rng{1});
+  EXPECT_TRUE(stack.icmp_localhost(SimDuration::seconds(1)).answered);
+  EXPECT_TRUE(stack.icmp_dns_server(0, SimDuration::seconds(1)).answered);
+  EXPECT_TRUE(stack.dns_query(0, SimDuration::seconds(5)).answered);
 }
 
 TEST(NetworkStack, NetworkStallBlocksOutboundOnly) {
-  Simulator sim;
-  NetworkStack stack(sim, Rng{2});
+  NetworkStack stack(Rng{2});
   stack.inject_fault(NetworkFault::kNetworkStall);
-  bool local = false;
-  stack.icmp_localhost(SimDuration::seconds(1), [&](const ProbeOutcome& o) {
-    local = o.answered;
-  });
-  sim.run();
-  EXPECT_TRUE(local);  // loopback unaffected
-  EXPECT_FALSE(run_probe(sim, stack, &NetworkStack::icmp_dns_server, SimDuration::seconds(1))
-                   .answered);
-  EXPECT_FALSE(run_probe(sim, stack, &NetworkStack::dns_query, SimDuration::seconds(5))
-                   .answered);
+  EXPECT_TRUE(stack.icmp_localhost(SimDuration::seconds(1)).answered);  // loopback unaffected
+  EXPECT_FALSE(stack.icmp_dns_server(0, SimDuration::seconds(1)).answered);
+  EXPECT_FALSE(stack.dns_query(0, SimDuration::seconds(5)).answered);
 }
 
 TEST(NetworkStack, SystemSideFaultsBlockLocalhost) {
   for (NetworkFault f : {NetworkFault::kFirewallMisconfig, NetworkFault::kProxyBroken,
                          NetworkFault::kModemDriverWedged}) {
-    Simulator sim;
-    NetworkStack stack(sim, Rng{3});
+    NetworkStack stack(Rng{3});
     stack.inject_fault(f);
     EXPECT_TRUE(is_system_side(f));
-    bool answered = true;
-    stack.icmp_localhost(SimDuration::seconds(1), [&](const ProbeOutcome& o) {
-      answered = o.answered;
-    });
-    sim.run();
-    EXPECT_FALSE(answered) << to_string(f);
+    EXPECT_FALSE(stack.icmp_localhost(SimDuration::seconds(1)).answered) << to_string(f);
   }
 }
 
 TEST(NetworkStack, DnsOutageKeepsIcmpWorking) {
-  Simulator sim;
-  NetworkStack stack(sim, Rng{4});
+  NetworkStack stack(Rng{4});
   stack.inject_fault(NetworkFault::kDnsOutage);
   EXPECT_FALSE(is_system_side(NetworkFault::kDnsOutage));
-  EXPECT_TRUE(run_probe(sim, stack, &NetworkStack::icmp_dns_server, SimDuration::seconds(1))
-                  .answered);
-  EXPECT_FALSE(run_probe(sim, stack, &NetworkStack::dns_query, SimDuration::seconds(5))
-                   .answered);
+  EXPECT_TRUE(stack.icmp_dns_server(0, SimDuration::seconds(1)).answered);
+  EXPECT_FALSE(stack.dns_query(0, SimDuration::seconds(5)).answered);
 }
 
 TEST(NetworkStack, TimeoutBoundsElapsedTime) {
-  Simulator sim;
-  NetworkStack stack(sim, Rng{5});
+  NetworkStack stack(Rng{5});
   stack.inject_fault(NetworkFault::kNetworkStall);
-  SimDuration elapsed;
-  stack.dns_query(0, SimDuration::seconds(5), [&](const ProbeOutcome& o) {
-    elapsed = o.elapsed;
-    EXPECT_FALSE(o.answered);
-  });
-  const SimTime start = sim.now();
-  sim.run();
-  EXPECT_EQ(elapsed, SimDuration::seconds(5));
-  EXPECT_EQ(sim.now() - start, SimDuration::seconds(5));
+  const ProbeOutcome o = stack.dns_query(0, SimDuration::seconds(5));
+  EXPECT_FALSE(o.answered);
+  EXPECT_EQ(o.elapsed, SimDuration::seconds(5));
+}
+
+TEST(NetworkStack, LateAnswerIsATimeout) {
+  NetworkStack stack(Rng{8});
+  for (int i = 0; i < 100; ++i) {
+    const ProbeOutcome o = stack.dns_query(0, SimDuration::milliseconds(60));
+    EXPECT_EQ(o.answered, o.elapsed < SimDuration::milliseconds(60));
+  }
 }
 
 TEST(NetworkStack, ProbeCounterIncrements) {
-  Simulator sim;
-  NetworkStack stack(sim, Rng{6});
+  NetworkStack stack(Rng{6});
   EXPECT_EQ(stack.probes_sent(), 0u);
-  stack.icmp_localhost(SimDuration::seconds(1), [](const ProbeOutcome&) {});
-  stack.dns_query(0, SimDuration::seconds(5), [](const ProbeOutcome&) {});
+  (void)stack.icmp_localhost(SimDuration::seconds(1));
+  (void)stack.dns_query(0, SimDuration::seconds(5));
   EXPECT_EQ(stack.probes_sent(), 2u);
-  sim.run();
 }
 
 TEST(NetworkStack, FaultRecoveryRestoresService) {
-  Simulator sim;
-  NetworkStack stack(sim, Rng{7});
+  NetworkStack stack(Rng{7});
   stack.inject_fault(NetworkFault::kNetworkStall);
   stack.inject_fault(NetworkFault::kNone);
-  EXPECT_TRUE(run_probe(sim, stack, &NetworkStack::dns_query, SimDuration::seconds(5))
-                  .answered);
+  EXPECT_TRUE(stack.dns_query(0, SimDuration::seconds(5)).answered);
 }
 
 }  // namespace

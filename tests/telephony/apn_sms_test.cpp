@@ -64,7 +64,7 @@ struct SmsFixture {
   Simulator sim;
   obs::MetricSink metrics;
   FailureEventBus bus;
-  RadioInterfaceLayer ril{sim, Rng{3}, metrics};
+  RadioInterfaceLayer ril{Rng{3}, metrics};
   SmsService sms{sim, ril, bus, Rng{4}};
   SmsRecorder recorder;
   SmsFixture() {
@@ -78,13 +78,12 @@ struct SmsFixture {
 
 TEST(Sms, DeliversOnHealthyChannel) {
   SmsFixture f;
-  int delivered = 0;
-  for (int i = 0; i < 100; ++i) {
-    f.sms.send([&](bool ok, int) { delivered += ok ? 1 : 0; });
-  }
+  for (int i = 0; i < 100; ++i) f.sms.send();
   f.sim.run();
-  EXPECT_GE(delivered, 95);  // ~2% transient per attempt, retried
-  EXPECT_EQ(f.recorder.failures, 100 - delivered);
+  EXPECT_EQ(f.sms.in_flight(), 0u);
+  EXPECT_GE(f.sms.messages_sent(), 95u);  // ~2% transient per attempt, retried
+  EXPECT_EQ(f.sms.messages_sent() + f.sms.messages_failed(), 100u);
+  EXPECT_EQ(f.recorder.failures, static_cast<int>(f.sms.messages_failed()));
 }
 
 TEST(Sms, ExhaustsRetriesOnDeadChannel) {
@@ -93,18 +92,14 @@ TEST(Sms, ExhaustsRetriesOnDeadChannel) {
   dead.level = SignalLevel::kLevel0;
   dead.base_failure_prob = 1.0;
   f.ril.update_channel(dead);
-  int attempts_seen = 0;
-  bool delivered = true;
-  f.sms.send([&](bool ok, int attempts) {
-    delivered = ok;
-    attempts_seen = attempts;
-  });
+  f.sms.send();
   f.sim.run();
-  if (!delivered) {
-    EXPECT_GE(f.recorder.failures, 1);
-    EXPECT_GE(attempts_seen, 2);          // retried before giving up
-    EXPECT_LE(attempts_seen, 4);          // max_retries + 1
-    EXPECT_EQ(f.sms.messages_failed(), 1u);
+  EXPECT_EQ(f.sms.in_flight(), 0u);
+  if (f.sms.messages_failed() == 1u) {
+    EXPECT_EQ(f.recorder.failures, 1);
+    // Attempts are 5 s apart: retried before giving up, at most 3 times.
+    EXPECT_GE(f.sim.now().to_seconds(), 5.0);
+    EXPECT_LE(f.sim.now().to_seconds(), 15.0);
   }
 }
 
@@ -115,13 +110,16 @@ TEST(Sms, RetriesAreSpacedInTime) {
   dead.base_failure_prob = 1.0;
   dead.driver_fault = true;  // deterministic kRetry path
   f.ril.update_channel(dead);
-  bool done = false;
-  f.sms.send([&](bool, int) { done = true; });
+  for (int i = 0; i < 100; ++i) f.sms.send();
+  EXPECT_EQ(f.sms.in_flight(), 100u);
+  f.sim.run_until(SimTime::from_seconds(14.0));
+  EXPECT_EQ(f.sms.in_flight(), 100u);
   f.sim.run();
-  EXPECT_TRUE(done);
   // 3 retries x 5 s spacing.
   EXPECT_DOUBLE_EQ(f.sim.now().to_seconds(), 15.0);
-  EXPECT_EQ(f.recorder.failures, 1);
+  EXPECT_EQ(f.sms.in_flight(), 0u);
+  EXPECT_EQ(f.sms.messages_failed(), 100u);
+  EXPECT_EQ(f.recorder.failures, 100);
 }
 
 TEST(Sms, ResultNames) {

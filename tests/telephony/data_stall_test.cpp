@@ -24,7 +24,7 @@ class StallRecorder final : public FailureEventListener {
 struct Fixture {
   Simulator sim;
   TcpSegmentCounters tcp;
-  NetworkStack stack{sim, Rng{3}};
+  NetworkStack stack{Rng{3}};
   obs::MetricSink metrics;
   FailureEventBus bus;
   DataStallDetector detector{sim, tcp, stack, bus, metrics};

@@ -19,7 +19,7 @@ struct Fixture {
   Simulator sim;
   obs::MetricSink metrics;
   FailureEventBus bus;
-  RadioInterfaceLayer ril{sim, Rng{7}, metrics};
+  RadioInterfaceLayer ril{Rng{7}, metrics};
   DcTracker tracker{sim, ril, bus, metrics};
   EventRecorder recorder;
 
@@ -47,10 +47,16 @@ struct Fixture {
 TEST(DcTracker, HealthySetupActivates) {
   Fixture f;
   f.tracker.request_data();
+  EXPECT_EQ(f.tracker.connection().state(), DcState::kActivating);
   f.sim.run();
   EXPECT_TRUE(f.tracker.connection().is_active());
   EXPECT_EQ(f.tracker.setup_failures(), 0u);
   EXPECT_TRUE(f.recorder.events.empty());
+  // The setup reply fires at the modem latency the RIL recorded.
+  const auto& latency = f.metrics.sim_timers().at("ril.setup_data_call.latency");
+  ASSERT_EQ(latency.count, 1u);
+  EXPECT_GT(latency.total_us, 0);
+  EXPECT_EQ(f.sim.now().since_origin().count_us(), latency.total_us);
 }
 
 TEST(DcTracker, FailureEmitsEventWithContext) {

@@ -129,7 +129,7 @@ std::vector<Heard> drive_every_source(Simulator& sim, TelephonyManager& tm,
   driver_fault.level = SignalLevel::kLevel3;
   driver_fault.driver_fault = true;
   tm.ril().update_channel(driver_fault);
-  tm.sms().send(nullptr);
+  tm.sms().send();
   sim.run();
   return {log.begin() + static_cast<std::ptrdiff_t>(before), log.end()};
 }
