@@ -100,6 +100,68 @@ TEST(MonitorService, SetupEpisodeRecordsEventsWithSplitDuration) {
   EXPECT_LT(total, 125.0);
 }
 
+TEST(MonitorService, TeardownWhileRetryingClosesSetupEpisode) {
+  // Giving up from Retrying leaves the connection Inactive without ever
+  // activating: the episode closes there, its duration split evenly.
+  DeviceHarness h;
+  h.set_failing_channel();
+  DcTracker& dct = h.mod.telephony().dc_tracker();
+  dct.request_data();
+  while (!(dct.setup_failures() >= 3 && dct.connection().state() == DcState::kRetrying) &&
+         h.sim.step()) {
+  }
+  ASSERT_EQ(dct.connection().state(), DcState::kRetrying);
+  EXPECT_EQ(h.mod.monitor().records_written(), 0u);  // buffered until the close
+  const SimTime gave_up = h.sim.now();
+  dct.teardown();
+  EXPECT_EQ(dct.connection().state(), DcState::kInactive);
+  EXPECT_EQ(h.mod.monitor().records_written(), dct.setup_failures());
+  h.finish();
+
+  ASSERT_EQ(h.uploaded.size(), dct.setup_failures());
+  const double episode = (gave_up - h.uploaded.front().at).to_seconds();
+  EXPECT_GT(episode, 0.0);
+  for (const auto& r : h.uploaded) {
+    EXPECT_EQ(r.type, FailureType::kDataSetupError);
+    EXPECT_NEAR(r.duration.to_seconds(), episode / static_cast<double>(h.uploaded.size()),
+                1e-5);
+  }
+}
+
+TEST(MonitorService, VoiceDisruptionClosesThenReopensSetupEpisode) {
+  // Dropping an Active connection for a voice call first closes the setup
+  // episode at Inactive, then opens a new one with the call's own setup
+  // error, which closes when the connection comes back.
+  DeviceHarness h;
+  h.set_failing_channel();
+  DcTracker& dct = h.mod.telephony().dc_tracker();
+  dct.request_data();
+  h.sim.run_until(SimTime::origin() + SimDuration::seconds(4.0));
+  h.set_healthy_channel();
+  h.sim.run_until(SimTime::origin() + SimDuration::minutes(1.0));
+  ASSERT_TRUE(dct.connection().is_active());
+  const std::uint64_t before = h.mod.monitor().records_written();
+  ASSERT_EQ(before, dct.setup_failures());
+
+  const SimTime disrupted = h.sim.now();
+  dct.disrupt_by_voice_call();
+  EXPECT_EQ(dct.connection().state(), DcState::kInactive);
+  EXPECT_EQ(h.mod.monitor().records_written(), before);  // the call's error is open
+  h.sim.run_until(SimTime::origin() + SimDuration::minutes(2.0));
+  ASSERT_TRUE(dct.connection().is_active());
+  const SimTime reactivated = dct.connection().last_transition_at();
+  EXPECT_EQ(h.mod.monitor().records_written(), before + 1);
+  h.finish();
+
+  ASSERT_EQ(h.uploaded.size(), before + 1);
+  const TraceRecord& call = h.uploaded.back();
+  EXPECT_EQ(call.type, FailureType::kDataSetupError);
+  EXPECT_EQ(call.cause, FailCause::kCdmaIncomingCall);
+  EXPECT_EQ(call.at, disrupted);
+  EXPECT_NEAR(call.duration.to_seconds(), (reactivated - disrupted).to_seconds(), 1e-5);
+  EXPECT_GT(call.duration.to_seconds(), 2.0);  // the re-setup waits out the call
+}
+
 TEST(MonitorService, StallMeasuredByProbing) {
   DeviceHarness h;
   auto& tm = h.mod.telephony();
