@@ -22,16 +22,6 @@ constexpr std::uint64_t kIcmpBytes = 64;
 constexpr std::uint64_t kDnsBytes = 80;
 }  // namespace
 
-std::string_view to_string(ProbeEpisodeResult r) {
-  switch (r) {
-    case ProbeEpisodeResult::kNetworkStallResolved: return "network-stall-resolved";
-    case ProbeEpisodeResult::kSystemSideFalsePositive: return "system-side-false-positive";
-    case ProbeEpisodeResult::kDnsOnlyFalsePositive: return "dns-only-false-positive";
-    case ProbeEpisodeResult::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 NetworkStateProber::NetworkStateProber(Simulator& sim, NetworkStack& stack)
     : sim_(sim), stack_(stack) {}
 
@@ -47,20 +37,14 @@ void NetworkStateProber::start(SimTime stall_started, CompletionCallback on_done
   run_round();
 }
 
-void NetworkStateProber::abort() {
-  if (active_) finish(ProbeEpisodeResult::kAborted);
-}
-
 void NetworkStateProber::finish(ProbeEpisodeResult result) {
   active_ = false;
-  ++generation_;
   pending_fallback_.cancel();
   const Report report{result, sim_.now() - stall_started_, rounds_, fallback_mode_};
   if (auto cb = std::exchange(on_done_, nullptr)) cb(report);
 }
 
 void NetworkStateProber::run_round() {
-  if (!active_) return;
   // Multiplicative back-off once the stall outlives the threshold.
   if (rounds_ > 0 && sim_.now() - stall_started_ > kBackoffThreshold) {
     icmp_timeout_ = icmp_timeout_ * 2.0;
@@ -73,30 +57,27 @@ void NetworkStateProber::run_round() {
     return;
   }
   ++rounds_;
-  const auto dns_servers = static_cast<std::uint32_t>(stack_.dns_server_count());
-  round_ = RoundState{1 + 2 * dns_servers};
+  round_ = RoundState{1 + 2 * kDnsServerCount};
 
-  messages_sent_ += 1 + 2ull * dns_servers;
-  bytes_sent_ += kIcmpBytes * (1 + dns_servers) + kDnsBytes * dns_servers;
+  messages_sent_ += 1 + 2 * kDnsServerCount;
+  bytes_sent_ += kIcmpBytes * (1 + kDnsServerCount) + kDnsBytes * kDnsServerCount;
 
   await(&RoundState::localhost_answered, stack_.icmp_localhost(icmp_timeout_));
-  for (std::uint32_t s = 0; s < dns_servers; ++s) {
+  for (std::uint32_t s = 0; s < kDnsServerCount; ++s) {
     await(&RoundState::dns_icmp_answered, stack_.icmp_dns_server(s, icmp_timeout_));
     await(&RoundState::dns_query_answered, stack_.dns_query(s, dns_timeout_));
   }
 }
 
 void NetworkStateProber::await(bool RoundState::*flag, const ProbeOutcome& outcome) {
-  sim_.schedule_after(outcome.elapsed,
-                      [this, gen = generation_, flag, answered = outcome.answered] {
-                        if (gen != generation_) return;
-                        if (answered) round_.*flag = true;
-                        if (--round_.pending == 0) classify_round();
-                      });
+  sim_.schedule_after(outcome.elapsed, [this, flag, answered = outcome.answered] {
+    CELLREL_DCHECK(active_) << "probe reply after the episode ended";
+    if (answered) round_.*flag = true;
+    if (--round_.pending == 0) classify_round();
+  });
 }
 
 void NetworkStateProber::classify_round() {
-  if (!active_) return;
   // Problem at the system side rather than the network side (§2.2).
   if (!round_.localhost_answered) {
     finish(ProbeEpisodeResult::kSystemSideFalsePositive);
@@ -118,7 +99,6 @@ void NetworkStateProber::classify_round() {
 }
 
 void NetworkStateProber::fallback_check() {
-  if (!active_) return;
   // Vanilla Android re-evaluates the stall on its fixed cadence. We consult
   // the same observable its detector would: whether traffic flows again. A
   // healthy or dns-only fault state means inbound segments would resume.

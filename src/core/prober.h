@@ -16,7 +16,9 @@
 // Past 1200 s of stall the timeouts double every round (overhead control);
 // once either timeout exceeds 60 s the prober reverts to Android's original
 // fixed-interval detection. The network stack decides each probe's outcome
-// when it is sent; the prober schedules the reply's arrival itself.
+// when it is sent; the prober schedules the reply's arrival itself. An
+// episode ends only by classification, once every reply of its last round
+// has arrived, so no reply is ever in flight after it ends.
 
 #ifndef CELLREL_CORE_PROBER_H
 #define CELLREL_CORE_PROBER_H
@@ -35,16 +37,13 @@ enum class ProbeEpisodeResult : std::uint8_t {
   kNetworkStallResolved = 0,   // true Data_Stall; duration measured
   kSystemSideFalsePositive,    // firewall/proxy/driver problem
   kDnsOnlyFalsePositive,       // resolver outage only
-  kAborted,                    // cancelled externally
 };
-
-std::string_view to_string(ProbeEpisodeResult r);
 
 /// Runs the probing state machine for one stall episode.
 class NetworkStateProber {
  public:
   struct Report {
-    ProbeEpisodeResult result = ProbeEpisodeResult::kAborted;
+    ProbeEpisodeResult result = ProbeEpisodeResult::kNetworkStallResolved;
     SimDuration measured_duration = SimDuration::zero();
     std::uint32_t rounds = 0;
     bool reverted_to_fallback = false;
@@ -59,9 +58,6 @@ class NetworkStateProber {
   /// Begins probing a stall first suspected at `stall_started`. `on_done`
   /// fires exactly once. Only one episode may run at a time.
   void start(SimTime stall_started, CompletionCallback on_done);
-
-  /// Cancels the episode (e.g. the detector withdrew the suspicion).
-  void abort();
 
   bool active() const { return active_; }
   std::uint64_t total_probe_messages() const { return messages_sent_; }
@@ -78,7 +74,7 @@ class NetworkStateProber {
 
   void run_round();
   /// Schedules `outcome`'s arrival at its `elapsed`, where an answer sets
-  /// `flag`; a reply to an ended episode arrives as a no-op.
+  /// `flag`.
   void await(bool RoundState::*flag, const ProbeOutcome& outcome);
   void classify_round();
   void fallback_check();
@@ -93,7 +89,6 @@ class NetworkStateProber {
   SimDuration icmp_timeout_;
   SimDuration dns_timeout_;
   std::uint32_t rounds_ = 0;
-  std::uint64_t generation_ = 0;  // invalidates in-flight probe replies
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   bool active_ = false;

@@ -24,7 +24,6 @@ std::optional<NetworkFault> parse_network_fault(std::string_view name) {
 NetworkStack::NetworkStack(Rng rng) : rng_(rng) {}
 
 ProbeOutcome NetworkStack::answer(bool reachable, SimDuration rtt_mean, SimDuration timeout) {
-  ++probes_sent_;
   if (!reachable) return {false, timeout};
   const SimDuration rtt = SimDuration::seconds(rng_.exponential(rtt_mean.to_seconds()));
   // Late answers count as timeouts, exactly as the prober perceives them.

@@ -10,7 +10,9 @@
 //                                          -> true Data_Stall.
 // This class simulates exactly those observable behaviours, driven by an
 // injected fault state. Each probe returns its outcome when it is sent; the
-// prober schedules the answer (or the timeout) at the outcome's `elapsed`.
+// prober schedules the answer (or the timeout) at the outcome's `elapsed`
+// and accounts the probe traffic. Every device has kDnsServerCount DNS
+// servers.
 
 #ifndef CELLREL_NET_NETWORK_STACK_H
 #define CELLREL_NET_NETWORK_STACK_H
@@ -57,6 +59,9 @@ constexpr bool is_system_side(NetworkFault f) {
          f == NetworkFault::kModemDriverWedged;
 }
 
+/// DNS servers assigned to every device; the prober probes each of them.
+inline constexpr std::uint32_t kDnsServerCount = 2;
+
 /// Result of one probe (ICMP echo or DNS query).
 struct ProbeOutcome {
   bool answered = false;
@@ -76,29 +81,20 @@ class NetworkStack {
   NetworkFault fault() const { return fault_; }
   void inject_fault(NetworkFault fault) { fault_ = fault; }
 
-  /// Addresses of the DNS servers assigned to the device (typically 2).
-  std::size_t dns_server_count() const { return dns_server_count_; }
-  void set_dns_server_count(std::size_t n) { dns_server_count_ = n ? n : 1; }
-
   /// ICMP echo to 127.0.0.1; `timeout` per §2.2 defaults to 1 s at callers.
   [[nodiscard]] ProbeOutcome icmp_localhost(SimDuration timeout);
 
-  /// ICMP echo to the i-th assigned DNS server.
+  /// ICMP echo to the i-th assigned DNS server (i < kDnsServerCount).
   [[nodiscard]] ProbeOutcome icmp_dns_server(std::size_t server, SimDuration timeout);
 
   /// DNS query (for the dedicated test server's name) to the i-th server.
   [[nodiscard]] ProbeOutcome dns_query(std::size_t server, SimDuration timeout);
-
-  /// Number of probe messages sent (network-overhead accounting).
-  std::uint64_t probes_sent() const { return probes_sent_; }
 
  private:
   ProbeOutcome answer(bool reachable, SimDuration rtt_mean, SimDuration timeout);
 
   Rng rng_;
   NetworkFault fault_ = NetworkFault::kNone;
-  std::size_t dns_server_count_ = 2;
-  std::uint64_t probes_sent_ = 0;
 };
 
 }  // namespace cellrel

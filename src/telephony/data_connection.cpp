@@ -46,12 +46,10 @@ void DataConnection::transition(DcState next, SimTime at) {
                            std::string(to_string(state_)) + " -> " +
                            std::string(to_string(next)));
   }
-  const DcState from = state_;
   state_ = next;
   ++transitions_;
   if (next == DcState::kRetrying) ++retries_;
   last_transition_ = at;
-  for (const auto& obs : observers_) obs(from, next, at);
 }
 
 }  // namespace cellrel

@@ -3,16 +3,15 @@
 // Android models each cellular data connection with five states: Inactive,
 // Activating, Retrying, Active, and Disconnect. We reproduce the machine
 // with explicit transition validation so illegal framework behaviour is a
-// programming error caught in tests, and with observer callbacks the rest
-// of the stack (DcTracker, monitoring service) hooks into.
+// programming error caught in tests. The machine tells nobody: its owner,
+// DcTracker, clears the Data_Setup_Error episode on the device's failure
+// bus right after each transition to Active or Inactive.
 
 #ifndef CELLREL_TELEPHONY_DATA_CONNECTION_H
 #define CELLREL_TELEPHONY_DATA_CONNECTION_H
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
-#include <vector>
 
 #include "common/sim_time.h"
 
@@ -32,11 +31,9 @@ std::string_view to_string(DcState s);
 /// Valid transitions of the Fig. 1 machine.
 bool dc_transition_allowed(DcState from, DcState to);
 
-/// One data connection's state with transition enforcement and observers.
+/// One data connection's state with transition enforcement.
 class DataConnection {
  public:
-  using Observer = std::function<void(DcState from, DcState to, SimTime at)>;
-
   DataConnection() = default;
 
   DcState state() const { return state_; }
@@ -45,9 +42,6 @@ class DataConnection {
   /// Moves to `next`; throws std::logic_error on an illegal transition.
   void transition(DcState next, SimTime at);
 
-  /// Registers an observer invoked after every successful transition.
-  void observe(Observer obs) { observers_.push_back(std::move(obs)); }
-
   /// Counters for analysis / invariant checks.
   std::uint64_t transition_count() const { return transitions_; }
   std::uint64_t retry_count() const { return retries_; }
@@ -55,7 +49,6 @@ class DataConnection {
 
  private:
   DcState state_ = DcState::kInactive;
-  std::vector<Observer> observers_;
   std::uint64_t transitions_ = 0;
   std::uint64_t retries_ = 0;
   SimTime last_transition_;

@@ -13,8 +13,17 @@ constexpr SimDuration kMaxRetryDelay = SimDuration::seconds(45.0);
 
 }  // namespace
 
+std::string_view default_apn(IspId isp) {
+  switch (isp) {
+    case IspId::kIspA: return "cmnet";
+    case IspId::kIspB: return "ctnet";
+    case IspId::kIspC: return "3gnet";
+  }
+  return "internet";
+}
+
 DcTracker::DcTracker(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& events,
-                     obs::MetricSink& metrics, std::string apn)
+                     obs::MetricSink& metrics, IspId isp)
     : sim_(sim),
       ril_(ril),
       events_(events),
@@ -24,7 +33,12 @@ DcTracker::DcTracker(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& 
                // Backoff delays top out at kMaxRetryDelay; 12 bins of 5 s
                // resolve every doubling step of the 1s * 2^n ladder.
                metrics.histogram("dc_tracker.retry.backoff_s", 0.0, 60.0, 12)},
-      apn_(std::move(apn)) {}
+      apn_(default_apn(isp)) {}
+
+void DcTracker::settle(DcState to, SimTime at) {
+  dc_.transition(to, at);
+  events_.clear(FailureType::kDataSetupError, at);
+}
 
 void DcTracker::request_data() {
   want_data_ = true;
@@ -65,7 +79,7 @@ void DcTracker::on_setup_response(ModemResult r) {
   if (r.success) {
     consecutive_failures_ = 0;
     voice_disruption_pending_ = false;
-    dc_.transition(DcState::kActive, sim_.now());
+    settle(DcState::kActive, sim_.now());
     return;
   }
 
@@ -95,8 +109,8 @@ void DcTracker::teardown(bool user_initiated) {
     // A manual disconnect surfaces as a (false positive) setup error if the
     // framework races a pending setup against the toggle; we report the
     // canonical local cause so the filter sees realistic codes. Reported
-    // before the state transitions so listeners observing the connection
-    // see the event inside the episode it belongs to.
+    // before the state transitions so the event lands inside the episode
+    // that the Inactive clear then ends.
     events_.raise(FailureType::kDataSetupError, now, FailCause::kDataSettingsDisabled,
                   FalsePositiveKind::kManualDisconnect);
   }
@@ -104,10 +118,10 @@ void DcTracker::teardown(bool user_initiated) {
     case DcState::kActive:
     case DcState::kActivating:
       dc_.transition(DcState::kDisconnect, now);
-      dc_.transition(DcState::kInactive, now);
+      settle(DcState::kInactive, now);
       break;
     case DcState::kRetrying:
-      dc_.transition(DcState::kInactive, now);
+      settle(DcState::kInactive, now);
       break;
     default:
       break;
@@ -120,7 +134,7 @@ void DcTracker::disrupt_by_voice_call() {
   if (dc_.state() != DcState::kActive) return;
   const SimTime now = sim_.now();
   dc_.transition(DcState::kDisconnect, now);
-  dc_.transition(DcState::kInactive, now);
+  settle(DcState::kInactive, now);
   voice_disruption_pending_ = true;
   // The framework immediately tries to re-establish data; on non-DSDA
   // devices that attempt fails while the voice call holds the radio.

@@ -10,13 +10,18 @@
 // initiated". The backoff follows Android's data-retry config, which starts
 // short and grows: 1 s * 2^(n-1) after the n-th consecutive failure, capped
 // at 45 s. The serving cell the events carry is the bus's, not the tracker's.
+// Right after each transition to Active or Inactive the tracker clears
+// Data_Setup_Error on the bus, which is where the monitoring service closes
+// the open setup episode.
 
 #ifndef CELLREL_TELEPHONY_DC_TRACKER_H
 #define CELLREL_TELEPHONY_DC_TRACKER_H
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "bs/isp.h"
 #include "obs/metrics.h"
 #include "radio/ril.h"
 #include "sim/event_queue.h"
@@ -25,18 +30,21 @@
 
 namespace cellrel {
 
+/// The default-type APN of each carrier, the one every failure record names
+/// (§2.2): cmnet for ISP-A, ctnet for ISP-B, 3gnet for ISP-C.
+std::string_view default_apn(IspId isp);
+
 class DcTracker {
  public:
   /// Raises on `events`; resolves its "dc_tracker.*" metric handles in
-  /// `metrics` here, once. `apn` is the default-type APN the setups use.
+  /// `metrics` here, once. Setups use `isp`'s default APN.
   DcTracker(Simulator& sim, RadioInterfaceLayer& ril, FailureEventBus& events,
-            obs::MetricSink& metrics, std::string apn = "cmnet");
+            obs::MetricSink& metrics, IspId isp = IspId::kIspA);
 
   DcTracker(const DcTracker&) = delete;
   DcTracker& operator=(const DcTracker&) = delete;
 
   const DataConnection& connection() const { return dc_; }
-  DataConnection& connection() { return dc_; }
   const std::string& apn() const { return apn_; }
 
   /// Starts establishing a data connection (no-op unless Inactive).
@@ -61,6 +69,9 @@ class DcTracker {
  private:
   void attempt_setup();
   void on_setup_response(ModemResult r);
+  /// Moves the connection to `to` (Active or Inactive) and ends the open
+  /// Data_Setup_Error episode there.
+  void settle(DcState to, SimTime at);
   FalsePositiveKind classify_ground_truth(const ModemResult& result) const;
 
   struct Metrics {

@@ -49,7 +49,8 @@ class FailureEventListener {
  public:
   virtual ~FailureEventListener() = default;
   virtual void on_failure_event(const FailureEvent& event) = 0;
-  /// Signals that an ongoing failure episode (OOS or stall) ended.
+  /// Signals that an ongoing failure episode ended: OOS, a stall, or a
+  /// Data_Setup_Error episode (the connection reached Active or Inactive).
   virtual void on_failure_cleared(FailureType type, SimTime at) = 0;
 };
 

@@ -41,9 +41,10 @@ ProbationSchedule make_probation_schedule(double pro0_s, double pro1_s, double p
   return s;
 }
 
-DataStallRecoverer::DataStallRecoverer(Simulator& sim, obs::MetricSink& metrics,
-                                       ProbationSchedule schedule, Hooks hooks)
-    : sim_(sim), schedule_(std::move(schedule)), hooks_(std::move(hooks)) {
+DataStallRecoverer::DataStallRecoverer(Simulator& sim, const NetworkStack& stack,
+                                       obs::MetricSink& metrics, ProbationSchedule schedule,
+                                       Hooks hooks)
+    : sim_(sim), stack_(stack), schedule_(std::move(schedule)), hooks_(std::move(hooks)) {
   metrics_.episodes = &metrics.counter("recovery.episodes");
   for (std::size_t i = 0; i < kRecoveryStageCount; ++i) {
     metrics_.stage_executed[i] = &metrics.counter(
@@ -85,7 +86,7 @@ void DataStallRecoverer::probation_expired() {
   if (!active_) return;
   // "Before carrying out each operation, Android would wait ... to watch
   // whether the problem has already been fixed."
-  if (hooks_.still_stalled && !hooks_.still_stalled()) {
+  if (stack_.fault() == NetworkFault::kNone) {
     finish(RecoveryOutcome::kAutoRecovered);
     return;
   }

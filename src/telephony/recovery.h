@@ -6,7 +6,9 @@
 // "probation" before each in case the stall already resolved. The probation
 // schedule is a strategy: the vanilla schedule is {60, 60, 60} s, the
 // paper's TIMP-optimized schedule is {21, 6, 16} s (computed by
-// src/timp/recovery_optimizer, not hard-coded here).
+// src/timp/recovery_optimizer, not hard-coded here). Each probation check
+// reads the device's network stack: the stall persists while a fault is
+// injected.
 
 #ifndef CELLREL_TELEPHONY_RECOVERY_H
 #define CELLREL_TELEPHONY_RECOVERY_H
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
+#include "net/network_stack.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 
@@ -62,7 +65,8 @@ enum class RecoveryOutcome : std::uint8_t {
   kFixedByStage,      // a recovery operation cleared it
   kUserReset,         // the user manually reset the connection
   kExhausted,         // the cycle cap was reached with the stall persisting
-  kAborted,           // externally cancelled
+  kAborted,           // no path ends an episode so; kept for the zero
+                      // recovery.outcome.aborted counter every export carries
 };
 
 std::string_view to_string(RecoveryOutcome o);
@@ -85,25 +89,24 @@ struct RecoveryEpisode {
 /// Drives one device's Data_Stall recovery state machine on the simulator.
 class DataStallRecoverer {
  public:
-  /// Supplied at construction and fixed for the recoverer's life. Any hook
-  /// may be empty: then no stage operation fixes the stall, every probation
-  /// check finds it persisting, and no sink is told.
+  /// Supplied at construction and fixed for the recoverer's life. Either
+  /// hook may be empty: then no stage operation fixes the stall, or no sink
+  /// is told.
   struct Hooks {
     /// Executes the stage's operation; returns true if the network-side
     /// problem is now fixed (environment decides; ~75% for stage 1, §3.2).
     /// Receives the stage and must also account the operation's latency.
     std::function<bool(RecoveryStage)> execute_stage;
-    /// True while the stall persists (probation checks).
-    std::function<bool()> still_stalled;
     /// Invoked once per finished episode.
     std::function<void(const RecoveryEpisode&)> on_episode_complete;
   };
 
   /// Resolves its "recovery.*" metric handles in `metrics` here, once:
   /// per-stage execution counters, per-outcome episode counters, and the
-  /// episode duration (sim time).
-  DataStallRecoverer(Simulator& sim, obs::MetricSink& metrics, ProbationSchedule schedule,
-                     Hooks hooks);
+  /// episode duration (sim time). A probation check finds the stall over
+  /// when `stack` carries no fault.
+  DataStallRecoverer(Simulator& sim, const NetworkStack& stack, obs::MetricSink& metrics,
+                     ProbationSchedule schedule, Hooks hooks);
 
   DataStallRecoverer(const DataStallRecoverer&) = delete;
   DataStallRecoverer& operator=(const DataStallRecoverer&) = delete;
@@ -136,6 +139,7 @@ class DataStallRecoverer {
   void record_episode(const RecoveryEpisode& ep);
 
   Simulator& sim_;
+  const NetworkStack& stack_;
   ProbationSchedule schedule_;
   Hooks hooks_;
   ScheduledEvent pending_;

@@ -61,17 +61,18 @@ void SmsService::attempt(int n) {
   events_.raise(FailureType::kSmsSendFail, sim_.now());
 }
 
-VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng)
-    : VoiceCallManager(sim, events, rng, Config{}) {}
+VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, DcTracker& data,
+                                   Rng rng)
+    : VoiceCallManager(sim, events, data, rng, Config{}) {}
 
-VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng,
-                                   Config config)
-    : sim_(sim), events_(events), rng_(rng), config_(config) {}
+VoiceCallManager::VoiceCallManager(Simulator& sim, FailureEventBus& events, DcTracker& data,
+                                   Rng rng, Config config)
+    : sim_(sim), events_(events), data_(data), rng_(rng), config_(config) {}
 
 void VoiceCallManager::set_state(CallState next) {
   if (state_ == next) return;
   state_ = next;
-  if (on_state_) on_state_(next);
+  if (next == CallState::kOffhook) data_.disrupt_by_voice_call();
 }
 
 void VoiceCallManager::incoming_call() {

@@ -6,20 +6,21 @@
 // path — submit over the signalling channel, retry up to a limit with
 // backoff, report a failure event when retries exhaust; a sender waits on
 // in_flight() — and a voice-call
-// manager whose active calls disrupt the data connection on non-DSDA
-// devices (one of the false-positive sources §2.2 filters). Both raise on
-// the stack's FailureEventBus.
+// manager whose calls, once offhook, disrupt the data connection through
+// DcTracker::disrupt_by_voice_call on non-DSDA devices (one of the
+// false-positive sources §2.2 filters). Both raise on the stack's
+// FailureEventBus.
 
 #ifndef CELLREL_TELEPHONY_SMS_SERVICE_H
 #define CELLREL_TELEPHONY_SMS_SERVICE_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/rng.h"
 #include "radio/ril.h"
 #include "sim/event_queue.h"
+#include "telephony/dc_tracker.h"
 #include "telephony/events.h"
 
 namespace cellrel {
@@ -70,8 +71,8 @@ enum class CallState : std::uint8_t { kIdle, kRinging, kOffhook };
 
 /// Minimal voice-call manager: incoming calls ring, get answered with some
 /// probability, and occupy the radio for their duration. On devices without
-/// concurrent voice+data, an active call disrupts the data connection; call
-/// drops raise kVoiceCallDrop failure events.
+/// concurrent voice+data, a call going offhook disrupts `data`'s
+/// connection; call drops raise kVoiceCallDrop failure events.
 class VoiceCallManager {
  public:
   struct Config {
@@ -82,17 +83,12 @@ class VoiceCallManager {
     double drop_probability = 0.01;
   };
 
-  VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng);
-  VoiceCallManager(Simulator& sim, FailureEventBus& events, Rng rng, Config config);
+  VoiceCallManager(Simulator& sim, FailureEventBus& events, DcTracker& data, Rng rng);
+  VoiceCallManager(Simulator& sim, FailureEventBus& events, DcTracker& data, Rng rng,
+                   Config config);
 
   VoiceCallManager(const VoiceCallManager&) = delete;
   VoiceCallManager& operator=(const VoiceCallManager&) = delete;
-
-  /// Hook invoked when a call goes offhook / ends (the campaign uses it to
-  /// disrupt and restore the data connection).
-  void set_call_state_hook(std::function<void(CallState)> hook) {
-    on_state_ = std::move(hook);
-  }
 
   CallState state() const { return state_; }
 
@@ -108,10 +104,10 @@ class VoiceCallManager {
 
   Simulator& sim_;
   FailureEventBus& events_;
+  DcTracker& data_;
   Rng rng_;
   Config config_;
   CallState state_ = CallState::kIdle;
-  std::function<void(CallState)> on_state_;
   ScheduledEvent pending_;
   std::uint64_t completed_ = 0;
   std::uint64_t dropped_ = 0;

@@ -6,23 +6,14 @@ TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, obs::MetricSink& met
                                    Config config)
     : sim_(sim),
       ril_(rng.fork(0x7261646921ULL), metrics),
-      dc_tracker_(sim, ril_, events_, metrics,
-                  ApnManager::for_isp(config.isp).select(ApnType::kDefault).value().name),
+      dc_tracker_(sim, ril_, events_, metrics, config.isp),
       network_(rng.fork(0x6e657421ULL)),
       stall_detector_(sim, tcp_, network_, events_, metrics),
-      recoverer_(sim, metrics, config.recovery_schedule,
-                 DataStallRecoverer::Hooks{
-                     std::move(config.execute_recovery_stage),
-                     [this] { return network_.fault() != NetworkFault::kNone; },
-                     std::move(config.on_recovery_episode)}),
+      recoverer_(sim, network_, metrics, config.recovery_schedule,
+                 DataStallRecoverer::Hooks{std::move(config.execute_recovery_stage),
+                                           std::move(config.on_recovery_episode)}),
       sms_(sim, ril_, events_, rng.fork(0x736d73ULL)),
-      voice_(sim, events_, rng.fork(0x766f6963ULL)) {
-  // An offhook voice call on a non-DSDA device disrupts the data connection
-  // (one of the false-positive sources §2.2 filters).
-  voice_.set_call_state_hook([this](CallState state) {
-    if (state == CallState::kOffhook) dc_tracker_.disrupt_by_voice_call();
-  });
-}
+      voice_(sim, events_, dc_tracker_, rng.fork(0x766f6963ULL)) {}
 
 void TelephonyManager::enter_out_of_service(FalsePositiveKind ground_truth) {
   if (service_state_.out_of_service()) return;

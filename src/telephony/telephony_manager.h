@@ -10,8 +10,9 @@
 // converted into failure events here, the way Android's ServiceState
 // notifications reach registered listeners. The recoverer's stage
 // operation and episode sink come from the owner through Config (the
-// campaign's `stage_fix`); the stall-persists check is the network stack's
-// fault state.
+// campaign's `stage_fix`); the stall-persists check reads the network
+// stack's fault state, and an offhook voice call calls the DcTracker
+// directly.
 
 #ifndef CELLREL_TELEPHONY_TELEPHONY_MANAGER_H
 #define CELLREL_TELEPHONY_TELEPHONY_MANAGER_H
@@ -20,7 +21,6 @@
 #include "net/tcp_stats.h"
 #include "obs/metrics.h"
 #include "radio/ril.h"
-#include "telephony/apn.h"
 #include "telephony/data_stall.h"
 #include "telephony/dc_tracker.h"
 #include "telephony/events.h"
@@ -34,7 +34,7 @@ class TelephonyManager {
  public:
   struct Config {
     ProbationSchedule recovery_schedule = vanilla_probation_schedule();
-    /// Carrier subscription: selects the APN list (cmnet / ctnet / 3gnet).
+    /// Carrier subscription: selects the default APN (cmnet / ctnet / 3gnet).
     IspId isp = IspId::kIspA;
     /// The recoverer's stage operation (DataStallRecoverer::Hooks::
     /// execute_stage). Empty: no operation fixes a stall.

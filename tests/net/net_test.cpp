@@ -200,14 +200,6 @@ TEST(NetworkStack, LateAnswerIsATimeout) {
   }
 }
 
-TEST(NetworkStack, ProbeCounterIncrements) {
-  NetworkStack stack(Rng{6});
-  EXPECT_EQ(stack.probes_sent(), 0u);
-  (void)stack.icmp_localhost(SimDuration::seconds(1));
-  (void)stack.dns_query(0, SimDuration::seconds(5));
-  EXPECT_EQ(stack.probes_sent(), 2u);
-}
-
 TEST(NetworkStack, FaultRecoveryRestoresService) {
   NetworkStack stack(Rng{7});
   stack.inject_fault(NetworkFault::kNetworkStall);

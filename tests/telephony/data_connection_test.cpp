@@ -44,22 +44,6 @@ TEST(DataConnection, IllegalTransitionThrows) {
   EXPECT_EQ(dc.state(), DcState::kInactive);  // state unchanged after throw
 }
 
-TEST(DataConnection, ObserversSeeEveryTransition) {
-  DataConnection dc;
-  int calls = 0;
-  DcState last_from{}, last_to{};
-  dc.observe([&](DcState from, DcState to, SimTime) {
-    ++calls;
-    last_from = from;
-    last_to = to;
-  });
-  dc.transition(DcState::kActivating, SimTime::origin());
-  dc.transition(DcState::kActive, SimTime::origin());
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(last_from, DcState::kActivating);
-  EXPECT_EQ(last_to, DcState::kActive);
-}
-
 TEST(DataConnection, LastTransitionTimestamp) {
   DataConnection dc;
   const SimTime t = SimTime::origin() + SimDuration::seconds(42);

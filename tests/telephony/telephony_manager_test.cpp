@@ -96,7 +96,8 @@ class OrderedRecorder final : public FailureEventListener {
 };
 
 /// Makes each of the stack's five event sources raise once: a setup error
-/// from a failing channel, a stall (and its clear) from the detector plus
+/// (and the clear of its episode at teardown) from a failing channel, a
+/// stall (and its clear) from the detector plus
 /// traffic, an OOS episode, a legacy failure, and an SMS send failure from a
 /// channel whose driver rejects every submission. Returns the log suffix.
 std::vector<Heard> drive_every_source(Simulator& sim, TelephonyManager& tm,
@@ -149,7 +150,8 @@ TEST(TelephonyManager, OneChannelStampsAndOrdersEverySource) {
 
   const std::vector<Heard> heard = drive_every_source(sim, tm, log);
   const std::vector<std::pair<FailureType, bool>> expected = {
-      {FailureType::kDataSetupError, false}, {FailureType::kDataStall, false},
+      {FailureType::kDataSetupError, false}, {FailureType::kDataSetupError, true},
+      {FailureType::kDataStall, false},
       {FailureType::kDataStall, true},       {FailureType::kOutOfService, false},
       {FailureType::kOutOfService, true},    {FailureType::kVoiceCallDrop, false},
       {FailureType::kSmsSendFail, false}};
