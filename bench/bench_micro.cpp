@@ -2,8 +2,13 @@
 // analysis paths. These guard the bench-scale campaign runtimes.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "analysis/aggregate.h"
+#include "analysis/csv_io.h"
 #include "analysis/string_pool.h"
 #include "bs/registry.h"
 #include "common/rng.h"
@@ -218,6 +223,68 @@ void BM_QueryIngest(benchmark::State& state) {
       rows, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_QueryIngest)->Unit(benchmark::kMillisecond);
+
+// The record-row formatter behind records.csv, to_csv and the monitor's
+// storage estimate: one campaign's records formatted into a stack buffer.
+// per_row is the time per record.
+void BM_RecordRowFormat(benchmark::State& state) {
+  Scenario sc;
+  sc.device_count = 300;
+  sc.deployment.bs_count = 1000;
+  sc.campaign_days = 60.0;
+  sc.seed = 5;
+  const CampaignResult r = Campaign(sc).run();
+  for (auto _ : state) {
+    std::size_t bytes = 0;
+    for (const TraceRecord& record : r.dataset.records) {
+      char buf[kRecordRowFixedBytes + 64];
+      RowWriter row(buf);
+      append_record_row(row, record);
+      bytes += row.size();
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(r.dataset.records.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RecordRowFormat)->Unit(benchmark::kMicrosecond);
+
+// The offline analyst's read: a streaming 500-device campaign writes a
+// dataset dir and a spill dir once into a temp dir; each iteration reads
+// the dataset and every spill shard back.
+void BM_ReadDatasetDir(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("cellrel_bench_read_" + std::to_string(::getpid()));
+  Scenario sc;
+  sc.device_count = 500;
+  sc.deployment.bs_count = 1000;
+  sc.campaign_days = 60.0;
+  sc.seed = 5;
+  sc.stream = true;
+  sc.out_dir = (dir / "dataset").string();
+  sc.spill_dir = (dir / "spill").string();
+  Campaign(sc).run();
+  std::uintmax_t bytes = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) bytes += entry.file_size();
+  }
+  for (auto _ : state) {
+    const TraceDataset data = read_dataset_csv(sc.out_dir);
+    std::size_t rows = data.records.size();
+    StringPool apns;
+    for (std::size_t k = 0; fs::exists(sc.spill_dir / fs::path(spill_shard_file(k))); ++k) {
+      read_spill_batches(sc.spill_dir / fs::path(spill_shard_file(k)), 4096, apns,
+                         [&](const RecordBatch& batch) { rows += batch.size(); });
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_ReadDatasetDir)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cellrel

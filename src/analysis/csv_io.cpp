@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "common/names.h"
+#include "common/row_writer.h"
 
 namespace cellrel {
 
@@ -26,12 +28,15 @@ class FieldCursor {
       fail();
       return {};
     }
-    const std::size_t pos = rest_.find(sep_);
-    const std::string_view field = rest_.substr(0, pos);
-    if (pos == std::string_view::npos) {
+    const char* const begin = rest_.data();
+    const char* const end = begin + rest_.size();
+    const char* sep = begin;
+    while (sep != end && *sep != sep_) ++sep;
+    const std::string_view field(begin, static_cast<std::size_t>(sep - begin));
+    if (sep == end) {
       more_ = false;
     } else {
-      rest_.remove_prefix(pos + 1);
+      rest_ = std::string_view(sep + 1, static_cast<std::size_t>(end - sep - 1));
     }
     return field;
   }
@@ -121,16 +126,79 @@ auto row_from_csv(std::string_view line, Read read)
   return value;
 }
 
+/// Room for the widest devices, base_stations, transitions or dwells row.
+constexpr std::size_t kSidecarRowBytes = 96;
+
 std::ofstream open_out(const std::filesystem::path& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("csv_io: cannot write " + path.string());
   return out;
 }
 
-std::ifstream open_in(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("csv_io: cannot read " + path.string());
-  return in;
+/// The lines of one file, in order, without their '\n'. The file is read
+/// in kCsvReadBlockBytes blocks into one buffer; the partial line at the
+/// end of a block moves to the front before the next block is read, and the
+/// buffer doubles only for a line longer than itself. A last line without a
+/// trailing newline is still a line; a '\r' stays part of its line.
+class LineReader {
+ public:
+  explicit LineReader(const std::filesystem::path& file)
+      : in_(file, std::ios::binary), buf_(kCsvReadBlockBytes) {
+    if (!in_) throw std::runtime_error("csv_io: cannot read " + file.string());
+  }
+
+  /// The next line, valid until the next call, or nullopt at end of file.
+  std::optional<std::string_view> next() {
+    for (;;) {
+      char* const begin = buf_.data() + begin_;
+      const std::size_t left = end_ - begin_;
+      if (const void* nl = std::memchr(begin, '\n', left)) {
+        const auto len = static_cast<std::size_t>(static_cast<const char*>(nl) - begin);
+        begin_ += len + 1;
+        return std::string_view(begin, len);
+      }
+      if (eof_) {
+        if (left == 0) return std::nullopt;
+        begin_ = end_;
+        return std::string_view(begin, left);
+      }
+      read_block();
+    }
+  }
+
+ private:
+  void read_block() {
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+    in_.read(buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    end_ += got;
+    eof_ = got == 0;
+  }
+
+  std::ifstream in_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  // unread bytes are buf_[begin_, end_)
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
+
+/// Writes `header` and one row per element of `rows`, each formatted by
+/// `format(RowWriter&, const T&)` into a stack buffer.
+template <typename T, typename Format>
+void write_table(const std::filesystem::path& path, std::string_view header,
+                 std::span<const T> rows, Format format) {
+  auto out = open_out(path);
+  out << header << '\n';
+  for (const T& value : rows) {
+    char buf[kSidecarRowBytes];
+    RowWriter row(buf);
+    format(row, value);
+    row.put('\n');
+    out.write(buf, static_cast<std::streamsize>(row.size()));
+  }
 }
 
 // Each table's header: its writer emits it, its reader requires it.
@@ -156,17 +224,16 @@ std::string_view field_name(std::string_view header, int index) {
 template <typename Read, typename Sink>
 void for_each_row(const std::filesystem::path& file, std::string_view header, Read read,
                   Sink&& sink) {
-  auto in = open_in(file);
-  std::string line;
-  if (!std::getline(in, line) || line != header) {
+  LineReader lines(file);
+  if (lines.next() != header) {
     throw std::runtime_error("csv_io: malformed header in " + file.string() +
                              ": expected '" + std::string(header) + "'");
   }
   int row = 0;
-  while (std::getline(in, line)) {
+  while (const std::optional<std::string_view> line = lines.next()) {
     ++row;
-    if (line.empty()) continue;
-    FieldCursor f(line);
+    if (line->empty()) continue;
+    FieldCursor f(*line);
     auto value = read(f);
     if (!f.done()) {
       const int bad = f.failed_field();
@@ -199,7 +266,7 @@ TraceRecord read_record(FieldCursor& f) {
   r.level = f.code<SignalLevel>(kSignalLevelCount);
   r.bs = f.integer<BsIndex>();
   r.cell = f.parsed(cell_identity_from_string);
-  r.apn = std::string(f.text());
+  r.apn = f.text();
   r.cause = f.parsed(cause_from_string);
   r.filtered_false_positive = f.flag();
   r.probe_rounds = f.integer<std::uint32_t>();
@@ -346,7 +413,11 @@ DatasetCsvWriter::DatasetCsvWriter(const std::filesystem::path& dir) : dir_(dir)
 }
 
 void DatasetCsvWriter::append(const TraceRecord& record) {
-  records_ << to_csv(record) << '\n';
+  row_.resize(std::max(row_.size(), kRecordRowFixedBytes + record.apn.size() + 1));
+  RowWriter row(row_);
+  append_record_row(row, record);
+  row.put('\n');
+  records_.write(row_.data(), static_cast<std::streamsize>(row.size()));
 }
 
 void DatasetCsvWriter::append(const RecordBatch& batch, const MaterializeContext& ctx) {
@@ -364,23 +435,21 @@ void DatasetCsvWriter::close(std::span<const DeviceMeta> devices,
                              (dir_ / DatasetFiles::kRecords).string());
   }
   records_.close();
+  write_table(dir_ / DatasetFiles::kDevices, kDevicesHeader, devices,
+              [](RowWriter& row, const DeviceMeta& d) {
+                row.integer(d.id).put(',').integer(d.model_id).put(',');
+                row.text(to_string(d.isp)).put(',').put(d.has_5g ? '1' : '0').put(',');
+                row.integer(static_cast<int>(d.android));
+              });
+  write_table(dir_ / DatasetFiles::kBaseStations, kBaseStationsHeader, base_stations,
+              [](RowWriter& row, const BsMeta& bs) {
+                row.integer(bs.index).put(',').text(to_string(bs.isp)).put(',');
+                row.integer(static_cast<int>(bs.rat_mask)).put(',');
+                row.integer(static_cast<int>(bs.location)).put(',').integer(bs.failure_count);
+              });
   {
-    auto out = open_out(dir_ / DatasetFiles::kDevices);
-    out << kDevicesHeader << '\n';
-    for (const auto& d : devices) {
-      out << d.id << ',' << d.model_id << ',' << to_string(d.isp) << ','
-          << (d.has_5g ? 1 : 0) << ',' << static_cast<int>(d.android) << '\n';
-    }
-  }
-  {
-    auto out = open_out(dir_ / DatasetFiles::kBaseStations);
-    out << kBaseStationsHeader << '\n';
-    for (const auto& bs : base_stations) {
-      out << bs.index << ',' << to_string(bs.isp) << ',' << static_cast<int>(bs.rat_mask)
-          << ',' << static_cast<int>(bs.location) << ',' << bs.failure_count << '\n';
-    }
-  }
-  {
+    // Seconds at the stream's default 6 significant digits (see ROADMAP
+    // item 2 for the integer format that replaces them).
     auto out = open_out(dir_ / DatasetFiles::kConnectedTime);
     out << kConnectedTimeHeader << '\n';
     for (Rat rat : kAllRats) {
@@ -390,23 +459,19 @@ void DatasetCsvWriter::close(std::span<const DeviceMeta> devices,
       }
     }
   }
-  {
-    auto out = open_out(dir_ / DatasetFiles::kTransitions);
-    out << kTransitionsHeader << '\n';
-    for (const auto& t : transitions) {
-      out << t.device << ',' << to_string(t.from_rat) << ',' << index_of(t.from_level)
-          << ',' << to_string(t.to_rat) << ',' << index_of(t.to_level) << ','
-          << (t.failure_within_window ? 1 : 0) << '\n';
-    }
-  }
-  {
-    auto out = open_out(dir_ / DatasetFiles::kDwells);
-    out << kDwellsHeader << '\n';
-    for (const auto& d : dwells) {
-      out << d.device << ',' << to_string(d.rat) << ',' << index_of(d.level) << ','
-          << (d.failure_within_window ? 1 : 0) << '\n';
-    }
-  }
+  write_table(dir_ / DatasetFiles::kTransitions, kTransitionsHeader, transitions,
+              [](RowWriter& row, const TransitionRecord& t) {
+                row.integer(t.device).put(',').text(to_string(t.from_rat)).put(',');
+                row.integer(index_of(t.from_level)).put(',').text(to_string(t.to_rat));
+                row.put(',').integer(index_of(t.to_level)).put(',');
+                row.put(t.failure_within_window ? '1' : '0');
+              });
+  write_table(dir_ / DatasetFiles::kDwells, kDwellsHeader, dwells,
+              [](RowWriter& row, const DwellRecord& d) {
+                row.integer(d.device).put(',').text(to_string(d.rat)).put(',');
+                row.integer(index_of(d.level)).put(',');
+                row.put(d.failure_within_window ? '1' : '0');
+              });
 }
 
 void write_dataset_csv(const TraceDataset& dataset, const std::filesystem::path& dir) {
@@ -492,38 +557,22 @@ BatchSpillWriter::BatchSpillWriter(const std::filesystem::path& file)
 }
 
 void BatchSpillWriter::write(const RecordBatch& batch, const StringPool& apns) {
-  std::string line;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const RecordBatch::RowView r = batch.row(i);
-    line.clear();
-    line += std::to_string(r.device);
-    line += ',';
-    line += std::to_string(static_cast<unsigned>(r.type));
-    line += ',';
-    line += std::to_string(r.at_us);
-    line += ',';
-    line += std::to_string(r.duration_us);
-    line += ',';
-    line += std::to_string(static_cast<unsigned>(r.duration_method));
-    line += ',';
-    line += std::to_string(static_cast<unsigned>(r.rat));
-    line += ',';
-    line += std::to_string(static_cast<unsigned>(r.level));
-    line += ',';
-    line += std::to_string(r.bs);
-    line += ',';
-    line += apns.view(r.apn);
-    line += ',';
-    line += std::to_string(static_cast<std::int32_t>(r.cause));
-    line += ',';
-    line += r.filtered_false_positive ? '1' : '0';
-    line += ',';
-    line += std::to_string(r.probe_rounds);
-    line += ',';
-    line += std::to_string(static_cast<unsigned>(r.ground_truth_fp));
-    line += '\n';
-    out_ << line;
-    bytes_ += line.size();
+    const std::string_view apn = apns.view(r.apn);
+    // A spill row's numbers are never wider than a record row's.
+    row_.resize(std::max(row_.size(), kRecordRowFixedBytes + apn.size() + 1));
+    RowWriter row(row_);
+    row.integer(r.device).put(',').integer(static_cast<unsigned>(r.type)).put(',');
+    row.integer(r.at_us).put(',').integer(r.duration_us).put(',');
+    row.integer(static_cast<unsigned>(r.duration_method)).put(',');
+    row.integer(static_cast<unsigned>(r.rat)).put(',');
+    row.integer(static_cast<unsigned>(r.level)).put(',').integer(r.bs).put(',');
+    row.text(apn).put(',').integer(static_cast<std::int32_t>(r.cause)).put(',');
+    row.put(r.filtered_false_positive ? '1' : '0').put(',').integer(r.probe_rounds).put(',');
+    row.integer(static_cast<unsigned>(r.ground_truth_fp)).put('\n');
+    out_.write(row_.data(), static_cast<std::streamsize>(row.size()));
+    bytes_ += row.size();
     ++records_;
   }
 }

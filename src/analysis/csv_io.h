@@ -8,14 +8,20 @@
 //
 // One writer (DatasetCsvWriter) produces every dataset directory: the
 // materialized write_dataset_csv and the campaign merge's --out export, in
-// both merge modes. One field cursor reads every row format: records,
-// spill shards, the five sidecar tables and the cell identities; every
-// reader checks its file's header line against the writer's.
+// both merge modes. Every writer formats its rows into a reused char
+// buffer with std::to_chars; the record rows come from core/trace.h's
+// append_record_row, the one record-row formatter (to_csv and the monitor's
+// storage estimate use it too).
 //
-// The record rows use the same serialization as core/trace.h's to_csv();
-// ground-truth annotations are intentionally NOT exported (the real backend
-// never had them), so analyses over an imported dataset reflect exactly
-// what the monitor uploaded.
+// Every reader reads its file in kCsvReadBlockBytes blocks and hands each
+// line to one field cursor as a string_view: records, spill shards, the
+// five sidecar tables and the cell identities. No file is held whole and
+// no row is copied into a std::string. Every reader checks its file's
+// header line against the writer's.
+//
+// Ground-truth annotations are intentionally NOT exported to records.csv
+// (the real backend never had them), so analyses over an imported dataset
+// reflect exactly what the monitor uploaded.
 
 #ifndef CELLREL_ANALYSIS_CSV_IO_H
 #define CELLREL_ANALYSIS_CSV_IO_H
@@ -26,11 +32,17 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "analysis/batch.h"
 #include "analysis/dataset.h"
 
 namespace cellrel {
+
+/// Every reader reads its file in blocks of this many bytes. A line that
+/// straddles two blocks is carried over to the next; a line longer than a
+/// block grows the reader's buffer.
+inline constexpr std::size_t kCsvReadBlockBytes = 64 * 1024;
 
 /// File names written/read inside the dataset directory.
 struct DatasetFiles {
@@ -64,6 +76,7 @@ class DatasetCsvWriter {
  private:
   std::filesystem::path dir_;
   std::ofstream records_;
+  std::vector<char> row_;  // grows to the longest row, then is reused
 };
 
 /// Writes the dataset under `dir` (created if missing) through
@@ -169,6 +182,7 @@ class BatchSpillWriter {
  private:
   std::filesystem::path file_;
   std::ofstream out_;
+  std::vector<char> row_;  // grows to the longest row, then is reused
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
 };

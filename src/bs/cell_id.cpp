@@ -1,23 +1,22 @@
 #include "bs/cell_id.h"
 
-#include <cstdio>
-
 namespace cellrel {
 
-std::string to_string(const CellGlobalId& id) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%03u-%02u-%u-%u", id.mcc, id.mnc, id.lac, id.cid);
-  return buf;
-}
-
-std::string to_string(const CdmaCellId& id) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "cdma:%u-%u-%u", id.sid, id.nid, id.bid);
-  return buf;
+void append_cell(RowWriter& row, const CellIdentity& id) {
+  if (const auto* g = std::get_if<CellGlobalId>(&id)) {
+    row.padded(g->mcc, 3).put('-').padded(g->mnc, 2).put('-');
+    row.integer(g->lac).put('-').integer(g->cid);
+    return;
+  }
+  const auto& c = std::get<CdmaCellId>(id);
+  row.text("cdma:").integer(c.sid).put('-').integer(c.nid).put('-').integer(c.bid);
 }
 
 std::string to_string(const CellIdentity& id) {
-  return std::visit([](const auto& v) { return to_string(v); }, id);
+  char buf[40];
+  RowWriter row(buf);
+  append_cell(row, id);
+  return std::string(row.view());
 }
 
 std::uint64_t cell_key(const CellIdentity& id) {

@@ -12,6 +12,8 @@
 #include <string>
 #include <variant>
 
+#include "common/row_writer.h"
+
 namespace cellrel {
 
 /// GSM/UMTS/LTE/NR global cell identity.
@@ -36,8 +38,9 @@ struct CdmaCellId {
 /// Either identity form.
 using CellIdentity = std::variant<CellGlobalId, CdmaCellId>;
 
-std::string to_string(const CellGlobalId& id);
-std::string to_string(const CdmaCellId& id);
+/// "MCC-MNC-LAC-CID" with MCC zero-padded to 3 digits and MNC to 2
+/// ("460-01-4660-42"), or "cdma:SID-NID-BID".
+void append_cell(RowWriter& row, const CellIdentity& id);
 std::string to_string(const CellIdentity& id);
 
 /// Stable 64-bit key for hashing/grouping.

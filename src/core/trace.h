@@ -14,6 +14,7 @@
 
 #include "bs/cell_id.h"
 #include "bs/isp.h"
+#include "common/row_writer.h"
 #include "common/sim_time.h"
 #include "device/device.h"
 #include "telephony/events.h"
@@ -56,6 +57,16 @@ struct TraceRecord {
   // quantities, only by tests that score the filter).
   FalsePositiveKind ground_truth_fp = FalsePositiveKind::kNone;
 };
+
+/// Room for every field of a record row except the APN: every number at
+/// its widest and the longest names.
+inline constexpr std::size_t kRecordRowFixedBytes = 256;
+
+/// Appends `record`'s CSV row (trace_csv_header's fields, no newline) to
+/// `row`, which needs kRecordRowFixedBytes + record.apn.size() bytes of
+/// room. The one record-row formatter: to_csv, the storage estimate and
+/// records.csv all go through it.
+void append_record_row(RowWriter& row, const TraceRecord& record);
 
 /// CSV serialization (one line, no trailing newline).
 std::string to_csv(const TraceRecord& record);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/check.h"
+
 namespace cellrel {
 
 std::string_view to_string(ProtocolLayer layer) {
@@ -184,24 +186,42 @@ const FailCauseCatalog& FailCauseCatalog::instance() {
   return catalog;
 }
 
-FailCauseCatalog::FailCauseCatalog() : infos_(build_catalog()) {}
+namespace {
+
+bool code_before(const FailCauseInfo* info, FailCause cause) { return info->cause < cause; }
+bool name_before(const FailCauseInfo* info, std::string_view name) { return info->name < name; }
+
+}  // namespace
+
+FailCauseCatalog::FailCauseCatalog() : infos_(build_catalog()) {
+  for (const FailCauseInfo& i : infos_) by_code_.push_back(&i);
+  by_name_ = by_code_;
+  // Stable, so of two entries sharing a code or a name the first one wins,
+  // as in a scan of the catalogue.
+  std::stable_sort(by_code_.begin(), by_code_.end(),
+                   [](const auto* a, const auto* b) { return code_before(a, b->cause); });
+  std::stable_sort(by_name_.begin(), by_name_.end(),
+                   [](const auto* a, const auto* b) { return name_before(a, b->name); });
+  unknown_ = find(FailCause::kUnknown);
+  CELLREL_CHECK(unknown_ != nullptr);
+}
+
+const FailCauseInfo* FailCauseCatalog::find(FailCause cause) const {
+  const auto it = std::lower_bound(by_code_.begin(), by_code_.end(), cause, code_before);
+  return it != by_code_.end() && (*it)->cause == cause ? *it : nullptr;
+}
 
 const FailCauseInfo& FailCauseCatalog::info(FailCause cause) const {
-  const auto it = std::find_if(infos_.begin(), infos_.end(),
-                               [cause](const FailCauseInfo& i) { return i.cause == cause; });
-  if (it == infos_.end()) {
-    // Unknown codes degrade to the generic entry rather than throwing: the
-    // modem may surface vendor-specific codes outside the catalogue.
-    return info(FailCause::kUnknown);
-  }
-  return *it;
+  // Unknown codes degrade to the generic entry rather than throwing: the
+  // modem may surface vendor-specific codes outside the catalogue.
+  const FailCauseInfo* found = find(cause);
+  return found != nullptr ? *found : *unknown_;
 }
 
 std::optional<FailCause> FailCauseCatalog::by_name(std::string_view name) const {
-  const auto it = std::find_if(infos_.begin(), infos_.end(),
-                               [name](const FailCauseInfo& i) { return i.name == name; });
-  if (it == infos_.end()) return std::nullopt;
-  return it->cause;
+  const auto it = std::lower_bound(by_name_.begin(), by_name_.end(), name, name_before);
+  if (it == by_name_.end() || (*it)->name != name) return std::nullopt;
+  return (*it)->cause;
 }
 
 std::string_view to_string(FailCause cause) {

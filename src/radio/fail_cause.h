@@ -132,12 +132,19 @@ class FailCauseCatalog {
   static const FailCauseCatalog& instance();
 
   std::span<const FailCauseInfo> all() const { return infos_; }
+  /// The entry of `cause`; a code outside the catalogue gets kUnknown's.
   const FailCauseInfo& info(FailCause cause) const;
   std::optional<FailCause> by_name(std::string_view name) const;
 
  private:
   FailCauseCatalog();
+  const FailCauseInfo* find(FailCause cause) const;  // null outside the catalogue
+
   std::vector<FailCauseInfo> infos_;
+  // Binary-search indexes over infos_: sorted by code and by name.
+  std::vector<const FailCauseInfo*> by_code_;
+  std::vector<const FailCauseInfo*> by_name_;
+  const FailCauseInfo* unknown_ = nullptr;
 };
 
 std::string_view to_string(FailCause cause);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/aggregate.h"
+#include "common/rng.h"
 #include "workload/campaign.h"
 
 namespace cellrel {
@@ -346,6 +347,210 @@ TEST(CsvIo, RecordsMustPointInsideTheirDataset) {
   error = read_error(dir.path());
   EXPECT_NE(error.find("row 1 in "), std::string::npos) << error;
   EXPECT_NE(error.find("bs 3"), std::string::npos) << error;
+}
+
+// --- The block reader ---------------------------------------------------------
+
+constexpr std::size_t kBlock = kCsvReadBlockBytes;
+
+/// A well-formed spill row (no newline) whose APN is `apn`.
+std::string spill_row(std::size_t i, const std::string& apn) {
+  return std::to_string(i) + "," + std::to_string(i % 5) + "," + std::to_string(i * 1000) +
+         ",5000," + std::to_string(i % 4) + ",2," + std::to_string(i % 6) + "," +
+         std::to_string(i % 9) + "," + apn + ",65536," + std::to_string(i % 2) + "," +
+         std::to_string(i % 13) + ",0";
+}
+
+/// Spill rows with APNs of 0-40 bytes, each ending in '\n', until the text
+/// is at least `bytes` long.
+std::string spill_rows(std::size_t bytes, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text;
+  for (std::size_t i = 0; text.size() < bytes; ++i) {
+    text += spill_row(i, std::string(static_cast<std::size_t>(rng.uniform_int(0, 40)), 'a'));
+    text += '\n';
+  }
+  return text;
+}
+
+/// The header line, then spill_rows.
+std::string spill_text(std::size_t bytes, std::uint64_t seed) {
+  return spill_csv_header() + '\n' + spill_rows(bytes, seed);
+}
+
+/// True when the bytes on both sides of `offset` belong to one line.
+bool straddles(const std::string& text, std::size_t offset) {
+  return offset < text.size() && text[offset - 1] != '\n' && text[offset] != '\n';
+}
+
+/// What a reader made of a file: one text per parsed row, then the error.
+struct ReadOutcome {
+  std::vector<std::string> rows;
+  std::string error;
+};
+
+std::string describe(const RecordBatch::RowView& r, const StringPool& apns) {
+  std::ostringstream os;
+  os << r.device << ' ' << static_cast<int>(r.type) << ' ' << r.at_us << ' ' << r.duration_us
+     << ' ' << static_cast<int>(r.duration_method) << ' ' << static_cast<int>(r.rat) << ' '
+     << static_cast<int>(r.level) << ' ' << r.bs << ' ' << apns.view(r.apn) << ' '
+     << static_cast<std::int32_t>(r.cause) << ' ' << r.filtered_false_positive << ' '
+     << r.probe_rounds << ' ' << static_cast<int>(r.ground_truth_fp);
+  return os.str();
+}
+
+/// The reader before block reads: std::getline per line, rows numbered
+/// from 1 after the header, blank lines counted and skipped. The error
+/// names the first malformed row only by number.
+ReadOutcome getline_read(const fs::path& file) {
+  ReadOutcome out;
+  std::ifstream in(file);
+  std::string line;
+  std::getline(in, line);
+  for (int row = 1; std::getline(in, line); ++row) {
+    if (line.empty()) continue;
+    StringPool apns;
+    const auto r = spill_row_from_csv(line, apns);
+    if (!r) {
+      out.error = "malformed row " + std::to_string(row) + " in ";
+      break;
+    }
+    out.rows.push_back(describe(*r, apns));
+  }
+  return out;
+}
+
+ReadOutcome block_read(const fs::path& file) {
+  ReadOutcome out;
+  StringPool apns;
+  try {
+    read_spill_batches(file, 7, apns, [&](const RecordBatch& batch) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        out.rows.push_back(describe(batch.row(i), apns));
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// Writes `text` to `file` and requires the block reader to return the
+/// getline reader's rows, or its error at the same row.
+void expect_same_rows(const fs::path& file, const std::string& text) {
+  {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  const ReadOutcome expected = getline_read(file);
+  const ReadOutcome actual = block_read(file);
+  EXPECT_EQ(actual.rows, expected.rows);
+  if (expected.error.empty()) {
+    EXPECT_EQ(actual.error, "");
+  } else {
+    EXPECT_NE(actual.error.find(expected.error), std::string::npos) << actual.error;
+  }
+}
+
+TEST(CsvBlockReader, RowStraddlingOneBlockBoundary) {
+  ScopedTempDir dir;
+  const std::string text = spill_text(kBlock * 3 / 2, 1);
+  ASSERT_TRUE(straddles(text, kBlock));
+  expect_same_rows(dir.path() / "shard-0.csv", text);
+  EXPECT_GT(getline_read(dir.path() / "shard-0.csv").rows.size(), 1000u);
+}
+
+TEST(CsvBlockReader, RowsStraddlingTwoBlockBoundaries) {
+  ScopedTempDir dir;
+  const std::string text = spill_text(kBlock * 5 / 2, 2);
+  ASSERT_TRUE(straddles(text, kBlock));
+  ASSERT_TRUE(straddles(text, 2 * kBlock));
+  expect_same_rows(dir.path() / "shard-0.csv", text);
+}
+
+TEST(CsvBlockReader, RowEndingExactlyAtABlockBoundary) {
+  ScopedTempDir dir;
+  std::string text = spill_text(kBlock - 200, 3);
+  // One row whose APN makes its newline the last byte of the first block.
+  const std::size_t fixed = spill_row(9999, "").size() + 1;
+  text += spill_row(9999, std::string(kBlock - text.size() - fixed, 'z')) + '\n';
+  ASSERT_EQ(text.size(), kBlock);
+  text += spill_rows(kBlock, 4);
+  expect_same_rows(dir.path() / "shard-0.csv", text);
+}
+
+TEST(CsvBlockReader, LastRowWithoutTrailingNewline) {
+  ScopedTempDir dir;
+  std::string text = spill_text(kBlock * 5 / 2, 5);
+  text.pop_back();
+  const fs::path file = dir.path() / "shard-0.csv";
+  expect_same_rows(file, text);
+  EXPECT_EQ(block_read(file).rows.back(), getline_read(file).rows.back());
+}
+
+TEST(CsvBlockReader, BlankLinesBetweenRows) {
+  ScopedTempDir dir;
+  const std::string rows = spill_text(kBlock * 5 / 2, 6);
+  std::string text;
+  std::size_t line = 0;
+  for (char c : rows) {
+    text += c;
+    // Blank lines after every 50th row and two after every 170th.
+    if (c == '\n' && ++line % 50 == 0) text += '\n';
+    if (c == '\n' && line % 170 == 0) text += '\n';
+  }
+  // A run of blank lines from the last row ending in the first block to
+  // the first byte of the second.
+  const std::size_t last = text.rfind('\n', kBlock - 2);
+  text.insert(last + 1, kBlock - last, '\n');
+  ASSERT_EQ(text[kBlock - 1], '\n');
+  ASSERT_EQ(text[kBlock], '\n');
+  expect_same_rows(dir.path() / "shard-0.csv", text);
+}
+
+TEST(CsvBlockReader, CarriageReturnRowFailsAtTheSameRowAndField) {
+  ScopedTempDir dir;
+  std::string text = spill_text(kBlock * 5 / 2, 7);
+  // Make the first row wholly inside the second block end in "\r\n".
+  const std::size_t nl = text.find('\n', kBlock + 1);
+  const std::size_t next = text.find('\n', nl + 1);
+  text.insert(next, "\r");
+  const fs::path file = dir.path() / "shard-0.csv";
+  expect_same_rows(file, text);
+  const ReadOutcome actual = block_read(file);
+  EXPECT_NE(actual.error.find("shard-0.csv: field 'ground_truth_fp'"), std::string::npos)
+      << actual.error;
+  EXPECT_NE(getline_read(file).error, "");
+}
+
+TEST(CsvBlockReader, RowLongerThanOneBlock) {
+  ScopedTempDir dir;
+  std::string text = spill_csv_header() + '\n';
+  text += spill_row(0, std::string(kBlock * 5 / 2, 'L')) + '\n';  // the first row
+  text += spill_rows(kBlock, 8);
+  text += spill_row(1, std::string(kBlock + 1, 'M')) + '\n';  // a middle row
+  text += spill_rows(kBlock / 2, 9);
+  text += spill_row(2, std::string(kBlock * 3, 'N'));  // the last, unterminated
+  const fs::path file = dir.path() / "shard-0.csv";
+  expect_same_rows(file, text);
+  const ReadOutcome rows = block_read(file);
+  ASSERT_GE(rows.rows.size(), 3u);
+  EXPECT_NE(rows.rows.front().find(std::string(kBlock * 5 / 2, 'L')), std::string::npos);
+  EXPECT_NE(rows.rows.back().find(std::string(kBlock * 3, 'N')), std::string::npos);
+}
+
+TEST(CsvBlockReader, MalformedRecordRowPastTheFirstBlockKeepsItsNumber) {
+  ScopedTempDir dir;
+  TraceDataset data = referenced_dataset();
+  while (data.records.size() < 2000) data.records.push_back(data.records[data.records.size() % 2]);
+  write_dataset_csv(data, dir.path());
+  const fs::path records = dir.path() / DatasetFiles::kRecords;
+  ASSERT_GT(fs::file_size(records), 2 * kBlock);
+  EXPECT_EQ(read_dataset_csv(dir.path()).records.size(), 2000u);
+  rewrite_line(records, 1500, first_row(records) + "\r");
+  const std::string error = read_error(dir.path());
+  EXPECT_NE(error.find("malformed row 1500 in "), std::string::npos) << error;
+  EXPECT_NE(error.find("records.csv: field 'probe_rounds'"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 
 namespace cellrel {
@@ -53,6 +57,37 @@ TEST(FailCauseCatalog, LayersMatchPaperExamples) {
   EXPECT_EQ(catalog.info(FailCause::kIratHandoverFailed).layer, ProtocolLayer::kPhysical);
   EXPECT_EQ(catalog.info(FailCause::kPppTimeout).layer, ProtocolLayer::kLinkMac);
   EXPECT_EQ(catalog.info(FailCause::kInvalidEmmState).layer, ProtocolLayer::kNetwork);
+}
+
+TEST(FailCauseCatalog, EveryEntryRoundTripsThroughItsName) {
+  const auto& catalog = FailCauseCatalog::instance();
+  for (const FailCauseInfo& info : catalog.all()) {
+    const std::optional<FailCause> cause = catalog.by_name(info.name);
+    ASSERT_TRUE(cause.has_value()) << info.name;
+    EXPECT_EQ(*cause, info.cause) << info.name;
+    EXPECT_EQ(&catalog.info(*cause), &info) << info.name;
+    EXPECT_EQ(to_string(*cause), info.name);
+  }
+  // Names that sort between, before and after the catalogue's.
+  for (std::string_view name : {"", "A", "ZZZ", "SIGNAL_LOS", "SIGNAL_LOST_", "signal_lost",
+                                " SIGNAL_LOST", "UNKNOWN_DATA_CALL_FAILURE\r"}) {
+    EXPECT_FALSE(catalog.by_name(name).has_value()) << name;
+  }
+}
+
+TEST(FailCauseCatalog, CodesOutsideTheCatalogueGetTheUnknownEntry) {
+  const auto& catalog = FailCauseCatalog::instance();
+  const FailCauseInfo& unknown = catalog.info(FailCause::kUnknown);
+  EXPECT_EQ(unknown.name, "UNKNOWN_DATA_CALL_FAILURE");
+  // Below, between and above the catalogue's codes.
+  for (std::int32_t code : {INT32_MIN, -1, 1, 0x0A, 0x8B9E, 0x10001, 0x10bfd, INT32_MAX}) {
+    const auto cause = static_cast<FailCause>(code);
+    ASSERT_TRUE(std::none_of(catalog.all().begin(), catalog.all().end(),
+                             [&](const FailCauseInfo& i) { return i.cause == cause; }))
+        << code;
+    EXPECT_EQ(&catalog.info(cause), &unknown) << code;
+    EXPECT_EQ(to_string(cause), "UNKNOWN_DATA_CALL_FAILURE") << code;
+  }
 }
 
 TEST(FailCauseCatalog, UnknownCodeDegradesGracefully) {
