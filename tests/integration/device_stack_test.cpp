@@ -74,7 +74,7 @@ void probe_episode(std::string& log, NetworkFault fault, double clear_at) {
         r.reverted_to_fallback);
   });
   const auto outcome = [&] {
-    return join(prober.active(), prober.total_probe_messages(), prober.total_probe_bytes());
+    return join(prober.active(), s.sim.pending_events());
   };
   drive(s.sim, log, "prober", [&] { return !prober.active(); }, outcome, 100'000);
   EXPECT_FALSE(prober.active());
@@ -136,7 +136,7 @@ TEST(DeviceStack, EventOrderPinned) {
 
   std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
   for (const char c : log) digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  EXPECT_EQ(digest, 0x808e9f8a0132402cULL) << log.size() << " bytes";
+  EXPECT_EQ(digest, 0xbd37a0f3966b82d4ULL) << log.size() << " bytes";
 }
 
 }  // namespace

@@ -180,6 +180,27 @@ TEST_F(MeasurementCampaignTest, OverheadWithinPaperBudget) {
   EXPECT_LT(oh.worst_cpu_utilization, 0.09);  // worst case <9% (§4.3)
 }
 
+TEST(CampaignOverhead, SummaryPinned) {
+  // Every field of one small campaign's overhead summary, exactly. The
+  // budget bands above would pass a uniform drift of the §2.2 accounting
+  // (CPU, memory, storage, probe and upload bytes); these values would not.
+  Scenario sc = small_scenario(2021);
+  sc.device_count = 200;
+  sc.deployment.bs_count = 1000;
+  Campaign campaign(sc);
+  const OverheadSummary oh = campaign.run().overhead;
+  EXPECT_EQ(oh.avg_cpu_utilization, 0.00081920587186586676);
+  EXPECT_EQ(oh.worst_cpu_utilization, 0.0022718211258918319);
+  EXPECT_EQ(oh.avg_peak_memory_bytes, 25'594u);
+  EXPECT_EQ(oh.worst_peak_memory_bytes, 26'592u);
+  EXPECT_EQ(oh.avg_storage_bytes, 2'065u);
+  EXPECT_EQ(oh.worst_storage_bytes, 11'208u);
+  EXPECT_EQ(oh.avg_cellular_bytes, 266'741u);
+  EXPECT_EQ(oh.worst_cellular_bytes, 1'532'256u);
+  EXPECT_EQ(oh.avg_wifi_upload_bytes, 2'777u);
+  EXPECT_EQ(oh.monitored_devices, 38u);
+}
+
 TEST(CampaignDeterminism, SameSeedSameResult) {
   Scenario sc = small_scenario(99);
   sc.device_count = 150;
