@@ -3,7 +3,7 @@
 namespace cellrel {
 
 AndroidMod::AndroidMod(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config config,
-                       TraceUploader::Sink sink)
+                       MonitorService::Sink sink)
     : telephony_(sim, rng, metrics, std::move(config.telephony)),
       recovery_bridge_(telephony_),
       monitor_(telephony_, metrics, config.identity, std::move(sink),
@@ -17,7 +17,7 @@ AndroidMod::AndroidMod(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config
 void AndroidMod::shutdown() {
   telephony_.stall_detector().stop();
   telephony_.unregister_failure_listener(&recovery_bridge_);
-  monitor_.flush_uploads();
+  monitor_.upload();
 }
 
 }  // namespace cellrel

@@ -8,7 +8,9 @@
 // listeners: the monitor first, then the recovery bridge, then whatever the
 // owner registers (the campaign's DeviceRun). Same-time follow-up events are
 // scheduled in that order, so it is part of the determinism contract. The
-// metric sink is handed to every instrumented component at construction.
+// metric sink is handed to every instrumented component at construction, the
+// upload sink (the backend) to the monitor, which the owner asks to
+// `upload()` whenever the device is on WiFi.
 
 #ifndef CELLREL_CORE_ANDROID_MOD_H
 #define CELLREL_CORE_ANDROID_MOD_H
@@ -33,10 +35,10 @@ class AndroidMod {
   };
 
   /// `metrics` receives the whole stack's metrics (campaigns hand every
-  /// device of a shard the shard's sink); `sink` receives uploaded trace
-  /// batches (the backend server).
+  /// device of a shard the shard's sink); `sink` receives the monitor's
+  /// uploads (the backend server).
   AndroidMod(Simulator& sim, Rng rng, obs::MetricSink& metrics, Config config,
-             TraceUploader::Sink sink);
+             MonitorService::Sink sink);
 
   AndroidMod(const AndroidMod&) = delete;
   AndroidMod& operator=(const AndroidMod&) = delete;
@@ -44,6 +46,10 @@ class AndroidMod {
   TelephonyManager& telephony() { return telephony_; }
   MonitorService& monitor() { return monitor_; }
 
+  /// Ends monitoring: stops the Data_Stall detector, unregisters the
+  /// recovery bridge, then uploads what the monitor still buffers. A record
+  /// that a still-open episode writes after this stays buffered, never
+  /// uploaded.
   void shutdown();
 
  private:

@@ -7,8 +7,13 @@
 
 namespace cellrel {
 
+namespace {
+// Wire bytes wrapped around each uploaded batch.
+constexpr std::uint64_t kUploadEnvelopeBytes = 64;
+}  // namespace
+
 MonitorService::MonitorService(TelephonyManager& telephony, obs::MetricSink& metrics,
-                               Identity identity, TraceUploader::Sink sink, Config config)
+                               Identity identity, Sink sink, Config config)
     : telephony_(telephony),
       metrics_{metrics.counter("monitor.events.handled"),
                metrics.counter("monitor.records.written"),
@@ -17,7 +22,7 @@ MonitorService::MonitorService(TelephonyManager& telephony, obs::MetricSink& met
       identity_(identity),
       config_(std::move(config)),
       prober_(telephony.simulator(), telephony.network()),
-      uploader_(std::move(sink)) {
+      sink_(std::move(sink)) {
   telephony_.register_failure_listener(this);
 }
 
@@ -44,10 +49,18 @@ void MonitorService::write_record(TraceRecord record) {
   const std::size_t bytes = compressed_record_bytes(record);
   overhead_.on_trace_written(bytes);
   overhead_.add_failure_duration(record.duration);
-  ++records_written_;
   metrics_.records.add();
   if (record.filtered_false_positive) metrics_.filtered_fp.add();
-  uploader_.submit(std::move(record), bytes);
+  pending_bytes_ += bytes;
+  pending_.push_back(std::move(record));
+}
+
+void MonitorService::upload() {
+  if (pending_.empty()) return;
+  overhead_.on_traces_uploaded(pending_bytes_ + kUploadEnvelopeBytes);
+  pending_bytes_ = 0;
+  sink_(std::span<TraceRecord>(pending_));
+  pending_.clear();
 }
 
 void MonitorService::on_failure_event(const FailureEvent& event) {
@@ -146,10 +159,9 @@ void MonitorService::on_failure_cleared(FailureType type, SimTime at) {
 
 void MonitorService::on_probe_complete(const NetworkStateProber::Report& report) {
   CELLREL_CHECK(open_stall_.has_value()) << "probe episode ended without an open stall";
-  for (std::uint32_t i = 0; i < report.rounds; ++i) overhead_.on_probe_round();
+  overhead_.on_probe_rounds(report.rounds);
+  overhead_.on_probe_traffic(report.rounds * kProbeRoundBytes);
   metrics_.probe_rounds.add(report.rounds);
-  overhead_.on_probe_traffic(prober_.total_probe_bytes() - probe_bytes_seen_);
-  probe_bytes_seen_ = prober_.total_probe_bytes();
 
   TraceRecord r = std::move(*open_stall_);
   open_stall_.reset();

@@ -1,11 +1,15 @@
-// The Android-MOD monitoring service (§2.2).
+// The Android-MOD monitoring service (§2.2-2.3).
 //
 // Registered as a failure-event listener on the telephony stack, this
 // service (1) rules out false positives via the code table, device
 // observables, and active probing; (2) enriches events with in-situ radio /
 // BS context; (3) measures failure durations — setup-error episodes and OOS
-// by state tracking, Data_Stall by the probing ladder; and (4) hands records
-// to the WiFi-gated uploader while accounting its own overhead.
+// by state tracking, Data_Stall by the probing ladder; and (4) keeps the
+// compressed records on the device until an upload hands them to the
+// backend ("only when there is WiFi connectivity"). It is the one place a
+// record is written, buffered, uploaded and paid for: each cost (CPU,
+// buffered memory, storage, probe and upload traffic) is charged to its
+// overhead accountant where the work happens.
 
 #ifndef CELLREL_CORE_MONITOR_SERVICE_H
 #define CELLREL_CORE_MONITOR_SERVICE_H
@@ -13,13 +17,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/false_positive_filter.h"
 #include "core/overhead.h"
 #include "core/prober.h"
 #include "core/trace.h"
-#include "core/uploader.h"
 #include "obs/metrics.h"
 #include "telephony/telephony_manager.h"
 
@@ -29,6 +33,11 @@ class MonitorService final : public FailureEventListener {
  public:
   using CellResolver = std::function<CellIdentity(BsIndex)>;
   using ObservablesSource = std::function<DeviceObservables()>;
+  /// Receives every uploaded batch (the "backend server"). The span is a
+  /// view into the monitor's buffer, valid only for the duration of the
+  /// call; the sink may move from the records (the buffer is cleared, not
+  /// reallocated, right after), so one allocation serves the whole campaign.
+  using Sink = std::function<void(std::span<TraceRecord>)>;
 
   struct Config {
     /// When false, Data_Stall durations fall back to vanilla Android's
@@ -52,30 +61,25 @@ class MonitorService final : public FailureEventListener {
 
   /// Registers on `telephony`'s failure-event bus and resolves the
   /// "monitor.*" metric handles (events handled, records written / filtered
-  /// as false positives, probe-ladder rounds) in `metrics`, once.
+  /// as false positives, probe-ladder rounds) in `metrics`, once. `sink`
+  /// receives the uploads.
   MonitorService(TelephonyManager& telephony, obs::MetricSink& metrics, Identity identity,
-                 TraceUploader::Sink sink, Config config);
+                 Sink sink, Config config);
   ~MonitorService() override;
 
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
 
-  /// WiFi state passthrough to the uploader (with overhead accounting).
-  void set_wifi_available(bool available) {
-    uploader_.set_wifi_available(available);
-    sync_upload_accounting();
-  }
-  void flush_uploads() {
-    uploader_.flush();
-    sync_upload_accounting();
-  }
+  /// The device is on WiFi: hands every buffered record to the sink as one
+  /// batch, in write order, and accounts their compressed bytes plus one
+  /// envelope. Does nothing while no record is buffered.
+  void upload();
 
   // FailureEventListener:
   void on_failure_event(const FailureEvent& event) override;
   void on_failure_cleared(FailureType type, SimTime at) override;
 
   const OverheadAccountant& overhead() const { return overhead_; }
-  std::uint64_t records_written() const { return records_written_; }
 
  private:
   struct Metrics {
@@ -84,17 +88,6 @@ class MonitorService final : public FailureEventListener {
     obs::Counter& filtered_fp;
     obs::Counter& probe_rounds;
   };
-
-  void sync_upload_accounting() {
-    const std::uint64_t bytes = uploader_.uploaded_bytes();
-    const std::uint64_t records = uploader_.uploaded_records();
-    if (bytes > uploaded_bytes_seen_) {
-      overhead_.on_traces_uploaded(records - uploaded_records_seen_,
-                                    bytes - uploaded_bytes_seen_);
-      uploaded_bytes_seen_ = bytes;
-      uploaded_records_seen_ = records;
-    }
-  }
 
   void write_record(TraceRecord record);
   TraceRecord base_record(const FailureEvent& event) const;
@@ -107,8 +100,12 @@ class MonitorService final : public FailureEventListener {
   Config config_;
   FalsePositiveFilter filter_;
   NetworkStateProber prober_;
-  TraceUploader uploader_;
+  Sink sink_;
   OverheadAccountant overhead_;
+
+  // Records awaiting upload, in write order, and their compressed bytes.
+  std::vector<TraceRecord> pending_;
+  std::uint64_t pending_bytes_ = 0;
 
   // Open setup-error episode: events buffered until the connection
   // activates; the episode duration is split across its events.
@@ -120,11 +117,6 @@ class MonitorService final : public FailureEventListener {
 
   // Open Out_of_Service episode.
   std::optional<TraceRecord> open_oos_;
-
-  std::uint64_t records_written_ = 0;
-  std::uint64_t probe_bytes_seen_ = 0;
-  std::uint64_t uploaded_bytes_seen_ = 0;
-  std::uint64_t uploaded_records_seen_ = 0;
 };
 
 }  // namespace cellrel

@@ -4,7 +4,9 @@
 // *within the duration of detected failures* (the infrastructure is dormant
 // otherwise), memory for buffered records, storage for the compressed trace,
 // and network for probing and (WiFi-gated) uploads. This accountant
-// reproduces that cost model so the overhead tables can be regenerated.
+// reproduces that cost model so the overhead tables can be regenerated. It
+// holds the only copy of each cost: the monitor charges it as it handles an
+// event, runs probe rounds, writes a record or uploads its buffer.
 
 #ifndef CELLREL_CORE_OVERHEAD_H
 #define CELLREL_CORE_OVERHEAD_H
@@ -31,15 +33,18 @@ class OverheadAccountant {
   static constexpr std::uint64_t kMemoryBaseline = 24 * 1024;
 
   void on_event_handled() { cpu_busy_ += kCpuPerEvent; }
-  void on_probe_round() { cpu_busy_ += kCpuPerProbeRound; }
+  void on_probe_rounds(std::uint32_t rounds) {
+    cpu_busy_ += SimDuration::microseconds(kCpuPerProbeRound.count_us() * rounds);
+  }
   void on_trace_written(std::uint64_t compressed_bytes) {
     cpu_busy_ += kCpuPerRecord;
     storage_bytes_ += compressed_bytes;
     ++buffered_records_;
     peak_buffered_records_ = std::max(peak_buffered_records_, buffered_records_);
   }
-  void on_traces_uploaded(std::uint64_t count, std::uint64_t bytes) {
-    buffered_records_ = count >= buffered_records_ ? 0 : buffered_records_ - count;
+  /// An upload always empties the buffer.
+  void on_traces_uploaded(std::uint64_t bytes) {
+    buffered_records_ = 0;
     upload_bytes_ += bytes;
   }
   void on_probe_traffic(std::uint64_t bytes) { probe_bytes_ += bytes; }

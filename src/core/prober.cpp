@@ -15,11 +15,6 @@ constexpr SimDuration kDnsTimeout = SimDuration::seconds(5.0);
 constexpr SimDuration kBackoffThreshold = SimDuration::seconds(1200.0);
 constexpr SimDuration kRevertThreshold = SimDuration::seconds(60.0);
 constexpr SimDuration kFallbackInterval = SimDuration::seconds(60.0);
-
-// Wire sizes for overhead accounting: ICMP echo with standard payload and a
-// typical single-question DNS query.
-constexpr std::uint64_t kIcmpBytes = 64;
-constexpr std::uint64_t kDnsBytes = 80;
 }  // namespace
 
 NetworkStateProber::NetworkStateProber(Simulator& sim, NetworkStack& stack)
@@ -57,10 +52,7 @@ void NetworkStateProber::run_round() {
     return;
   }
   ++rounds_;
-  round_ = RoundState{1 + 2 * kDnsServerCount};
-
-  messages_sent_ += 1 + 2 * kDnsServerCount;
-  bytes_sent_ += kIcmpBytes * (1 + kDnsServerCount) + kDnsBytes * kDnsServerCount;
+  round_ = RoundState{kProbeRoundMessages};
 
   await(&RoundState::localhost_answered, stack_.icmp_localhost(icmp_timeout_));
   for (std::uint32_t s = 0; s < kDnsServerCount; ++s) {

@@ -10,9 +10,8 @@
 //                                          -> true Data_Stall.
 // This class simulates exactly those observable behaviours, driven by an
 // injected fault state. Each probe returns its outcome when it is sent; the
-// prober schedules the answer (or the timeout) at the outcome's `elapsed`
-// and accounts the probe traffic. Every device has kDnsServerCount DNS
-// servers.
+// prober schedules the answer (or the timeout) at the outcome's `elapsed`.
+// Every device has kDnsServerCount DNS servers.
 
 #ifndef CELLREL_NET_NETWORK_STACK_H
 #define CELLREL_NET_NETWORK_STACK_H

@@ -132,17 +132,6 @@ std::string metrics_to_json(const MetricRegistry& registry, ExportOptions option
   }
   w.close_section();
 
-  if (options.include_wall) {
-    w.open_section("wall_timers", first_section);
-    for (const auto& [name, t] : registry.wall_timers()) {
-      if (skipped(name, options)) continue;
-      w.entry(name, "{ \"count\": " + fmt_u64(t.count) +
-                        ", \"total_s\": " + fmt_double(t.total_s) +
-                        ", \"max_s\": " + fmt_double(t.max_s) + " }");
-    }
-    w.close_section();
-  }
-
   out += "\n}\n";
   return out;
 }
@@ -173,14 +162,6 @@ std::string metrics_to_csv(const MetricRegistry& registry, ExportOptions options
     csv_row(out, "sim_timer", name, "count", fmt_u64(t.count));
     csv_row(out, "sim_timer", name, "total_us", fmt_i64(t.total_us));
     csv_row(out, "sim_timer", name, "max_us", fmt_i64(t.max_us));
-  }
-  if (options.include_wall) {
-    for (const auto& [name, t] : registry.wall_timers()) {
-      if (skipped(name, options)) continue;
-      csv_row(out, "wall_timer", name, "count", fmt_u64(t.count));
-      csv_row(out, "wall_timer", name, "total_s", fmt_double(t.total_s));
-      csv_row(out, "wall_timer", name, "max_s", fmt_double(t.max_s));
-    }
   }
   return out;
 }

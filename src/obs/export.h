@@ -4,8 +4,8 @@
 // (the registry's map order) with fixed number formatting, so two registries
 // holding equal values export to identical bytes — the property the
 // `--metrics-out` bit-identity contract (threads=K vs threads=1) is tested
-// against. Wall timers are host-clock measurements and are excluded unless
-// ExportOptions.include_wall is set.
+// against. Wall timers are host-clock measurements and are never exported;
+// `render_metrics` prints them for a human reader.
 
 #ifndef CELLREL_OBS_EXPORT_H
 #define CELLREL_OBS_EXPORT_H
@@ -17,16 +17,11 @@
 namespace cellrel::obs {
 
 struct ExportOptions {
-  /// Include wall timers ("wall_timers" object / kind=wall_timer rows).
-  /// Off by default: wall values vary run to run and would break the
-  /// bit-identity contract of the exported file.
-  bool include_wall = false;
   /// Include metrics whose name starts with "process." — host-process
   /// accounting (resident batch bytes, spill volume) that legitimately
-  /// differs between execution modes of the SAME scenario. Off by default
-  /// for the same reason as wall timers: the default export must be
-  /// byte-identical across thread counts AND across the streaming /
-  /// materialized execution modes.
+  /// differs between execution modes of the SAME scenario. Off by default:
+  /// the default export must be byte-identical across thread counts AND
+  /// across the streaming / materialized execution modes.
   bool include_process = false;
 };
 
@@ -37,7 +32,6 @@ struct ExportOptions {
 ///   "histograms": { "<name>": { "lo":, "hi":, "underflow":, "overflow":,
 ///                               "total":, "buckets": [ ... ] }, ... },
 ///   "sim_timers": { "<name>": { "count":, "total_us":, "max_us": }, ... }
-///   [, "wall_timers": { ... }]
 /// }
 std::string metrics_to_json(const MetricRegistry& registry, ExportOptions options = {});
 

@@ -12,8 +12,8 @@
 //     simulation state (SimTime, event outcomes, RNG-driven results) — they
 //     are part of the deterministic export surface;
 //   * wall timers and phase spans read the host clock and are therefore
-//     EXCLUDED from the default export (ExportOptions.include_wall) — they
-//     exist so perf PRs can report real elapsed time per campaign phase.
+//     never exported — they exist so perf work can report real elapsed time
+//     per campaign phase (cellbench, `render_metrics`).
 //
 // Wall-clock access is confined to this module: cellrel-lint's `obs` rule
 // bans <chrono> includes and clock reads everywhere outside src/obs, and

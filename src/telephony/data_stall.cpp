@@ -69,7 +69,6 @@ void DataStallDetector::check() {
   if (suspected && !episode_active_) {
     episode_active_ = true;
     episode_started_ = now;
-    ++episodes_;
     metrics_.episodes.add();
     events_.raise(FailureType::kDataStall, now, FailCause::kNone, ground_truth());
   } else if (!suspected && episode_active_) {

@@ -33,7 +33,6 @@ class DataStallDetector {
   void stop();
 
   bool episode_active() const { return episode_active_; }
-  std::uint64_t episodes_detected() const { return episodes_; }
 
   /// Forces an immediate predicate check (used when traffic or fault state
   /// changes faster than the poll cadence).
@@ -59,7 +58,6 @@ class DataStallDetector {
   bool running_ = false;
   bool episode_active_ = false;
   SimTime episode_started_;
-  std::uint64_t episodes_ = 0;
 };
 
 }  // namespace cellrel

@@ -71,7 +71,6 @@ void DataStallRecoverer::on_stall_detected() {
   cycles_ = 0;
   stages_executed_ = 0;
   started_at_ = sim_.now();
-  ++episodes_started_;
   metrics_.episodes->add();
   arm_probation();
 }

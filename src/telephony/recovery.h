@@ -122,7 +122,6 @@ class DataStallRecoverer {
   void on_user_reset();
 
   bool episode_active() const { return active_; }
-  std::uint64_t episodes_started() const { return episodes_started_; }
 
  private:
   /// Resolved once at construction; no handle is null.
@@ -148,7 +147,6 @@ class DataStallRecoverer {
   std::uint32_t cycles_ = 0;
   std::uint32_t stages_executed_ = 0;
   SimTime started_at_;
-  std::uint64_t episodes_started_ = 0;
   Metrics metrics_;
 };
 

@@ -88,13 +88,13 @@ struct CampaignResult {
   /// "process." (resident batch bytes, spill volume) are host-process
   /// accounting and are excluded from the default export.
   obs::MetricRegistry metrics;
-  /// BS-health detection (Scenario::detect): the HealthTracker the merge
-  /// fed with every uploaded record (the rows of the dataset), and the
-  /// detector's scored report over it (precision/recall vs the registry's
-  /// injected ground truth, time-to-detect samples, Zipf-rank agreement).
-  /// Null when detection is off. Bit-identical for every `threads` value
-  /// and both modes: tracker state is pure integer counts and min/max folds.
-  std::unique_ptr<detect::HealthTracker> health_state;
+  /// BS-health detection (Scenario::detect): the detector's scored report
+  /// over the HealthTracker the merge fed with every uploaded record (the
+  /// rows of the dataset): precision/recall vs the registry's injected
+  /// ground truth, time-to-detect samples, Zipf-rank agreement, and the
+  /// tracker's record count and config. Null when detection is off.
+  /// Bit-identical for every `threads` value and both modes: tracker state
+  /// is pure integer counts and min/max folds.
   std::unique_ptr<detect::HealthReport> health;
   /// Inline query results (Scenario::inline_queries, same order). The
   /// executors consume the columnar shard batches during the merge itself.

@@ -68,7 +68,7 @@ struct Scenario {
   /// feeds one HealthTracker with every uploaded record, next to the
   /// Aggregator and the inline queries, and the SleepingCellDetector scores
   /// its state against the registry's injected ground truth. Results land
-  /// in CampaignResult::health / ::health_state and the "health.*" metric
+  /// in CampaignResult::health and the "health.*" metric
   /// namespace — bit-identical for every `threads` value. Off by default
   /// (the merge then builds no tracker).
   bool detect = false;

@@ -16,12 +16,14 @@ struct DeviceHarness {
   Simulator sim;
   obs::MetricSink metrics;
   std::vector<TraceRecord> uploaded;
+  int uploads = 0;
   AndroidMod mod;
   DeviceObservables observables;
 
   explicit DeviceHarness(AndroidMod::Config config = make_config())
       : mod(sim, Rng{11}, metrics, with_observables(std::move(config)),
             [this](std::span<TraceRecord> batch) {
+              ++uploads;
               for (auto& r : batch) uploaded.push_back(std::move(r));
             }) {
     set_healthy_channel();
@@ -71,6 +73,10 @@ struct DeviceHarness {
     mod.shutdown();
     sim.run();
   }
+
+  std::uint64_t records_written() {
+    return metrics.counter("monitor.records.written").value;
+  }
 };
 
 TEST(MonitorService, SetupEpisodeRecordsEventsWithSplitDuration) {
@@ -111,11 +117,11 @@ TEST(MonitorService, TeardownWhileRetryingClosesSetupEpisode) {
          h.sim.step()) {
   }
   ASSERT_EQ(dct.connection().state(), DcState::kRetrying);
-  EXPECT_EQ(h.mod.monitor().records_written(), 0u);  // buffered until the close
+  EXPECT_EQ(h.records_written(), 0u);  // buffered until the close
   const SimTime gave_up = h.sim.now();
   dct.teardown();
   EXPECT_EQ(dct.connection().state(), DcState::kInactive);
-  EXPECT_EQ(h.mod.monitor().records_written(), dct.setup_failures());
+  EXPECT_EQ(h.records_written(), dct.setup_failures());
   h.finish();
 
   ASSERT_EQ(h.uploaded.size(), dct.setup_failures());
@@ -140,17 +146,17 @@ TEST(MonitorService, VoiceDisruptionClosesThenReopensSetupEpisode) {
   h.set_healthy_channel();
   h.sim.run_until(SimTime::origin() + SimDuration::minutes(1.0));
   ASSERT_TRUE(dct.connection().is_active());
-  const std::uint64_t before = h.mod.monitor().records_written();
+  const std::uint64_t before = h.records_written();
   ASSERT_EQ(before, dct.setup_failures());
 
   const SimTime disrupted = h.sim.now();
   dct.disrupt_by_voice_call();
   EXPECT_EQ(dct.connection().state(), DcState::kInactive);
-  EXPECT_EQ(h.mod.monitor().records_written(), before);  // the call's error is open
+  EXPECT_EQ(h.records_written(), before);  // the call's error is open
   h.sim.run_until(SimTime::origin() + SimDuration::minutes(2.0));
   ASSERT_TRUE(dct.connection().is_active());
   const SimTime reactivated = dct.connection().last_transition_at();
-  EXPECT_EQ(h.mod.monitor().records_written(), before + 1);
+  EXPECT_EQ(h.records_written(), before + 1);
   h.finish();
 
   ASSERT_EQ(h.uploaded.size(), before + 1);
@@ -273,6 +279,65 @@ TEST(MonitorService, LegacyFailureRecordedInstantly) {
   EXPECT_EQ(h.uploaded.front().duration_method, DurationMethod::kNone);
 }
 
+TEST(MonitorService, RecordsStayBufferedUntilUpload) {
+  DeviceHarness h;
+  h.mod.telephony().report_legacy_failure(FailureType::kSmsSendFail);
+  h.sim.run_until(SimTime::origin() + SimDuration::minutes(1.0));
+  h.mod.telephony().report_legacy_failure(FailureType::kVoiceCallDrop);
+  EXPECT_EQ(h.records_written(), 2u);
+  EXPECT_TRUE(h.uploaded.empty());
+  h.mod.monitor().upload();
+  EXPECT_EQ(h.uploaded.size(), 2u);
+}
+
+TEST(MonitorService, OneUploadDeliversRecordsInWriteOrder) {
+  DeviceHarness h;
+  TelephonyManager& tm = h.mod.telephony();
+  tm.report_legacy_failure(FailureType::kSmsSendFail);
+  tm.report_legacy_failure(FailureType::kVoiceCallDrop);
+  tm.report_legacy_failure(FailureType::kSmsSendFail);
+  h.mod.monitor().upload();
+  EXPECT_EQ(h.uploads, 1);
+  ASSERT_EQ(h.uploaded.size(), 3u);
+  EXPECT_EQ(h.uploaded[0].type, FailureType::kSmsSendFail);
+  EXPECT_EQ(h.uploaded[1].type, FailureType::kVoiceCallDrop);
+  EXPECT_EQ(h.uploaded[2].type, FailureType::kSmsSendFail);
+}
+
+TEST(MonitorService, UploadBytesAreRecordSizesPlusOneEnvelopePerUpload) {
+  DeviceHarness h;
+  TelephonyManager& tm = h.mod.telephony();
+  MonitorService& monitor = h.mod.monitor();
+  tm.report_legacy_failure(FailureType::kSmsSendFail);
+  tm.report_legacy_failure(FailureType::kVoiceCallDrop);
+  monitor.upload();  // upload 1: two records
+  tm.report_legacy_failure(FailureType::kSmsSendFail);
+  monitor.upload();  // upload 2: one record
+  monitor.upload();  // empty: no envelope
+  EXPECT_EQ(h.uploads, 2);
+  ASSERT_EQ(h.uploaded.size(), 3u);
+  std::uint64_t record_bytes = 0;
+  for (const TraceRecord& r : h.uploaded) record_bytes += compressed_record_bytes(r);
+  const OverheadAccountant& oh = monitor.overhead();
+  EXPECT_EQ(oh.storage_bytes(), record_bytes);
+  EXPECT_EQ(oh.wifi_upload_bytes(), record_bytes + 2 * 64);
+  // The first upload emptied the buffer: at most two records were ever held.
+  EXPECT_EQ(oh.peak_memory_bytes(), OverheadAccountant::kMemoryBaseline +
+                                        2 * OverheadAccountant::kMemoryPerBufferedRecord);
+}
+
+TEST(MonitorService, EmptyUploadDoesNothing) {
+  DeviceHarness h;
+  h.mod.monitor().upload();
+  EXPECT_EQ(h.uploads, 0);
+  EXPECT_EQ(h.mod.monitor().overhead().wifi_upload_bytes(), 0u);
+  h.mod.telephony().report_legacy_failure(FailureType::kSmsSendFail);
+  h.mod.monitor().upload();
+  h.mod.monitor().upload();
+  EXPECT_EQ(h.uploads, 1);
+  EXPECT_EQ(h.uploaded.size(), 1u);
+}
+
 TEST(MonitorService, CellIdentityResolved) {
   AndroidMod::Config config = DeviceHarness::make_config();
   config.monitor.resolve_cell = [](BsIndex bs) {
@@ -301,7 +366,7 @@ TEST(MonitorService, OverheadAccumulates) {
   const auto& oh = h.mod.monitor().overhead();
   EXPECT_GT(oh.cpu_busy_time(), SimDuration::zero());
   EXPECT_GT(oh.storage_bytes(), 0u);
-  EXPECT_EQ(h.mod.monitor().records_written(), h.uploaded.size());
+  EXPECT_EQ(h.records_written(), h.uploaded.size());
 }
 
 TEST(MonitorService, ObservablesFromConfigReachTheFilter) {

@@ -126,14 +126,24 @@ TEST(Prober, FiveSecondRoundsBeforeTheBackoffThreshold) {
   EXPECT_LE(f.report->measured_duration.to_seconds(), 605.0);
 }
 
-TEST(Prober, AccountsProbeTraffic) {
-  Fixture f;
-  f.start();
-  f.sim.run();
-  // One round: 1 localhost ICMP + 2 DNS-server ICMP + 2 DNS queries.
+TEST(Prober, EveryRoundSendsTheRoundProbes) {
+  // One round: 1 localhost ICMP + 2 DNS-server ICMP + 2 DNS queries, each
+  // awaited as one scheduled reply. The monitor accounts a round's traffic
+  // as kProbeRoundBytes.
   ASSERT_EQ(kDnsServerCount, 2u);
-  EXPECT_EQ(f.prober.total_probe_messages(), 5u);
-  EXPECT_EQ(f.prober.total_probe_bytes(), 3u * 64u + 2u * 80u);
+  EXPECT_EQ(kProbeRoundMessages, 5u);
+  EXPECT_EQ(kProbeRoundBytes, 3u * 64u + 2u * 80u);
+  Fixture f;
+  f.stack.inject_fault(NetworkFault::kNetworkStall);
+  f.start();
+  EXPECT_EQ(f.sim.pending_events(), kProbeRoundMessages);
+  // The last reply classifies the round as stalled and sends the next one.
+  for (std::uint32_t i = 0; i < kProbeRoundMessages; ++i) ASSERT_TRUE(f.sim.step());
+  EXPECT_EQ(f.sim.pending_events(), kProbeRoundMessages);
+  f.stack.inject_fault(NetworkFault::kNone);
+  f.sim.run();
+  ASSERT_TRUE(f.report.has_value());
+  EXPECT_EQ(f.report->rounds, 3u);  // the second round was sent into the stall
 }
 
 

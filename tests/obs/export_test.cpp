@@ -57,16 +57,6 @@ TEST(MetricsExport, DefaultExportExcludesWallTimers) {
   EXPECT_EQ(csv.find("wall_timer"), std::string::npos);
 }
 
-TEST(MetricsExport, IncludeWallAddsWallSection) {
-  ExportOptions opts;
-  opts.include_wall = true;
-  const std::string json = metrics_to_json(golden_registry(), opts);
-  EXPECT_NE(json.find("\"wall_timers\": {"), std::string::npos);
-  EXPECT_NE(json.find("\"phase.run\": { \"count\": 1"), std::string::npos);
-  const std::string csv = metrics_to_csv(golden_registry(), opts);
-  EXPECT_NE(csv.find("wall_timer,phase.run,count,1\n"), std::string::npos);
-}
-
 TEST(MetricsExport, DefaultExportExcludesProcessMetrics) {
   // `process.`-prefixed names carry host-side accounting (peak batch bytes,
   // spill volume) that legitimately varies across execution modes; keeping

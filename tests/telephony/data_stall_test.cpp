@@ -54,7 +54,7 @@ TEST(DataStallDetector, RaisesOncePerEpisodeWithContext) {
   EXPECT_TRUE(f.detector.episode_active());
   EXPECT_EQ(f.recorder.last.bs, 9u);
   EXPECT_EQ(f.recorder.last.rat, Rat::k5G);
-  EXPECT_EQ(f.detector.episodes_detected(), 1u);
+  EXPECT_EQ(f.metrics.counter("data_stall.episodes").value, 1u);
   f.detector.stop();
 }
 
@@ -133,7 +133,7 @@ TEST(DataStallDetector, SecondEpisodeAfterClear) {
   f.send_burst(15);
   f.sim.run_until(f.sim.now() + SimDuration::seconds(20));
   EXPECT_EQ(f.recorder.raised, 2);
-  EXPECT_EQ(f.detector.episodes_detected(), 2u);
+  EXPECT_EQ(f.metrics.counter("data_stall.episodes").value, 2u);
   f.detector.stop();
 }
 

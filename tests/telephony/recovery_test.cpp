@@ -153,7 +153,7 @@ TEST(Recovery, DuplicateDetectionIgnoredWhileActive) {
   recoverer.on_stall_detected();
   recoverer.on_stall_detected();  // no-op
   h.sim.run();
-  EXPECT_EQ(recoverer.episodes_started(), 1u);
+  EXPECT_EQ(h.metrics.counter("recovery.episodes").value, 1u);
   EXPECT_EQ(h.episodes.size(), 1u);
 }
 

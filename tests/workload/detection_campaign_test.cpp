@@ -37,7 +37,6 @@ TEST(DetectionCampaign, GoldenScenarioMeetsPrecisionRecallFloor) {
   Campaign campaign(detect_scenario(20200101, 1));
   const CampaignResult result = campaign.run();
   ASSERT_NE(result.health, nullptr);
-  ASSERT_NE(result.health_state, nullptr);
   const detect::HealthReport& report = *result.health;
 
   ASSERT_TRUE(report.scored);
@@ -101,11 +100,10 @@ TEST(DetectionCampaign, HealthSeesExactlyTheUploadedRecords) {
   Campaign campaign(detect_scenario(7, 2));
   const CampaignResult result = campaign.run();
   ASSERT_NE(result.health, nullptr);
-  ASSERT_NE(result.health_state, nullptr);
   ASSERT_FALSE(result.dataset.records.empty());
-  EXPECT_EQ(result.health_state->records_seen(), result.dataset.records.size());
+  EXPECT_EQ(result.health->records_seen, result.dataset.records.size());
 
-  const detect::HealthConfig config = result.health_state->config();
+  const detect::HealthConfig config = result.health->config;
   detect::HealthTracker replay(config);
   for (const TraceRecord& r : result.dataset.records) replay.ingest(RecordBatch::row_of(r));
   const std::vector<std::uint64_t> truth = campaign.registry().failure_counts();
@@ -143,7 +141,6 @@ TEST(DetectionCampaign, DetectionOffLeavesResultUntouched) {
   Campaign campaign(sc);
   const CampaignResult result = campaign.run();
   EXPECT_EQ(result.health, nullptr);
-  EXPECT_EQ(result.health_state, nullptr);
   EXPECT_EQ(result.metrics.counters().count("health.flagged.sleeping"), 0u);
 }
 
